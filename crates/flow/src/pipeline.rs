@@ -321,8 +321,9 @@ impl Pipeline {
     }
 
     /// Selects the verification policy: tiered (exhaustive below the
-    /// width cutoff, SAT proof above), forced SAT proof, sampled
-    /// (explicit opt-out of formal checking), or off.
+    /// width cutoff, SAT proof above, sampling if a proof exhausts its
+    /// conflict budget), forced SAT proof, sampled (explicit opt-out of
+    /// formal checking), or off.
     pub fn verify_mode(mut self, mode: VerifyMode) -> Self {
         self.verify = mode;
         self

@@ -8,12 +8,22 @@
 //! |---|---|---|
 //! | exhaustive | `n ≤ 14` inputs (under [`VerifyMode::Auto`]) | all `2^n` minterms simulated |
 //! | SAT proof | `n > 14`, or forced with [`VerifyMode::Sat`] | miter refuted by the `rms-sat` CDCL solver — a proof at any width |
-//! | sampled | explicit [`VerifyMode::Sampled`] opt-out only | 64 random 64-bit pattern words — evidence, not proof |
+//! | sampled | explicit [`VerifyMode::Sampled`], or under [`VerifyMode::Auto`] when a miter exhausts [`SAT_CONFLICT_BUDGET`] | 64 random 64-bit pattern words — evidence, not proof |
 //!
 //! Historically the pipeline silently degraded to sampling above the
-//! cutoff; the SAT tier replaces that, so a "pass" now means *proved*
-//! regardless of width. Sampling survives only as an explicit opt-out
-//! (`--verify sampled`) for quick smoke runs.
+//! cutoff; the SAT tier replaces that, so a "pass" normally means
+//! *proved* regardless of width. Sampling survives in two places: the
+//! explicit opt-out (`--verify sampled`) for quick smoke runs, and the
+//! fallback of [`VerifyMode::Auto`] when a SAT proof runs out of its
+//! conflict budget (an explicit [`VerifyMode::Sat`] errors out instead).
+//! Either way the outcome is labelled `sampled (64 words)`, never proved.
+//!
+//! The sampled tier and the pre-SAT spot-check simulate each program on
+//! all of their pattern words in one [`Machine::run_batch`] call, which
+//! validates the program once; the first failure reported is still the
+//! one a word-at-a-time loop would meet (pattern-major, then program
+//! order, lowest differing lane), and an invalid program is still a hard
+//! [`FlowError::Verification`].
 //!
 //! Every failing tier reports a concrete counterexample input assignment
 //! in [`VerifyOutcome::Failed`] — the SAT model gives it for free, the
@@ -62,7 +72,8 @@ pub const SAT_CONFLICT_BUDGET: u64 = 500_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerifyMode {
     /// Tiered policy: exhaustive up to [`EXHAUSTIVE_VERIFY_VARS`] inputs,
-    /// SAT proof above.
+    /// SAT proof above, sampling when a proof exhausts
+    /// [`SAT_CONFLICT_BUDGET`].
     #[default]
     Auto,
     /// Force a SAT proof regardless of width.
@@ -112,7 +123,8 @@ pub enum VerifyOutcome {
         /// Branching decisions over all refutations of the run.
         decisions: u64,
     },
-    /// Random patterns matched (explicit opt-out — not a proof).
+    /// Random patterns matched (explicit opt-out, or the `Auto` fallback
+    /// after an exhausted SAT budget — not a proof).
     Sampled {
         /// Number of 64-bit pattern words simulated.
         words: usize,
@@ -207,23 +219,9 @@ pub(crate) fn verify_programs(
         return Ok(VerifyOutcome::Exhaustive);
     }
     if mode == VerifyMode::Sampled {
-        let mut machine = Machine::new();
-        for pattern in random_patterns(n, VERIFY_SAMPLE_WORDS, seed) {
-            let reference = netlist.simulate_words(&pattern);
-            for &(what, program) in programs {
-                let got = machine.run_words(program, &pattern).map_err(|e| {
-                    FlowError::Verification(format!("{what}: invalid program: {e}"))
-                })?;
-                if got != reference {
-                    let (o, lane) = first_word_diff(&got, &reference);
-                    return Ok(VerifyOutcome::Failed {
-                        what: format!(
-                            "{what} program differs from the netlist on output {o} (sampled)"
-                        ),
-                        counterexample: lane_bits(&pattern, lane),
-                    });
-                }
-            }
+        let patterns = random_patterns(n, VERIFY_SAMPLE_WORDS, seed);
+        if let Some(failed) = first_sim_mismatch(netlist, programs, &patterns, "sampled")? {
+            return Ok(failed);
         }
         return Ok(VerifyOutcome::Sampled {
             words: VERIFY_SAMPLE_WORDS,
@@ -232,23 +230,9 @@ pub(crate) fn verify_programs(
     // Word-parallel spot-check in front of the SAT tier: a buggy
     // program almost always differs on random words, which is far
     // cheaper to find by simulation than by refutation.
-    let mut machine = Machine::new();
-    for pattern in random_patterns(n, PRE_SAT_SPOT_WORDS, seed) {
-        let reference = netlist.simulate_words(&pattern);
-        for &(what, program) in programs {
-            let got = machine
-                .run_words(program, &pattern)
-                .map_err(|e| FlowError::Verification(format!("{what}: invalid program: {e}")))?;
-            if got != reference {
-                let (o, lane) = first_word_diff(&got, &reference);
-                return Ok(VerifyOutcome::Failed {
-                    what: format!(
-                        "{what} program differs from the netlist on output {o} (pre-SAT spot-check)"
-                    ),
-                    counterexample: lane_bits(&pattern, lane),
-                });
-            }
-        }
+    let patterns = random_patterns(n, PRE_SAT_SPOT_WORDS, seed);
+    if let Some(failed) = first_sim_mismatch(netlist, programs, &patterns, "pre-SAT spot-check")? {
+        return Ok(failed);
     }
     // SAT tier: refute a miter per program, under a conflict budget.
     let (mut conflicts, mut decisions) = (0u64, 0u64);
@@ -300,6 +284,52 @@ pub(crate) fn verify_programs(
         conflicts,
         decisions,
     })
+}
+
+/// Simulates every program on all `patterns`, validating each program
+/// once, and returns the first disagreement with the netlist in
+/// pattern-major, then program order, with its lowest differing lane as
+/// the counterexample. `tier` names the check in the failure message.
+fn first_sim_mismatch(
+    netlist: &Netlist,
+    programs: &[(&str, &Program)],
+    patterns: &[Vec<u64>],
+    tier: &str,
+) -> Result<Option<VerifyOutcome>, FlowError> {
+    let reference: Vec<Vec<u64>> = patterns.iter().map(|p| netlist.simulate_words(p)).collect();
+    let mut machine = Machine::new();
+    let mut results = Vec::with_capacity(programs.len());
+    let mut invalid = None;
+    for &(what, program) in programs {
+        match machine.run_batch(program, patterns) {
+            Ok(got) => results.push(got),
+            Err(e) => {
+                invalid = Some(FlowError::Verification(format!(
+                    "{what}: invalid program: {e}"
+                )));
+                break;
+            }
+        }
+    }
+    // An invalid program is reported at the first pattern word, unless a
+    // program before it already differs there.
+    let words = if invalid.is_some() {
+        patterns.len().min(1)
+    } else {
+        patterns.len()
+    };
+    for (w, want) in reference.iter().enumerate().take(words) {
+        for (&(what, _), got) in programs.iter().zip(&results) {
+            if got[w] != *want {
+                let (o, lane) = first_word_diff(&got[w], want);
+                return Ok(Some(VerifyOutcome::Failed {
+                    what: format!("{what} program differs from the netlist on output {o} ({tier})"),
+                    counterexample: lane_bits(&patterns[w], lane),
+                }));
+            }
+        }
+    }
+    invalid.map_or(Ok(None), Err)
 }
 
 /// Checks two standalone circuits for functional equivalence under the
@@ -656,5 +686,159 @@ mod tests {
         let names: Vec<String> = vec!["a".into(), "b".into()];
         assert_eq!(format_assignment(&names, &[true, false]), "a=1 b=0");
         assert!(format_assignment(&names, &[]).contains("structural"));
+    }
+
+    /// The word-at-a-time loop that the batched tiers replaced, kept as
+    /// the oracle for which failure comes first.
+    fn per_word_first_failure(
+        netlist: &Netlist,
+        programs: &[(&str, &Program)],
+        words: usize,
+        seed: u64,
+        tier: &str,
+    ) -> Result<Option<VerifyOutcome>, FlowError> {
+        let mut machine = Machine::new();
+        for pattern in random_patterns(netlist.num_inputs(), words, seed) {
+            let reference = netlist.simulate_words(&pattern);
+            for &(what, program) in programs {
+                let got = machine.run_words(program, &pattern).map_err(|e| {
+                    FlowError::Verification(format!("{what}: invalid program: {e}"))
+                })?;
+                if got != reference {
+                    let (o, lane) = first_word_diff(&got, &reference);
+                    return Ok(Some(VerifyOutcome::Failed {
+                        what: format!(
+                            "{what} program differs from the netlist on output {o} ({tier})"
+                        ),
+                        counterexample: lane_bits(&pattern, lane),
+                    }));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Replaces one random op of `program`: with a random op on the same
+    /// device (a functional bug, often caught only on some words), or
+    /// with a write past the last device (a structural defect).
+    fn mutate(program: &mut Program, rng: &mut rms_logic::rng::SplitMix64) {
+        use rms_rram::isa::{MicroOp, Operand, RegId};
+        let si = rng.next_index(program.steps.len());
+        let step = &mut program.steps[si];
+        let oi = rng.next_index(step.len());
+        let dst = step[oi].dst();
+        let operand = Operand::Input(rng.next_index(program.num_inputs));
+        step[oi] = match rng.next_index(5) {
+            0 => MicroOp::False {
+                dst: RegId(program.num_regs as u32),
+            },
+            1 => MicroOp::False { dst },
+            2 => MicroOp::Load { dst, src: operand },
+            3 => MicroOp::Imp { p: operand, q: dst },
+            _ => MicroOp::Maj {
+                p: operand,
+                q: Operand::Const(rng.next_bool()),
+                r: dst,
+            },
+        };
+    }
+
+    #[test]
+    fn batched_tiers_report_the_per_word_first_failure() {
+        let mut rng = rms_logic::rng::SplitMix64::new(12);
+        let (mut failures, mut errors) = (0, 0);
+        for case in 0..60u64 {
+            let netlist = rms_logic::random::random_netlist("v", case, 18, 3, 40);
+            let mig = rms_core::Mig::from_netlist(&netlist);
+            let mut array = rms_rram::compile::compile(&mig, rms_core::Realization::Maj).program;
+            let mut plim = rms_rram::plim::compile_plim(&mig).program;
+            match case % 4 {
+                0 => {}
+                1 => mutate(&mut array, &mut rng),
+                2 => mutate(&mut plim, &mut rng),
+                _ => {
+                    mutate(&mut array, &mut rng);
+                    mutate(&mut plim, &mut rng);
+                }
+            }
+            let programs = [("array", &array), ("plim", &plim)];
+            for (mode, words, tier) in [
+                (VerifyMode::Sampled, VERIFY_SAMPLE_WORDS, "sampled"),
+                (VerifyMode::Auto, PRE_SAT_SPOT_WORDS, "pre-SAT spot-check"),
+            ] {
+                let want = per_word_first_failure(&netlist, &programs, words, case, tier);
+                let got = verify_programs(&netlist, &programs, mode, case, &CancelToken::default());
+                match (want, got) {
+                    (Ok(Some(want)), Ok(got)) => {
+                        failures += 1;
+                        assert_eq!(got, want, "case {case}, {tier}");
+                    }
+                    (Ok(None), Ok(got)) => {
+                        // Past the spot-check, the SAT tier may still
+                        // refute a mutant; simulation must not.
+                        let simulated_failure = matches!(
+                            &got,
+                            VerifyOutcome::Failed { what, .. } if what.contains(tier)
+                        );
+                        assert!(!simulated_failure, "case {case}, {tier}: {got:?}");
+                    }
+                    (Err(want), Err(got)) => {
+                        errors += 1;
+                        assert_eq!(got.to_string(), want.to_string(), "case {case}, {tier}");
+                    }
+                    (want, got) => panic!("case {case}, {tier}: want {want:?}, got {got:?}"),
+                }
+            }
+        }
+        assert!(
+            failures > 0 && errors > 0,
+            "{failures} failures, {errors} errors"
+        );
+    }
+
+    #[test]
+    fn sampled_failure_is_pattern_major() {
+        use rms_rram::isa::{MicroOp, Operand, RegId};
+        // f = x0 & … & x9 is rarely 1, g = x10.
+        let mut b = NetlistBuilder::new("rare");
+        let xs: Vec<Wire> = (0..16).map(|i| b.input(format!("x{i}"))).collect();
+        let f = xs[1..10].iter().fold(xs[0], |acc, &x| b.and(acc, x));
+        b.output("f", f);
+        b.output("g", xs[10]);
+        let netlist = b.build();
+        let program = |op: MicroOp| Program {
+            num_inputs: 16,
+            num_regs: 2,
+            steps: vec![vec![op]],
+            outputs: vec![("f".into(), RegId(0)), ("g".into(), RegId(1))],
+            model_rrams: 0,
+        };
+        // `rare_bug` holds f at 0, wrong only on the words where f is 1;
+        // `loud_bug` also inverts g, wrong on the first word.
+        let rare_bug = program(MicroOp::Load {
+            dst: RegId(1),
+            src: Operand::Input(10),
+        });
+        let loud_bug = program(MicroOp::Imp {
+            p: Operand::Input(10),
+            q: RegId(1),
+        });
+        let cancel = CancelToken::default();
+        let alone = verify_programs(
+            &netlist,
+            &[("rare", &rare_bug)],
+            VerifyMode::Sampled,
+            3,
+            &cancel,
+        )
+        .unwrap();
+        assert!(!alone.passed(), "the rare bug shows within 64 words");
+        let programs = [("rare", &rare_bug), ("loud", &loud_bug)];
+        let got = verify_programs(&netlist, &programs, VerifyMode::Sampled, 3, &cancel).unwrap();
+        let want = per_word_first_failure(&netlist, &programs, VERIFY_SAMPLE_WORDS, 3, "sampled")
+            .unwrap()
+            .unwrap();
+        assert_eq!(got, want);
+        assert_ne!(got, alone, "the earlier word wins over program order");
     }
 }

@@ -84,28 +84,16 @@ impl MicroOp {
         }
     }
 
-    /// The registers this op reads.
-    pub fn reads(&self) -> Vec<RegId> {
-        let mut v = Vec::new();
-        let mut add = |o: &Operand| {
-            if let Operand::Reg(r) = o {
-                v.push(*r);
-            }
-        };
-        match self {
-            MicroOp::False { .. } => {}
-            MicroOp::Load { src, .. } => add(src),
-            MicroOp::Imp { p, q } => {
-                add(p);
-                v.push(*q);
-            }
-            MicroOp::Maj { p, q, r } => {
-                add(p);
-                add(q);
-                v.push(*r);
-            }
+    /// The driven operands of this op (`src` of a load, `p` of an IMP,
+    /// `p` and `q` of a MAJ), in that order; the written device itself is
+    /// not among them.
+    pub fn operands(&self) -> [Option<Operand>; 2] {
+        match *self {
+            MicroOp::False { .. } => [None, None],
+            MicroOp::Load { src, .. } => [Some(src), None],
+            MicroOp::Imp { p, .. } => [Some(p), None],
+            MicroOp::Maj { p, q, .. } => [Some(p), Some(q)],
         }
-        v
     }
 }
 
@@ -199,44 +187,45 @@ impl Program {
         self.steps.len() as u64
     }
 
-    /// Checks structural well-formedness.
+    /// Checks structural well-formedness in one linear pass over the
+    /// micro-ops.
     ///
     /// # Errors
     ///
     /// Returns the first [`ProgramError`] found: intra-step write
     /// conflicts, device indices out of range, or input indices out of
-    /// range.
+    /// range. Within one op the destination is checked first, then the
+    /// device operands, then the input operands.
     pub fn validate(&self) -> Result<(), ProgramError> {
+        // `last_write[r]` is one more than the index of the latest step
+        // that wrote device `r` (0 = never written), so a second write in
+        // the same step is a single comparison.
+        let mut last_write = vec![0usize; self.num_regs];
         for (si, step) in self.steps.iter().enumerate() {
-            let mut written: Vec<u32> = Vec::with_capacity(step.len());
+            let stamp = si + 1;
             for op in step {
                 let d = op.dst();
-                if d.0 as usize >= self.num_regs {
-                    return Err(ProgramError::RegOutOfRange { step: si, reg: d });
-                }
-                if written.contains(&d.0) {
+                let slot = last_write
+                    .get_mut(d.0 as usize)
+                    .ok_or(ProgramError::RegOutOfRange { step: si, reg: d })?;
+                if *slot == stamp {
                     return Err(ProgramError::WriteConflict { step: si, reg: d });
                 }
-                written.push(d.0);
-                for r in op.reads() {
-                    if r.0 as usize >= self.num_regs {
-                        return Err(ProgramError::RegOutOfRange { step: si, reg: r });
+                *slot = stamp;
+                let operands = op.operands();
+                for o in operands.iter().flatten() {
+                    if let Operand::Reg(r) = *o {
+                        if r.0 as usize >= self.num_regs {
+                            return Err(ProgramError::RegOutOfRange { step: si, reg: r });
+                        }
                     }
                 }
-                let check_input = |o: &Operand| -> Option<usize> {
-                    match o {
-                        Operand::Input(i) if *i >= self.num_inputs => Some(*i),
-                        _ => None,
+                for o in operands.iter().flatten() {
+                    if let Operand::Input(input) = *o {
+                        if input >= self.num_inputs {
+                            return Err(ProgramError::InputOutOfRange { step: si, input });
+                        }
                     }
-                };
-                let bad = match op {
-                    MicroOp::Load { src, .. } => check_input(src),
-                    MicroOp::Imp { p, .. } => check_input(p),
-                    MicroOp::Maj { p, q, .. } => check_input(p).or(check_input(q)),
-                    MicroOp::False { .. } => None,
-                };
-                if let Some(input) = bad {
-                    return Err(ProgramError::InputOutOfRange { step: si, input });
                 }
             }
         }
@@ -351,13 +340,102 @@ mod tests {
     }
 
     #[test]
-    fn op_reads_and_dst() {
+    fn op_operands_and_dst() {
         let op = MicroOp::Maj {
             p: Operand::Reg(RegId(3)),
             q: Operand::Const(true),
             r: RegId(4),
         };
         assert_eq!(op.dst(), RegId(4));
-        assert_eq!(op.reads(), vec![RegId(3), RegId(4)]);
+        assert_eq!(
+            op.operands(),
+            [Some(Operand::Reg(RegId(3))), Some(Operand::Const(true))]
+        );
+        assert_eq!(MicroOp::False { dst: RegId(1) }.operands(), [None, None]);
+    }
+
+    #[test]
+    fn each_error_keeps_its_step_and_register() {
+        // A 4096-op step writing distinct devices, then one more write of
+        // device 1234 at its end.
+        let wide = |extra: MicroOp| -> Program {
+            let mut step: Step = (0..4096)
+                .map(|r| MicroOp::False { dst: RegId(r) })
+                .collect();
+            step.push(extra);
+            Program {
+                num_inputs: 2,
+                num_regs: 5000,
+                steps: vec![vec![MicroOp::False { dst: RegId(1234) }], step],
+                outputs: vec![("f".into(), RegId(0))],
+                model_rrams: 0,
+            }
+        };
+        let cases = [
+            (
+                wide(MicroOp::False { dst: RegId(1234) }),
+                ProgramError::WriteConflict {
+                    step: 1,
+                    reg: RegId(1234),
+                },
+            ),
+            // A destination check comes before the operand checks.
+            (
+                wide(MicroOp::Load {
+                    dst: RegId(7),
+                    src: Operand::Reg(RegId(9000)),
+                }),
+                ProgramError::WriteConflict {
+                    step: 1,
+                    reg: RegId(7),
+                },
+            ),
+            (
+                wide(MicroOp::False { dst: RegId(5000) }),
+                ProgramError::RegOutOfRange {
+                    step: 1,
+                    reg: RegId(5000),
+                },
+            ),
+            // Device operands are checked before input operands.
+            (
+                wide(MicroOp::Maj {
+                    p: Operand::Input(9),
+                    q: Operand::Reg(RegId(6000)),
+                    r: RegId(4999),
+                }),
+                ProgramError::RegOutOfRange {
+                    step: 1,
+                    reg: RegId(6000),
+                },
+            ),
+            (
+                wide(MicroOp::Maj {
+                    p: Operand::Input(1),
+                    q: Operand::Input(3),
+                    r: RegId(4999),
+                }),
+                ProgramError::InputOutOfRange { step: 1, input: 3 },
+            ),
+            (
+                wide(MicroOp::Imp {
+                    p: Operand::Input(2),
+                    q: RegId(4999),
+                }),
+                ProgramError::InputOutOfRange { step: 1, input: 2 },
+            ),
+        ];
+        for (program, want) in cases {
+            assert_eq!(program.validate(), Err(want.clone()), "{want}");
+        }
+        // Rewriting a device in a later step is not a conflict.
+        let ok = wide(MicroOp::False { dst: RegId(4999) });
+        assert_eq!(ok.validate(), Ok(()));
+        let mut bad_output = ok;
+        bad_output.outputs.push(("g".into(), RegId(5000)));
+        assert_eq!(
+            bad_output.validate(),
+            Err(ProgramError::OutputOutOfRange { reg: RegId(5000) })
+        );
     }
 }

@@ -1,11 +1,29 @@
 //! Cycle-accurate, bit-parallel interpreter for RRAM programs.
 //!
-//! The machine evaluates a [`Program`] 64 input assignments at a time
-//! (one bit lane per assignment). Within a step all operand reads observe
+//! The machine evaluates a [`Program`] on 64-bit pattern words, one bit
+//! lane per input assignment. Within a step all operand reads observe
 //! the pre-step device states, matching the simultaneous execution
 //! semantics of the ISA.
+//!
+//! # Validate once, simulate many
+//!
+//! [`Machine::run_batch`] is the one simulation kernel. It validates the
+//! program once, then steps a block of [`BLOCK_WORDS`] pattern words per
+//! micro-op: devices are laid out `[device][word]`, so each op is a short
+//! fixed-length loop over the block, and the blocks of a long batch run
+//! one after another through the same device array. Every block starts
+//! from all-zero devices, exactly like a fresh single-word run.
+//! [`Machine::run_words`] is a one-word call into the same kernel (and
+//! still validates per call, since any caller may hand it any program);
+//! [`Machine::truth_tables`] validates once and feeds every minterm chunk
+//! through the kernel.
 
-use crate::isa::{MicroOp, Operand, Program, ProgramError, RegId};
+use crate::isa::{MicroOp, Operand, Program, ProgramError};
+
+/// Pattern words a batch steps together per micro-op. Eight words keep
+/// the `[device][word]` array within a few times the single-word
+/// footprint while amortizing op decoding over the block.
+pub const BLOCK_WORDS: usize = 8;
 
 /// Execution statistics of one program run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,23 +48,19 @@ pub struct RunStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct Machine {
+    /// Device states, `[device][word]` with a stride of the block width.
     regs: Vec<u64>,
+    /// Input words of the current block, `[input][word]`.
+    inputs: Vec<u64>,
+    /// Values computed by the current step, committed after it.
+    writes: Vec<u64>,
     touched: Vec<bool>,
 }
 
 impl Machine {
-    /// Creates a machine with no devices; [`Machine::run_words`] sizes it.
+    /// Creates a machine with no devices; each run sizes it.
     pub fn new() -> Self {
         Machine::default()
-    }
-
-    fn value(&self, op: Operand, inputs: &[u64]) -> u64 {
-        match op {
-            Operand::Const(false) => 0,
-            Operand::Const(true) => u64::MAX,
-            Operand::Input(i) => inputs[i],
-            Operand::Reg(RegId(r)) => self.regs[r as usize],
-        }
     }
 
     /// Runs `program` on 64 parallel assignments (`inputs[i]` holds one bit
@@ -64,43 +78,124 @@ impl Machine {
         program: &Program,
         inputs: &[u64],
     ) -> Result<Vec<u64>, ProgramError> {
-        assert_eq!(inputs.len(), program.num_inputs, "input count mismatch");
+        let mut outs = self.run_batch(program, &[inputs])?;
+        Ok(outs.pop().expect("one pattern word in, one out"))
+    }
+
+    /// Runs `program` on every pattern word of `patterns` (each holds one
+    /// word per input, as in [`Machine::run_words`]), validating the
+    /// program once. Returns, per pattern word, one word per output.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ProgramError`] if the program fails validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any pattern's length differs from `program.num_inputs`.
+    pub fn run_batch<P: AsRef<[u64]>>(
+        &mut self,
+        program: &Program,
+        patterns: &[P],
+    ) -> Result<Vec<Vec<u64>>, ProgramError> {
+        for pattern in patterns {
+            assert_eq!(
+                pattern.as_ref().len(),
+                program.num_inputs,
+                "input count mismatch"
+            );
+        }
         program.validate()?;
-        self.regs.clear();
-        self.regs.resize(program.num_regs, 0);
-        self.touched.clear();
-        self.touched.resize(program.num_regs, false);
-        let mut writes: Vec<(usize, u64)> = Vec::new();
-        for step in &program.steps {
-            writes.clear();
-            for op in step {
-                let (dst, val) = match *op {
-                    MicroOp::False { dst } => (dst, 0),
-                    MicroOp::Load { dst, src } => (dst, self.value(src, inputs)),
-                    MicroOp::Imp { p, q } => {
-                        let pv = self.value(p, inputs);
-                        let qv = self.regs[q.0 as usize];
-                        (q, !pv | qv)
-                    }
-                    MicroOp::Maj { p, q, r } => {
-                        let pv = self.value(p, inputs);
-                        let qv = !self.value(q, inputs);
-                        let rv = self.regs[r.0 as usize];
-                        (r, (pv & qv) | (pv & rv) | (qv & rv))
-                    }
-                };
-                writes.push((dst.0 as usize, val));
-            }
-            for &(dst, val) in &writes {
-                self.regs[dst] = val;
-                self.touched[dst] = true;
+        self.reset_touched(program);
+        let mut outs = Vec::with_capacity(patterns.len());
+        // A lone word runs at width 1, so `run_words` costs no more than
+        // a scalar pass.
+        if let [single] = patterns {
+            self.simulate_block::<1, P>(program, std::slice::from_ref(single), &mut outs);
+        } else {
+            for block in patterns.chunks(BLOCK_WORDS) {
+                self.simulate_block::<BLOCK_WORDS, P>(program, block, &mut outs);
             }
         }
-        Ok(program
-            .outputs
-            .iter()
-            .map(|(_, r)| self.regs[r.0 as usize])
-            .collect())
+        Ok(outs)
+    }
+
+    fn reset_touched(&mut self, program: &Program) {
+        self.touched.clear();
+        self.touched.resize(program.num_regs, false);
+    }
+
+    /// The kernel: simulates up to `W` pattern words of an already
+    /// validated program, appending one output vector per word to `outs`.
+    fn simulate_block<const W: usize, P: AsRef<[u64]>>(
+        &mut self,
+        program: &Program,
+        block: &[P],
+        outs: &mut Vec<Vec<u64>>,
+    ) {
+        debug_assert!(!block.is_empty() && block.len() <= W);
+        let Machine {
+            regs,
+            inputs,
+            writes,
+            touched,
+        } = self;
+        inputs.clear();
+        inputs.resize(program.num_inputs * W, 0);
+        for (k, pattern) in block.iter().enumerate() {
+            for (i, &w) in pattern.as_ref().iter().enumerate() {
+                inputs[i * W + k] = w;
+            }
+        }
+        regs.clear();
+        regs.resize(program.num_regs * W, 0);
+        let (inputs, _) = inputs.as_chunks::<W>();
+        for step in &program.steps {
+            writes.clear();
+            {
+                let (regs, _) = regs.as_chunks::<W>();
+                let value = |o: Operand| -> [u64; W] {
+                    match o {
+                        Operand::Const(false) => [0; W],
+                        Operand::Const(true) => [u64::MAX; W],
+                        Operand::Input(i) => inputs[i],
+                        Operand::Reg(r) => regs[r.0 as usize],
+                    }
+                };
+                for op in step {
+                    let v: [u64; W] = match *op {
+                        MicroOp::False { .. } => [0; W],
+                        MicroOp::Load { src, .. } => value(src),
+                        MicroOp::Imp { p, q } => {
+                            let (p, q) = (value(p), regs[q.0 as usize]);
+                            std::array::from_fn(|k| !p[k] | q[k])
+                        }
+                        MicroOp::Maj { p, q, r } => {
+                            let (p, r) = (value(p), regs[r.0 as usize]);
+                            let q = value(q).map(|w| !w);
+                            std::array::from_fn(|k| (p[k] & q[k]) | (p[k] & r[k]) | (q[k] & r[k]))
+                        }
+                    };
+                    writes.extend_from_slice(&v);
+                }
+            }
+            // Commit after every op has read the pre-step state.
+            let (regs, _) = regs.as_chunks_mut::<W>();
+            let (values, _) = writes.as_chunks::<W>();
+            for (op, v) in step.iter().zip(values) {
+                let d = op.dst().0 as usize;
+                regs[d] = *v;
+                touched[d] = true;
+            }
+        }
+        let (regs, _) = regs.as_chunks::<W>();
+        outs.extend((0..block.len()).map(|k| {
+            program
+                .outputs
+                .iter()
+                .map(|(_, r)| regs[r.0 as usize][k])
+                .collect()
+        }));
     }
 
     /// Runs `program` on a single boolean assignment.
@@ -127,7 +222,9 @@ impl Machine {
     }
 
     /// Exhaustive truth tables of a program's outputs (one
-    /// [`rms_logic::TruthTable`] per output).
+    /// [`rms_logic::TruthTable`] per output). The program is validated
+    /// once; the 64-minterm chunks run through the batch kernel a block
+    /// at a time.
     ///
     /// # Errors
     ///
@@ -141,45 +238,70 @@ impl Machine {
         use rms_logic::tt::{TruthTable, MAX_VARS};
         let n = program.num_inputs;
         assert!(n <= MAX_VARS, "too many inputs for exhaustive tables");
+        program.validate()?;
         let mut tts: Vec<TruthTable> = program
             .outputs
             .iter()
             .map(|_| TruthTable::zero(n))
             .collect();
         let total = 1u64 << n;
+        let chunk_words = total.div_ceil(64);
         let mut machine = Machine::new();
-        let mut base = 0u64;
-        while base < total {
-            let chunk = 64.min(total - base);
-            let inputs: Vec<u64> = (0..n)
-                .map(|i| {
-                    let mut w = 0u64;
-                    for b in 0..chunk {
-                        if ((base + b) >> i) & 1 == 1 {
-                            w |= 1 << b;
-                        }
-                    }
-                    w
-                })
-                .collect();
-            let outs = machine.run_words(program, &inputs)?;
-            for (t, &w) in tts.iter_mut().zip(&outs) {
-                for b in 0..chunk {
-                    if (w >> b) & 1 == 1 {
-                        t.set_bit(base + b);
+        machine.reset_touched(program);
+        let mut block: Vec<Vec<u64>> = Vec::with_capacity(BLOCK_WORDS);
+        let mut outs: Vec<Vec<u64>> = Vec::with_capacity(BLOCK_WORDS);
+        let mut chunk = 0u64;
+        while chunk < chunk_words {
+            block.clear();
+            let first = chunk;
+            while chunk < chunk_words && block.len() < BLOCK_WORDS {
+                block.push((0..n).map(|i| minterm_word(chunk * 64, i)).collect());
+                chunk += 1;
+            }
+            outs.clear();
+            machine.simulate_block::<BLOCK_WORDS, _>(program, &block, &mut outs);
+            for (c, words) in (first..).zip(&outs) {
+                let base = c * 64;
+                let live = match total - base {
+                    64.. => u64::MAX,
+                    lanes => (1 << lanes) - 1,
+                };
+                for (t, &w) in tts.iter_mut().zip(words) {
+                    let mut ones = w & live;
+                    while ones != 0 {
+                        t.set_bit(base + u64::from(ones.trailing_zeros()));
+                        ones &= ones - 1;
                     }
                 }
             }
-            base += chunk;
         }
         Ok(tts)
+    }
+}
+
+/// Word of input `i` over the 64 minterms starting at `base` (a multiple
+/// of 64): bit `b` is input `i`'s value in minterm `base + b`.
+fn minterm_word(base: u64, i: usize) -> u64 {
+    const LOW: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    match LOW.get(i) {
+        Some(&w) => w,
+        None if (base >> i) & 1 == 1 => u64::MAX,
+        None => 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::Step;
+    use crate::isa::{RegId, Step};
+    use rms_logic::rng::SplitMix64;
 
     fn imp_program() -> Program {
         Program {
@@ -308,5 +430,183 @@ mod tests {
                 devices_touched: 2
             }
         );
+    }
+
+    /// Plain per-word interpreter: every op of a step reads a snapshot
+    /// of the pre-step devices. The oracle for the batch kernel.
+    fn scalar_reference(program: &Program, inputs: &[u64]) -> Vec<u64> {
+        let mut regs = vec![0u64; program.num_regs];
+        for step in &program.steps {
+            let old = regs.clone();
+            let value = |o: Operand| -> u64 {
+                match o {
+                    Operand::Const(false) => 0,
+                    Operand::Const(true) => u64::MAX,
+                    Operand::Input(i) => inputs[i],
+                    Operand::Reg(r) => old[r.0 as usize],
+                }
+            };
+            for op in step {
+                let (dst, v) = match *op {
+                    MicroOp::False { dst } => (dst, 0),
+                    MicroOp::Load { dst, src } => (dst, value(src)),
+                    MicroOp::Imp { p, q } => (q, !value(p) | old[q.0 as usize]),
+                    MicroOp::Maj { p, q, r } => {
+                        let (a, b, c) = (value(p), !value(q), old[r.0 as usize]);
+                        (r, (a & b) | (a & c) | (b & c))
+                    }
+                };
+                regs[dst.0 as usize] = v;
+            }
+        }
+        program
+            .outputs
+            .iter()
+            .map(|(_, r)| regs[r.0 as usize])
+            .collect()
+    }
+
+    /// A random structurally valid program. Operands freely read devices
+    /// the same step writes, and some steps are explicit swaps, so the
+    /// pre-step read semantics is exercised on every run.
+    fn random_program(rng: &mut SplitMix64) -> Program {
+        let num_inputs = 1 + rng.next_index(6);
+        let num_regs = 2 + rng.next_index(12);
+        let operand = |rng: &mut SplitMix64| match rng.next_index(4) {
+            0 => Operand::Const(rng.next_bool()),
+            1 => Operand::Input(rng.next_index(num_inputs)),
+            _ => Operand::Reg(RegId(rng.next_index(num_regs) as u32)),
+        };
+        let mut steps = Vec::new();
+        for _ in 0..1 + rng.next_index(24) {
+            if rng.chance(1, 5) {
+                let a = rng.next_index(num_regs) as u32;
+                let b = (a + 1 + rng.next_index(num_regs - 1) as u32) % num_regs as u32;
+                steps.push(vec![
+                    MicroOp::Load {
+                        dst: RegId(a),
+                        src: Operand::Reg(RegId(b)),
+                    },
+                    MicroOp::Load {
+                        dst: RegId(b),
+                        src: Operand::Reg(RegId(a)),
+                    },
+                ]);
+                continue;
+            }
+            let mut dsts: Vec<u32> = (0..num_regs as u32).collect();
+            let mut step = Vec::new();
+            for _ in 0..1 + rng.next_index(num_regs) {
+                let dst = RegId(dsts.swap_remove(rng.next_index(dsts.len())));
+                step.push(match rng.next_index(4) {
+                    0 => MicroOp::False { dst },
+                    1 => MicroOp::Load {
+                        dst,
+                        src: operand(rng),
+                    },
+                    2 => MicroOp::Imp {
+                        p: operand(rng),
+                        q: dst,
+                    },
+                    _ => MicroOp::Maj {
+                        p: operand(rng),
+                        q: operand(rng),
+                        r: dst,
+                    },
+                });
+            }
+            steps.push(step);
+        }
+        let outputs = (0..1 + rng.next_index(4))
+            .map(|o| (format!("o{o}"), RegId(rng.next_index(num_regs) as u32)))
+            .collect();
+        Program {
+            num_inputs,
+            num_regs,
+            steps,
+            outputs,
+            model_rrams: 0,
+        }
+    }
+
+    fn touched_devices(program: &Program) -> u64 {
+        let mut seen = vec![false; program.num_regs];
+        for op in program.steps.iter().flatten() {
+            seen[op.dst().0 as usize] = true;
+        }
+        seen.iter().filter(|&&t| t).count() as u64
+    }
+
+    #[test]
+    fn batch_kernel_matches_scalar_reference() {
+        let mut rng = SplitMix64::new(0xB10C);
+        let mut machine = Machine::new();
+        for case in 0..200 {
+            let program = random_program(&mut rng);
+            program.validate().expect("generator emits valid programs");
+            // Word counts straddling the block size.
+            for words in [1, 7, BLOCK_WORDS, 9, 64, 65] {
+                let patterns: Vec<Vec<u64>> = (0..words)
+                    .map(|_| (0..program.num_inputs).map(|_| rng.next_u64()).collect())
+                    .collect();
+                let got = machine.run_batch(&program, &patterns).unwrap();
+                assert_eq!(got.len(), words);
+                for (w, pattern) in patterns.iter().enumerate() {
+                    let want = scalar_reference(&program, pattern);
+                    assert_eq!(got[w], want, "case {case}, {words} words, word {w}");
+                }
+                assert_eq!(
+                    machine.stats(&program).devices_touched,
+                    touched_devices(&program),
+                    "case {case}"
+                );
+            }
+            let pattern: Vec<u64> = (0..program.num_inputs).map(|_| rng.next_u64()).collect();
+            assert_eq!(
+                machine.run_words(&program, &pattern).unwrap(),
+                scalar_reference(&program, &pattern),
+                "case {case}: run_words"
+            );
+        }
+    }
+
+    #[test]
+    fn truth_tables_match_scalar_reference() {
+        let mut rng = SplitMix64::new(0x77);
+        for case in 0..40 {
+            let mut program = random_program(&mut rng);
+            // Widen some programs past one block of 64-minterm chunks.
+            program.num_inputs += rng.next_index(7);
+            let n = program.num_inputs;
+            let tts = Machine::truth_tables(&program).unwrap();
+            for m in 0..1u64 << n {
+                let bits: Vec<u64> = (0..n).map(|i| ((m >> i) & 1).wrapping_neg()).collect();
+                let want = scalar_reference(&program, &bits);
+                for (o, t) in tts.iter().enumerate() {
+                    assert_eq!(t.bit(m), want[o] & 1 == 1, "case {case}, n={n}, m={m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_rejects_invalid_program_before_running() {
+        let mut p = imp_program();
+        p.steps.push(vec![MicroOp::False { dst: RegId(5) }] as Step);
+        let patterns = vec![vec![0u64, 0]; 9];
+        assert_eq!(
+            Machine::new().run_batch(&p, &patterns),
+            Err(ProgramError::RegOutOfRange {
+                step: 2,
+                reg: RegId(5)
+            })
+        );
+        assert!(Machine::truth_tables(&p).is_err());
+    }
+
+    #[test]
+    fn empty_batch_validates_and_returns_nothing() {
+        let none: [&[u64]; 0] = [];
+        assert_eq!(Machine::new().run_batch(&imp_program(), &none), Ok(vec![]));
     }
 }

@@ -174,8 +174,7 @@ impl ResultCache {
         }
     }
 
-    /// Peeks without touching recency or counters (used by the batch
-    /// planner to classify items before any work runs).
+    /// Peeks without touching recency or counters.
     pub fn contains(&self, key: &CacheKey) -> bool {
         self.map.contains_key(key)
     }

@@ -37,12 +37,22 @@
 //! **Ops** — `{"op":"stats"}` returns cache counters,
 //! `{"op":"ping"}` a liveness probe.
 //!
-//! Every response carries `"protocol":"rms-serve-v1"`, the echoed `id`,
-//! a `status` (`ok` / `error`), and for synthesis results a `cache`
-//! disposition (`hit` / `miss`), the content address (`structure` +
-//! `options`), the proof-carrying [`Provenance`] record, and the full
-//! `rms_flow` JSON report under `report` (schema-stamped, see
-//! `rms_flow::REPORT_SCHEMA`).
+//! Every response carries `"protocol":"rms-serve-v1"`, the echoed `id`
+//! and a `status` (`ok` / `error`). A synthesis result adds, in this
+//! order:
+//!
+//! - `cache`: the disposition, `hit`, `miss`, or `bypass` for a
+//!   deadline-truncated best-effort result that was not cached;
+//! - `options`: the canonical option string, the options half of the
+//!   cache key (the structural hash half is not sent);
+//! - `provenance`: the proof-carrying [`Provenance`] record
+//!   (`request_id`, `verified`, `proof`, `sat_conflicts`,
+//!   `sat_decisions`, `cached_at`) plus the entry's `hits`;
+//! - `report`: the full `rms_flow` JSON report (schema-stamped, see
+//!   `rms_flow::REPORT_SCHEMA`).
+//!
+//! An error carries `kind` (see [`kind`]) and the `error` message
+//! instead.
 
 use crate::cache::{CacheKey, CacheStats, Entry, Provenance, ResultCache};
 use crate::faults;
@@ -755,15 +765,20 @@ impl Service {
             })
             .collect();
 
-        // Phase 2: find the unique keys that need a pipeline run (not
-        // cached, first occurrence in this batch) and run them on the
-        // pool. The cache is only *read* here.
+        // Phase 2: classify every item under one lock. Hits are looked
+        // up here and served from the captured entries, since a miss
+        // inserted earlier in this batch may evict them before phase 3
+        // renders them. The unique keys not cached (first occurrence in
+        // this batch) run on the pool.
+        let mut planned: Vec<Option<Entry>> = vec![None; prepared.len()];
         let mut to_compute: Vec<(&CacheKey, &Netlist)> = Vec::new();
         {
-            let state = self.lock_state();
-            for p in &prepared {
+            let mut state = self.lock_state();
+            for (p, hit) in prepared.iter().zip(&mut planned) {
                 if let Prep::Ready(_, nl, key) = p {
-                    if !state.cache.contains(key) && !to_compute.iter().any(|(k, _)| *k == key) {
+                    if state.cache.contains(key) {
+                        *hit = state.cache.lookup(key);
+                    } else if !to_compute.iter().any(|(k, _)| *k == key) {
                         to_compute.push((key, nl));
                     }
                 }
@@ -784,11 +799,13 @@ impl Service {
         // — later occurrences of the same key re-read them from
         // `by_key` instead of the cache.
         let mut rendered: Vec<String> = Vec::with_capacity(prepared.len());
-        for p in &prepared {
+        for (p, planned) in prepared.iter().zip(planned) {
             let envelope = match p {
                 Prep::Err(item_id, e) => error_envelope(item_id, e.kind, &e.message),
                 Prep::Ready(spec, _, key) => {
-                    let hit = self.lock_state().cache.lookup(key);
+                    // A key computed in this batch hits from its second
+                    // occurrence on, unless it has been evicted again.
+                    let hit = planned.or_else(|| self.lock_state().cache.lookup(key));
                     let outcome = match hit {
                         Some(entry) => ItemOutcome::Hit(entry),
                         None => match by_key.iter().find(|(k, _)| k == key) {

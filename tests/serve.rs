@@ -155,6 +155,48 @@ fn batch_responses_are_bit_identical_across_worker_counts() {
 }
 
 #[test]
+fn batch_hits_survive_eviction_by_earlier_misses() {
+    // A cache budget of exactly one entry: the batch's first miss evicts
+    // the warmed entry before the batch renders that entry's hit.
+    let probe = service();
+    probe.handle_line(&request("warm", BLIF_AND_FIRST));
+    let budget = probe.cache_stats().bytes;
+    let run = |jobs: usize| {
+        let s = Service::new(ServeConfig {
+            cache_bytes: budget,
+            ..ServeConfig::default()
+        });
+        let warm = s.handle_line(&request("warm", BLIF_AND_FIRST));
+        assert!(warm.contains("\"cache\":\"miss\""), "{warm}");
+        assert_eq!(s.cache_stats().entries, 1, "the budget fits the warm entry");
+        s.handle_line(&format!(
+            "{{\"id\":\"b\",\"opt\":\"cut\",\"effort\":4,\"deterministic\":true,\"jobs\":{jobs},\
+             \"batch\":[{{\"id\":\"i0\",\"bench\":\"rd53_f2\"}},\
+             {{\"id\":\"i1\",\"bench\":\"xor5_d\"}},\
+             {{\"id\":\"i2\",\"circuit\":\"{BLIF_OR_FIRST}\"}},\
+             {{\"id\":\"i3\",\"bench\":\"rd53_f2\"}}]}}"
+        ))
+    };
+    let sequential = run(1);
+    let parallel = run(4);
+    assert_eq!(
+        sequential, parallel,
+        "batch byte stream must not depend on the worker count"
+    );
+    assert!(!sequential.contains("\"status\":\"error\""), "{sequential}");
+    assert_eq!(
+        sequential.matches("\"status\":\"ok\"").count(),
+        5,
+        "the envelope and all four items are ok: {sequential}"
+    );
+    let i2 = sequential.find("\"id\":\"i2\"").expect("item i2");
+    assert!(
+        sequential[i2..].starts_with("\"id\":\"i2\",\"status\":\"ok\",\"cache\":\"hit\""),
+        "the warmed entry is served as a hit: {sequential}"
+    );
+}
+
+#[test]
 fn http_transport_serves_cache_hits_end_to_end() {
     let addr = spawn_http(Arc::new(service()), "127.0.0.1:0").expect("bind ephemeral port");
     let post = |body: &str| -> String {
