@@ -40,9 +40,9 @@ fn main() {
     group("table2/sweep (sequential vs parallel)");
     let sweep_opts = OptOptions::with_effort(10);
     bench("run_table2 (1 thread)", 3, || {
-        runner::run_table2_jobs(&sweep_opts, 1)
+        runner::run_table2(&sweep_opts, 1)
     });
     bench("run_table2 (all cores)", 3, || {
-        runner::run_table2_jobs(&sweep_opts, 0)
+        runner::run_table2(&sweep_opts, 0)
     });
 }

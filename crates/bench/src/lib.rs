@@ -2,9 +2,9 @@
 //! table and figure.
 //!
 //! - [`runner`] — executes the synthesis flows over the embedded benchmark
-//!   suites and collects measured (R, S) values; every sweep has a
-//!   sequential and a parallel (`*_par` / `*_jobs`) form built on
-//!   [`rms_flow::par`], returning identical rows,
+//!   suites and collects measured (R, S) values; every sweep takes a
+//!   worker count for [`rms_core::par`] and returns identical rows for
+//!   any value,
 //! - [`reports`] — renders the tables/figures as printable text,
 //! - [`mod@format`] — plain-text table rendering with paper-vs-measured
 //!   columns,

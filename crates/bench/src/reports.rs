@@ -25,7 +25,7 @@ use std::time::Instant;
 /// six optimizer/realization configurations, with the paper's Σ row.
 pub fn table2_report(opts: &OptOptions, jobs: usize) -> String {
     let t0 = Instant::now();
-    let rows = runner::run_table2_jobs(opts, jobs);
+    let rows = runner::run_table2(opts, jobs);
     let elapsed = t0.elapsed();
 
     let mut table = TextTable::new(&[
@@ -98,7 +98,7 @@ pub fn table2_report(opts: &OptOptions, jobs: usize) -> String {
 
 /// The engine performance profile behind `rms bench --profile`: rebuild
 /// baseline vs the incremental in-place engine over the selected suite,
-/// with the differential (bit-identity) and verification columns.
+/// with the parallel bit-identity and verification columns.
 pub fn profile_report(report: &crate::timing::ProfileReport) -> String {
     let mut table = TextTable::new(&[
         "benchmark",
@@ -112,7 +112,6 @@ pub fn profile_report(report: &crate::timing::ProfileReport) -> String {
         "phases e/v/c/g",
         "cycles",
         "rewrites",
-        "identical",
         "verified",
     ]);
     for r in &report.rows {
@@ -135,7 +134,6 @@ pub fn profile_report(report: &crate::timing::ProfileReport) -> String {
             ),
             r.cycles.to_string(),
             r.rewrites.to_string(),
-            if r.identical { "yes" } else { "NO" }.to_string(),
             r.verified.clone(),
         ]);
     }
@@ -155,10 +153,7 @@ pub fn profile_report(report: &crate::timing::ProfileReport) -> String {
     );
     let _ = writeln!(
         out,
-        "differential: {}/{} rows bit-identical (incremental vs from-scratch); \
-         parallel: {}/{} rows bit-identical at jobs={}; --jobs sweep consistent: {}",
-        report.rows.iter().filter(|r| r.identical).count(),
-        report.rows.len(),
+        "parallel: {}/{} rows bit-identical at jobs={}; --jobs sweep consistent: {}",
         report.rows.iter().filter(|r| r.par_identical).count(),
         report.rows.len(),
         runner::PROFILE_JOBS,
@@ -178,7 +173,7 @@ pub fn profile_report(report: &crate::timing::ProfileReport) -> String {
 /// engine (node counts and MAJ-realization R/S over the small suite).
 pub fn algs_report(opts: &OptOptions, jobs: usize) -> String {
     let t0 = Instant::now();
-    let rows = runner::run_algs_jobs(opts, jobs);
+    let rows = runner::run_algs(opts, jobs);
     let elapsed = t0.elapsed();
 
     let mut table = TextTable::new(&[
@@ -270,7 +265,7 @@ pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) ->
     let mut out = String::new();
 
     // ---- Left half: BDD [11] ---------------------------------------------
-    let rows = runner::run_table3_bdd_jobs(opts, synth, jobs);
+    let rows = runner::run_table3_bdd(opts, synth, jobs);
     let mut table = TextTable::new(&[
         "benchmark",
         "in",
@@ -345,7 +340,7 @@ pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) ->
     }
 
     // ---- Right half: AIG [12] --------------------------------------------
-    let rows = runner::run_table3_aig_jobs(opts, jobs);
+    let rows = runner::run_table3_aig(opts, jobs);
     let mut table = TextTable::new(&[
         "benchmark",
         "in",
@@ -410,10 +405,10 @@ pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) ->
 /// Prints the paper's headline claims next to the measured equivalents.
 pub fn summary_report(opts: &OptOptions, jobs: usize) -> String {
     let t0 = Instant::now();
-    let t2 = runner::run_table2_jobs(opts, jobs);
+    let t2 = runner::run_table2(opts, jobs);
     let runtime = t0.elapsed();
-    let bdd = runner::run_table3_bdd_jobs(opts, &BddSynthOptions::default(), jobs);
-    let aig = runner::run_table3_aig_jobs(opts, jobs);
+    let bdd = runner::run_table3_bdd(opts, &BddSynthOptions::default(), jobs);
+    let aig = runner::run_table3_aig(opts, jobs);
 
     let sums: Vec<Measured> = (0..6)
         .map(|i| runner::sum_by(&t2, |r| r.columns()[i]))
@@ -650,8 +645,8 @@ pub fn figures_report() -> String {
 /// Renders the sweep+resub-vs-cut comparison produced by
 /// [`runner::run_sweep`]: per-benchmark gate counts, fraig/resub
 /// activity, and the acceptance summary (never worse than the cut
-/// baseline, every row machine-verified, bit-identical across engines
-/// and worker counts).
+/// baseline, every row machine-verified, bit-identical across worker
+/// counts).
 pub fn sweep_report(report: &runner::SweepReport) -> String {
     let mut table = TextTable::new(&[
         "benchmark",
@@ -661,7 +656,6 @@ pub fn sweep_report(report: &runner::SweepReport) -> String {
         "merges",
         "resubs",
         "conflicts",
-        "engines",
         "verified",
     ]);
     let mut never_worse = 0usize;
@@ -678,11 +672,6 @@ pub fn sweep_report(report: &runner::SweepReport) -> String {
             r.fraig_merges.to_string(),
             r.resubs.to_string(),
             r.sat_conflicts.to_string(),
-            if r.engines_identical {
-                "identical".to_string()
-            } else {
-                "DIFFER".to_string()
-            },
             r.verified.clone(),
         ]);
         if r.sweep_gates <= r.cut_gates {
@@ -722,15 +711,6 @@ pub fn sweep_report(report: &runner::SweepReport) -> String {
         out,
         "total gates: cut {cut_sum} | sweep+resub {sweep_sum} ({} vs cut)",
         percent_change(sweep_sum, cut_sum)
-    );
-    let _ = writeln!(
-        out,
-        "engines bit-identical: {}",
-        if report.rows.iter().all(|r| r.engines_identical) {
-            "yes (incremental == from-scratch on every benchmark)"
-        } else {
-            "NO"
-        }
     );
     let _ = writeln!(
         out,

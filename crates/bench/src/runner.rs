@@ -1,19 +1,19 @@
 //! Executes the paper's evaluation flows over the embedded suites.
 //!
 //! Per-configuration work (optimize, then evaluate Table I) is delegated
-//! to [`rms_flow::optimize_cost`]; each `run_*` sweep exists in a
-//! sequential form and a parallel form (`*_par` / `*_jobs`) built on
-//! [`rms_flow::par`]. The parallel sweeps partition by benchmark and
-//! preserve row order, so they return bit-identical results to the
-//! sequential ones — a property the integration tests assert.
+//! to [`rms_flow::optimize_cost`]; each `run_*` sweep takes a worker
+//! count (`0` = all cores, `1` = inline) for [`rms_core::par`]. The
+//! sweeps partition by benchmark and preserve row order, so they return
+//! bit-identical results for every worker count — a property the
+//! integration tests assert.
 
 use crate::timing::{time_median, ProfileReport, ProfileRow};
 use rms_aig::Aig;
 use rms_bdd::{build as bdd_build, rram_synth as bdd_rram, BddSynthOptions};
 use rms_core::cost::{Realization, RramCost};
 use rms_core::opt::{Algorithm, OptOptions};
-use rms_core::Mig;
-use rms_flow::{optimize_cost, par, Engine};
+use rms_core::{par, Mig};
+use rms_flow::{optimize_cost, Engine};
 use rms_logic::bench_suite::{self, BenchmarkInfo};
 use rms_logic::paper_data;
 
@@ -48,6 +48,17 @@ fn workers(jobs: usize) -> usize {
     } else {
         jobs
     }
+}
+
+/// Maps `row` over `suite` on `jobs` workers (`0` = all cores), in suite
+/// order.
+fn over_suite<R: Send>(
+    suite: &'static [BenchmarkInfo],
+    jobs: usize,
+    row: impl Fn(&'static BenchmarkInfo) -> R + Sync,
+) -> Vec<R> {
+    let infos: Vec<&'static BenchmarkInfo> = suite.iter().collect();
+    par::par_map_threads(&infos, workers(jobs), |info| row(info))
 }
 
 /// One measured row of Table II (six optimizer/realization configurations).
@@ -113,24 +124,12 @@ pub fn run_table2_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> Table2
 }
 
 /// Runs the full Table II evaluation (25 benchmarks, six configurations)
-/// sequentially.
-pub fn run_table2(opts: &OptOptions) -> Vec<Table2Measured> {
-    bench_suite::LARGE_SUITE
-        .iter()
-        .map(|info| run_table2_row(info, opts))
-        .collect()
-}
-
-/// Runs the full Table II evaluation on `jobs` worker threads (`0` =
-/// all cores). Rows come back in suite order, identical to [`run_table2`].
-pub fn run_table2_jobs(opts: &OptOptions, jobs: usize) -> Vec<Table2Measured> {
-    let infos: Vec<&'static BenchmarkInfo> = bench_suite::LARGE_SUITE.iter().collect();
-    par::par_map_threads(&infos, workers(jobs), |info| run_table2_row(info, opts))
-}
-
-/// Runs the full Table II evaluation on the default thread pool.
-pub fn run_table2_par(opts: &OptOptions) -> Vec<Table2Measured> {
-    run_table2_jobs(opts, 0)
+/// on `jobs` worker threads (`0` = all cores). Rows come back in suite
+/// order, identical for every `jobs`.
+pub fn run_table2(opts: &OptOptions, jobs: usize) -> Vec<Table2Measured> {
+    over_suite(bench_suite::LARGE_SUITE, jobs, |info| {
+        run_table2_row(info, opts)
+    })
 }
 
 /// One measured row of Table III's left half (BDD comparison).
@@ -174,23 +173,14 @@ pub fn run_table3_bdd_row(
     }
 }
 
-/// Runs the full BDD comparison (Table III left) sequentially.
-pub fn run_table3_bdd(opts: &OptOptions, synth: &BddSynthOptions) -> Vec<Table3BddMeasured> {
-    bench_suite::LARGE_SUITE
-        .iter()
-        .map(|info| run_table3_bdd_row(info, opts, synth))
-        .collect()
-}
-
-/// Runs the full BDD comparison on `jobs` worker threads (`0` = all
-/// cores), identical to [`run_table3_bdd`].
-pub fn run_table3_bdd_jobs(
+/// Runs the full BDD comparison (Table III left) on `jobs` worker
+/// threads (`0` = all cores), identical for every `jobs`.
+pub fn run_table3_bdd(
     opts: &OptOptions,
     synth: &BddSynthOptions,
     jobs: usize,
 ) -> Vec<Table3BddMeasured> {
-    let infos: Vec<&'static BenchmarkInfo> = bench_suite::LARGE_SUITE.iter().collect();
-    par::par_map_threads(&infos, workers(jobs), |info| {
+    over_suite(bench_suite::LARGE_SUITE, jobs, |info| {
         run_table3_bdd_row(info, opts, synth)
     })
 }
@@ -227,19 +217,12 @@ pub fn run_table3_aig_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> Ta
     }
 }
 
-/// Runs the full AIG comparison (Table III right) sequentially.
-pub fn run_table3_aig(opts: &OptOptions) -> Vec<Table3AigMeasured> {
-    bench_suite::SMALL_SUITE
-        .iter()
-        .map(|info| run_table3_aig_row(info, opts))
-        .collect()
-}
-
-/// Runs the full AIG comparison on `jobs` worker threads (`0` = all
-/// cores), identical to [`run_table3_aig`].
-pub fn run_table3_aig_jobs(opts: &OptOptions, jobs: usize) -> Vec<Table3AigMeasured> {
-    let infos: Vec<&'static BenchmarkInfo> = bench_suite::SMALL_SUITE.iter().collect();
-    par::par_map_threads(&infos, workers(jobs), |info| run_table3_aig_row(info, opts))
+/// Runs the full AIG comparison (Table III right) on `jobs` worker
+/// threads (`0` = all cores), identical for every `jobs`.
+pub fn run_table3_aig(opts: &OptOptions, jobs: usize) -> Vec<Table3AigMeasured> {
+    over_suite(bench_suite::SMALL_SUITE, jobs, |info| {
+        run_table3_aig_row(info, opts)
+    })
 }
 
 /// One measured row of the algorithm-comparison sweep: Algs. 1–4 against
@@ -332,20 +315,13 @@ pub fn run_algs_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> AlgsMeas
     }
 }
 
-/// Runs the algorithm-comparison sweep over the small suite sequentially.
-pub fn run_algs(opts: &OptOptions) -> Vec<AlgsMeasured> {
-    bench_suite::SMALL_SUITE
-        .iter()
-        .map(|info| run_algs_row(info, opts))
-        .collect()
-}
-
-/// Runs the algorithm-comparison sweep on `jobs` worker threads (`0` =
-/// all cores). Rows come back in suite order, bit-identical to
-/// [`run_algs`].
-pub fn run_algs_jobs(opts: &OptOptions, jobs: usize) -> Vec<AlgsMeasured> {
-    let infos: Vec<&'static BenchmarkInfo> = bench_suite::SMALL_SUITE.iter().collect();
-    par::par_map_threads(&infos, workers(jobs), |info| run_algs_row(info, opts))
+/// Runs the algorithm-comparison sweep over the small suite on `jobs`
+/// worker threads (`0` = all cores). Rows come back in suite order,
+/// bit-identical for every `jobs`.
+pub fn run_algs(opts: &OptOptions, jobs: usize) -> Vec<AlgsMeasured> {
+    over_suite(bench_suite::SMALL_SUITE, jobs, |info| {
+        run_algs_row(info, opts)
+    })
 }
 
 /// Structural bit-identity of two graphs: node-for-node and
@@ -371,20 +347,16 @@ pub struct SweepMeasured {
     pub resubs: u64,
     /// SAT conflicts spent by the post passes.
     pub sat_conflicts: u64,
-    /// Whether the incremental and from-scratch engines produced
-    /// bit-identical sweep results.
-    pub engines_identical: bool,
     /// Verification of the sweep result against the source netlist
     /// (`exhaustive` / `SAT (n conflicts)` / `FAILED` / `ERROR ...`).
     pub verified: String,
 }
 
 impl SweepMeasured {
-    /// Whether this row meets every acceptance condition: verified,
-    /// never worse than the cut baseline, deterministic across engines.
+    /// Whether this row meets every acceptance condition: verified and
+    /// never worse than the cut baseline.
     pub fn passed(&self) -> bool {
         self.sweep_gates <= self.cut_gates
-            && self.engines_identical
             && (self.verified.starts_with("exhaustive") || self.verified.starts_with("SAT"))
     }
 }
@@ -416,24 +388,12 @@ impl SweepReport {
 }
 
 /// Runs the cut baseline and the sweep+resub script on one benchmark,
-/// verifying the sweep result and checking engine bit-identity.
+/// verifying the sweep result.
 pub fn run_sweep_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> SweepMeasured {
     let nl = bench_suite::build_info(info);
     let mig = Mig::from_netlist(&nl);
     let (cut, _) = rms_cut::optimize_cut_stats_engine(&mig, opts, rms_cut::Engine::Incremental);
-    let (sweep, stats) = rms_cut::optimize_sweep_stats(
-        &mig,
-        opts,
-        rms_cut::Engine::Incremental,
-        rms_cut::SweepPasses::BOTH,
-    );
-    let (scratch, _) = rms_cut::optimize_sweep_stats(
-        &mig,
-        opts,
-        rms_cut::Engine::FromScratch,
-        rms_cut::SweepPasses::BOTH,
-    );
-    let engines_identical = bit_identical(&sweep, &scratch);
+    let (sweep, stats) = rms_cut::optimize_sweep_stats(&mig, opts, rms_cut::SweepPasses::BOTH);
     let verified = if nl.num_inputs() <= rms_flow::verify::EXHAUSTIVE_VERIFY_VARS {
         if sweep.truth_tables() == nl.truth_tables() {
             "exhaustive".to_string()
@@ -466,7 +426,6 @@ pub fn run_sweep_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> SweepMe
         fraig_merges: stats.fraig_merges,
         resubs: stats.resubs,
         sat_conflicts: stats.sat_conflicts,
-        engines_identical,
         verified,
     }
 }
@@ -475,19 +434,15 @@ pub fn run_sweep_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> SweepMe
 /// then re-runs the sweep gate counts on a different worker count to
 /// check `--jobs` bit-identity.
 pub fn run_sweep(opts: &OptOptions, jobs: usize) -> SweepReport {
-    let infos: Vec<&'static BenchmarkInfo> = bench_suite::SMALL_SUITE.iter().collect();
-    let rows = par::par_map_threads(&infos, workers(jobs), |info| run_sweep_row(info, opts));
+    let rows = over_suite(bench_suite::SMALL_SUITE, jobs, |info| {
+        run_sweep_row(info, opts)
+    });
     let alt_workers = if workers(jobs) == 1 { 3 } else { 1 };
-    let alt_gates: Vec<u64> = par::par_map_threads(&infos, alt_workers, |info| {
+    let alt_gates: Vec<u64> = over_suite(bench_suite::SMALL_SUITE, alt_workers, |info| {
         let mig = Mig::from_netlist(&bench_suite::build_info(info));
-        rms_cut::optimize_sweep_stats(
-            &mig,
-            opts,
-            rms_cut::Engine::Incremental,
-            rms_cut::SweepPasses::BOTH,
-        )
-        .0
-        .num_gates() as u64
+        rms_cut::optimize_sweep_stats(&mig, opts, rms_cut::SweepPasses::BOTH)
+            .0
+            .num_gates() as u64
     });
     let jobs_identical = rows
         .iter()
@@ -500,16 +455,15 @@ pub fn run_sweep(opts: &OptOptions, jobs: usize) -> SweepReport {
 }
 
 /// Profiles the cut algorithm on one benchmark: rebuild baseline vs the
-/// incremental engine (median of `iters` runs each), the
-/// incremental-vs-from-scratch differential check, a parallel run at
+/// incremental engine (median of `iters` runs each), a parallel run at
 /// [`PROFILE_JOBS`] workers (timed, and checked bit-identical against
 /// the sequential result), and verification of the optimized result
 /// against the source netlist.
 ///
 /// The below-cutoff reference truth tables are computed **once** per
-/// benchmark and shared across all three engine runs (they are a
-/// property of the source netlist alone); every engine's output is
-/// asserted against the same tables.
+/// benchmark and shared across both engine runs (they are a property of
+/// the source netlist alone); every engine's output is asserted against
+/// the same tables.
 pub fn run_profile_row(
     info: &'static BenchmarkInfo,
     opts: &OptOptions,
@@ -520,7 +474,7 @@ pub fn run_profile_row(
 }
 
 /// The suite-independent core of [`run_profile_row`]: profiles one
-/// source netlist under all three engines. `wide_mode` chooses how
+/// source netlist under both engines. `wide_mode` chooses how
 /// above-cutoff circuits are verified — `Auto` (SAT proof with sampled
 /// fallback) for the small suite, `Sampled` for the large one, where a
 /// 100k-node miter would dominate the whole profile's runtime.
@@ -551,16 +505,10 @@ fn profile_netlist_row(
         rms_cut::optimize_cut_stats_engine(&mig, &par_opts, Engine::Incremental)
     });
     let par_identical = bit_identical(&inc, &par_out);
-    let (scratch, _) = rms_cut::optimize_cut_stats_engine(&mig, opts, Engine::FromScratch);
-    let identical = bit_identical(&inc, &scratch);
     let verified = match &reference {
         Some(reference) => {
             let mut trouble = None;
-            for (what, out) in [
-                ("incremental", &inc),
-                ("rebuild", &reb),
-                ("from-scratch", &scratch),
-            ] {
+            for (what, out) in [("incremental", &inc), ("rebuild", &reb)] {
                 if out.truth_tables() != *reference {
                     trouble = Some(format!("FAILED {what}"));
                     break;
@@ -602,7 +550,6 @@ fn profile_netlist_row(
         passes: stats.passes,
         rewrites: stats.rewrites,
         peak_nodes: stats.peak_nodes,
-        identical,
         verified,
     }
 }
@@ -619,8 +566,7 @@ pub fn run_profile(opts: &OptOptions, iters: usize) -> ProfileReport {
         .iter()
         .map(|info| run_profile_row(info, opts, iters))
         .collect();
-    let infos: Vec<&'static BenchmarkInfo> = bench_suite::SMALL_SUITE.iter().collect();
-    let par_gates: Vec<u64> = par::par_map_threads(&infos, 3, |info| {
+    let par_gates: Vec<u64> = over_suite(bench_suite::SMALL_SUITE, 3, |info| {
         let mig = Mig::from_netlist(&bench_suite::build_info(info));
         let (out, _) = rms_cut::optimize_cut_stats_engine(&mig, opts, Engine::Incremental);
         out.num_gates() as u64
@@ -643,9 +589,8 @@ pub fn run_profile(opts: &OptOptions, iters: usize) -> ProfileReport {
 /// Identical methodology to [`run_profile`] except that above-cutoff
 /// verification is sampled simulation rather than a SAT proof (every
 /// circuit here is far above the exhaustive cutoff, and a 100k-node
-/// miter proof would dwarf the timings being measured). The
-/// incremental-vs-from-scratch bit-identity check and the parallel
-/// `--jobs` consistency sweep (4 workers vs sequential) run unchanged.
+/// miter proof would dwarf the timings being measured). The parallel
+/// `--jobs` consistency sweep (4 workers vs sequential) runs unchanged.
 pub fn run_profile_large(opts: &OptOptions, iters: usize) -> ProfileReport {
     rms_cut::prewarm();
     let targets: Vec<(&'static str, rms_logic::Netlist)> = rms_logic::large_suite::SUITE
@@ -764,8 +709,8 @@ mod tests {
     #[test]
     fn parallel_algs_sweep_matches_sequential() {
         let opts = OptOptions::with_effort(2);
-        let seq = run_algs(&opts);
-        let par3 = run_algs_jobs(&opts, 3);
+        let seq = run_algs(&opts, 1);
+        let par3 = run_algs(&opts, 3);
         assert_eq!(seq, par3);
     }
 
@@ -775,8 +720,8 @@ mod tests {
         // row-identical results. Table II parallel equality is covered at
         // the integration level.
         let opts = OptOptions::with_effort(4);
-        let seq = run_table3_aig(&opts);
-        let par2 = run_table3_aig_jobs(&opts, 2);
+        let seq = run_table3_aig(&opts, 1);
+        let par2 = run_table3_aig(&opts, 2);
         assert_eq!(seq.len(), par2.len());
         for (a, b) in seq.iter().zip(&par2) {
             assert_eq!(a.info.name, b.info.name);

@@ -8,7 +8,7 @@
 //! # The profile format (`BENCH_5.json` / `BENCH_8.json`)
 //!
 //! [`ProfileReport::to_json`] emits one flat document (schema
-//! `rms-bench-profile-v2`, with a `suite` field naming the benchmark
+//! `rms-bench-profile-v3`, with a `suite` field naming the benchmark
 //! set) recording, per benchmark, the wall time of the cut algorithm on
 //! the pre-incremental **rebuild** engine and on the **incremental**
 //! in-place engine (median over `iters` runs), the speedup, the
@@ -18,17 +18,14 @@
 //! asserting the windowed round's bit-identity contract), the per-phase
 //! breakdown of the incremental run (cut enumeration / candidate
 //! evaluation / commit / GC), the optimizer counters (cycles, passes,
-//! rewrites, peak node count), whether the incremental and from-scratch
-//! engines produced bit-identical graphs, and how the result was
-//! verified against the source netlist (exhaustively below the width
-//! cutoff, SAT proof or sampled simulation above). A `total` object
-//! aggregates the suite.
+//! rewrites, peak node count), and how the result was verified against
+//! the source netlist (exhaustively below the width cutoff, SAT proof or
+//! sampled simulation above). A `total` object aggregates the suite.
 //! Two baselines are committed at the repository root: `BENCH_5.json`
-//! (small suite, schema v1, the pre-AIGER historical record) and
-//! `BENCH_8.json` (the generated large suite of
+//! (small suite) and `BENCH_8.json` (the generated large suite of
 //! [`rms_logic::large_suite`], 4k–70k gates). CI's perf-smoke steps
-//! regenerate profiles and fail on any verification or differential
-//! regression.
+//! regenerate profiles, fail on any verification or determinism
+//! regression, and compare every row's `gates` to the committed file.
 
 use rms_flow::escape_json;
 use std::fmt::Write as _;
@@ -115,11 +112,10 @@ pub struct ProfileRow {
     /// Gates after the cut algorithm on the rebuild baseline.
     pub baseline_gates: u64,
     /// `gates - baseline_gates`: the incremental engine's quality
-    /// relative to the rebuild baseline, positive = worse. Recorded
-    /// explicitly because `identical` compares incremental against
-    /// from-scratch only — the rebuild baseline legitimately makes
-    /// different local decisions, and this column is what keeps that
-    /// drift visible instead of silent.
+    /// relative to the rebuild baseline, positive = worse. The rebuild
+    /// baseline legitimately makes different local decisions (cuts across
+    /// window boundaries, no stagnation cutoff), and this column is what
+    /// keeps that drift visible instead of silent.
     pub gates_delta: i64,
     /// Wall time of the rebuild (pre-incremental) engine, milliseconds.
     pub baseline_ms: f64,
@@ -128,9 +124,9 @@ pub struct ProfileRow {
     /// Worker count of the parallel timing run ([`ProfileRow::par_ms`]).
     pub jobs: usize,
     /// Wall time of the incremental engine at [`ProfileRow::jobs`]
-    /// workers, milliseconds. Exercises the partition-parallel windowed
-    /// round on rows at or above the gate threshold; below it the run
-    /// takes the same sequential path as `incremental_ms`.
+    /// workers, milliseconds. Rows of more than one window fan out
+    /// across the workers; a single-window row runs inline, exactly like
+    /// `incremental_ms`.
     pub par_ms: f64,
     /// Whether the parallel run reproduced the sequential incremental
     /// graph bit-identically (the windowed round's determinism contract).
@@ -154,8 +150,6 @@ pub struct ProfileRow {
     pub rewrites: u64,
     /// High-water mark of the node array.
     pub peak_nodes: u64,
-    /// Whether incremental and from-scratch produced bit-identical graphs.
-    pub identical: bool,
     /// How the incremental result was verified against the source
     /// netlist (`exhaustive`, `SAT proved`, or `FAILED …`).
     pub verified: String,
@@ -175,8 +169,7 @@ impl ProfileRow {
         self.baseline_ms / self.incremental_ms.max(1e-9)
     }
 
-    /// Whether the row's verification column is green (independent of
-    /// the incremental/from-scratch differential check).
+    /// Whether the row's verification column is green.
     pub fn is_verified(&self) -> bool {
         !self.verified.starts_with("FAILED") && !self.verified.starts_with("ERROR")
     }
@@ -188,11 +181,11 @@ impl ProfileRow {
             && self.gates_delta as f64 > self.baseline_gates as f64 * QUALITY_TOLERANCE
     }
 
-    /// Whether the row shows no regression: verified, differential and
-    /// parallel determinism checks green, and quality within tolerance
-    /// of the baseline.
+    /// Whether the row shows no regression: verified, parallel
+    /// determinism check green, and quality within tolerance of the
+    /// baseline.
     pub fn passed(&self) -> bool {
-        self.identical && self.par_identical && self.is_verified() && !self.quality_regressed()
+        self.par_identical && self.is_verified() && !self.quality_regressed()
     }
 }
 
@@ -233,10 +226,10 @@ impl ProfileReport {
         self.jobs_consistent && self.rows.iter().all(|r| r.passed())
     }
 
-    /// The machine-readable profile document (`rms-bench-profile-v2`).
+    /// The machine-readable profile document (`rms-bench-profile-v3`).
     pub fn to_json(&self) -> String {
         let mut j = String::from("{\n");
-        let _ = writeln!(j, "  \"schema\": \"rms-bench-profile-v2\",");
+        let _ = writeln!(j, "  \"schema\": \"rms-bench-profile-v3\",");
         let _ = writeln!(j, "  \"suite\": \"{}\",", self.suite);
         let _ = writeln!(j, "  \"effort\": {},", self.effort);
         let _ = writeln!(j, "  \"iters\": {},", self.iters);
@@ -252,7 +245,7 @@ impl ProfileReport {
                  \"incremental_ms\": {:.3}, \"speedup\": {:.2}, \"jobs\": {}, \"par_ms\": {:.3}, \
                  \"par_identical\": {}, \"t_cut_enum_ms\": {:.3}, \"t_eval_ms\": {:.3}, \
                  \"t_commit_ms\": {:.3}, \"t_gc_ms\": {:.3}, \"cycles\": {}, \"passes\": {}, \
-                 \"rewrites\": {}, \"peak_nodes\": {}, \"identical\": {}, \"verified\": \"{}\"}}{comma}",
+                 \"rewrites\": {}, \"peak_nodes\": {}, \"verified\": \"{}\"}}{comma}",
                 escape_json(r.name),
                 r.inputs,
                 r.initial_gates,
@@ -273,7 +266,6 @@ impl ProfileReport {
                 r.passes,
                 r.rewrites,
                 r.peak_nodes,
-                r.identical,
                 escape_json(&r.verified),
             );
         }
@@ -281,13 +273,12 @@ impl ProfileReport {
         let _ = writeln!(
             j,
             "  \"total\": {{\"rows\": {}, \"baseline_ms\": {:.3}, \"incremental_ms\": {:.3}, \
-             \"speedup\": {:.2}, \"identical_rows\": {}, \"par_identical_rows\": {}, \
+             \"speedup\": {:.2}, \"par_identical_rows\": {}, \
              \"verified_rows\": {}, \"quality_regressions\": {}, \"jobs_consistent\": {}}}",
             self.rows.len(),
             self.total_baseline_ms(),
             self.total_incremental_ms(),
             self.speedup(),
-            self.rows.iter().filter(|r| r.identical).count(),
             self.rows.iter().filter(|r| r.par_identical).count(),
             self.rows.iter().filter(|r| r.is_verified()).count(),
             self.rows.iter().filter(|r| r.quality_regressed()).count(),

@@ -15,10 +15,7 @@
 //!   levels of the transitive fanout of the touched nodes only,
 //! - a **word-parallel simulation signature** (64 random input lanes,
 //!   fixed seed) is cached per node and maintained the same way; rewrite
-//!   acceptance uses it as a constant-time functional spot-check, and
-//! - a **structural-change log** records every node whose structure
-//!   changed, which the cut rewriter consumes to invalidate cached cuts
-//!   in the transitive fanout of a rewrite — and nowhere else.
+//!   acceptance uses it as a constant-time functional spot-check.
 //!
 //! Replacement semantics: [`IncrementalMig::replace`] declares that the
 //! (uncomplemented) function of a node equals another signal, rewires all
@@ -106,8 +103,6 @@ pub struct IncrementalMig {
     strash: FxHashMap<[MigSignal; 3], u32>,
     /// Live majority-gate count.
     live_gates: usize,
-    /// Structural-change log (re-childed and newly created nodes).
-    changed: Vec<u32>,
     /// High-water mark of the node array (peak memory proxy).
     peak_len: usize,
     /// Recycled fanout vectors: allocations of undone tentative nodes,
@@ -153,7 +148,6 @@ impl IncrementalMig {
             outputs: mig.outputs().to_vec(),
             strash,
             live_gates: 0,
-            changed: Vec::new(),
             peak_len: n,
             spare_fanouts: Vec::new(),
             uw_stamp: Vec::new(),
@@ -299,18 +293,6 @@ impl IncrementalMig {
         }
     }
 
-    /// Drains the structural-change log (indices of nodes created or
-    /// re-childed since the last drain). Consumers invalidate whatever
-    /// they cache about these nodes and their transitive fanout.
-    pub fn take_changed(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.changed)
-    }
-
-    /// Number of pending entries in the structural-change log.
-    pub fn changed_len(&self) -> usize {
-        self.changed.len()
-    }
-
     fn push_node(&mut self, kids: [MigSignal; 3]) -> usize {
         let idx = self.nodes.len();
         self.nodes.push(MigNode::Maj(kids));
@@ -335,7 +317,6 @@ impl IncrementalMig {
         }
         self.strash.insert(kids, idx as u32);
         self.live_gates += 1;
-        self.changed.push(idx as u32);
         self.peak_len = self.peak_len.max(self.nodes.len());
         idx
     }
@@ -510,7 +491,6 @@ impl IncrementalMig {
                             self.strash.insert(nk, p as u32);
                             self.nodes[p] = MigNode::Maj(nk);
                             self.release(old);
-                            self.changed.push(p as u32);
                             self.update_upward(p);
                         }
                     },
@@ -588,7 +568,6 @@ impl IncrementalMig {
                 self.nodes[idx] = MigNode::Maj(nk);
                 self.sigs[idx] =
                     maj_word(self.sig_of(nk[0]), self.sig_of(nk[1]), self.sig_of(nk[2]));
-                self.changed.push(idx as u32);
                 Rechild::Rechilded
             }
         }
@@ -708,7 +687,6 @@ impl IncrementalMig {
         }
         self.sigs.truncate(len_before);
         self.dead.truncate(len_before);
-        self.changed.retain(|&i| (i as usize) < len_before);
     }
 
     /// Size of the maximum fanout-free cone of `root` with respect to

@@ -27,17 +27,6 @@ use crate::cost::{Realization, RramCost};
 use crate::mig::Mig;
 use crate::rewrite::{eliminate, inverter_propagation, push_up, relevance, reshape, InverterCases};
 
-/// Default bound on resident cut sets of the incremental engine's cut
-/// cache (about 44 MiB of cut lists). Eviction past the bound only
-/// costs recomputation — it never changes optimization results.
-pub const DEFAULT_CUT_CACHE_BOUND: usize = 1 << 18;
-
-/// Default gate-count threshold above which the in-place cut engine
-/// switches to the windowed (partition-parallel) round. Below it the
-/// cached whole-graph round wins; above it window-local cut enumeration
-/// is cheaper per round *and* fans out across workers.
-pub const DEFAULT_PAR_THRESHOLD: usize = 20_000;
-
 /// Options shared by the optimization algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptOptions {
@@ -45,17 +34,11 @@ pub struct OptOptions {
     pub effort: usize,
     /// Stop early when a whole cycle leaves the graph unchanged.
     pub early_exit: bool,
-    /// Maximum resident cut sets in the incremental engine's cut cache
-    /// (the memory bound; see [`DEFAULT_CUT_CACHE_BOUND`]).
-    pub cut_cache_bound: usize,
     /// Worker threads for the windowed round of the in-place cut engine
-    /// (`0` = auto: [`crate::par::num_threads`]). Results are
+    /// (`0` = auto: [`crate::par::num_threads`]). Applies to every
+    /// graph; one of at most one window runs inline. Results are
     /// bit-identical for every value — workers only change wall-clock.
     pub jobs: usize,
-    /// Gate count at which single-graph optimization switches to the
-    /// windowed round ([`DEFAULT_PAR_THRESHOLD`]; `usize::MAX` disables
-    /// windowing).
-    pub par_threshold: usize,
     /// Cooperative-cancellation handle, polled at cycle/window/round
     /// boundaries (see [`crate::cancel`]). The default token is inert;
     /// runs that complete are bit-identical with or without one.
@@ -67,9 +50,7 @@ impl Default for OptOptions {
         OptOptions {
             effort: 40,
             early_exit: true,
-            cut_cache_bound: DEFAULT_CUT_CACHE_BOUND,
             jobs: 0,
-            par_threshold: DEFAULT_PAR_THRESHOLD,
             cancel: CancelToken::default(),
         }
     }

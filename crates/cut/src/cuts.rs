@@ -15,10 +15,10 @@
 //!
 //! The representation is allocation-free on the hot path: a [`Cut`] is a
 //! `Copy` value holding its leaves inline, and a node's cut set is a
-//! fixed-capacity [`CutList`]. The incremental engine
-//! ([`crate::incremental`]) caches `CutList`s per node and recomputes
-//! them only in the transitive fanout of a rewrite; this module's
-//! [`enumerate`] is the from-scratch sweep over a plain [`Mig`].
+//! fixed-capacity [`CutList`]. The in-place engine
+//! ([`crate::incremental`]) enumerates `CutList`s window by window with
+//! the same merge step; this module's [`enumerate`] is the whole-graph
+//! sweep over a plain [`Mig`].
 //!
 //! # Example
 //!

@@ -316,10 +316,6 @@ pub fn fraig_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> FraigOutcome {
     if g.num_gates() == 0 {
         return out;
     }
-    // Merges must absorb any pending structural log so the caller's cut
-    // caches can be invalidated correctly; we simply drain it afterwards
-    // by leaving `changed` to the caller, and only need a topo order of
-    // the current graph here.
     let topo = g.topo_order();
     // Candidate order: constant, inputs, then gates topologically. This
     // is also the class-discovery order, so it fixes determinism.

@@ -1,36 +1,26 @@
-//! The incremental (in-place) cut-rewriting engine.
+//! The in-place cut-rewriting engine.
 //!
-//! The from-scratch driver in [`crate::rewrite`] re-enumerates every cut
-//! of the whole graph and rebuilds the graph into a fresh [`Mig`] on
-//! every rewrite round. This module runs the same NPN-database round on
-//! a persistent [`IncrementalMig`] instead:
+//! The rebuild driver in [`crate::rewrite`] re-enumerates every cut of
+//! the whole graph and rebuilds the graph into a fresh [`Mig`] on every
+//! rewrite round. This module runs the same NPN-database round on a
+//! persistent [`IncrementalMig`] instead:
 //!
-//! - accepted rewrites **splice** the database structure into the graph
-//!   ([`IncrementalMig::replace`]) — the MFFC of the replaced node is
-//!   garbage-collected through the live reference counts, and levels and
-//!   simulation signatures are repaired only in the transitive fanout,
-//! - enumerated cuts are **cached** per node in a [`CutStore`] and
-//!   invalidated only in the transitive fanout of a rewrite — a node
-//!   whose transitive fanin did not change keeps its cuts across rounds
-//!   *and across the interleaved Ω passes of the whole script*. The
-//!   cache is **memory-bounded**: cut lists live in a capped slot pool
-//!   with deterministic round-robin eviction, so graphs in the 100k+
-//!   node range (`rms_logic::large_suite`) cannot pin an unbounded
-//!   per-node working set — eviction costs recomputation, never
-//!   results, and
+//! - the topological order is carved into fixed-size windows
+//!   ([`WINDOW_NODES`]); each window enumerates its cuts afresh every
+//!   round and selects at most one candidate per node, on `jobs` scoped
+//!   workers — a graph of at most one window runs inline,
+//! - accepted rewrites are committed in one sequential mapped sweep in
+//!   topological order, which splices the database structure into the
+//!   graph and collects whatever became unreachable, and
 //! - the node's cached 64-lane simulation signature vetoes any candidate
 //!   whose instantiated structure does not match the node it replaces —
 //!   a constant-time functional spot-check in front of the structural
 //!   argument (and of any later SAT verification).
 //!
-//! The **from-scratch mode** ([`EngineMode::FromScratch`]) runs the
-//! identical decision procedure but drops the entire cut cache at every
-//! round. Cached cuts of a clean node are bit-identical to recomputed
-//! ones (that is exactly the cache invariant), so the two modes produce
-//! bit-identical graphs — the differential harness in
-//! `tests/incremental.rs` asserts this over random netlists, which
-//! pins the invalidation rule down as *the* correctness argument of the
-//! incremental engine.
+//! Nothing is cached across rounds, so there is no invalidation rule to
+//! get wrong. On a graph that fits in one window the round makes the
+//! same decisions as the rebuild round; `tests/incremental.rs` checks
+//! gate count and depth against it on every embedded benchmark.
 
 use crate::cuts::{self, compute_maj_cuts, leaf_cuts, Cut, CutList};
 use crate::database::{database, Database};
@@ -44,296 +34,9 @@ use rms_core::rewrite::eliminate;
 use rms_core::{IncrementalMig, Mig, MigNode, MigSignal};
 use std::time::Instant;
 
-/// Whether the in-place engine reuses cached cuts across rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Reuse cuts outside the transitive fanout of rewrites (fast path).
-    #[default]
-    Incremental,
-    /// Recompute every cut at every round (reference for the
-    /// differential guarantee; same decisions, same results).
-    FromScratch,
-}
-
-/// Per-node sentinel: cut set dropped by **invalidation** — the node's
-/// transitive fanout was dropped with it, so an invalidation walk may
-/// stop here. Also the "free" marker on the pool-owner side.
-const STALE: u32 = u32::MAX;
-
-/// Per-node sentinel: cut set dropped by the memory bound's **eviction**
-/// — nothing is known about the fanout, so an invalidation walk must
-/// continue through this node.
-const EVICTED: u32 = u32::MAX - 1;
-
-/// Hard floor on [`CutStore`] capacity: far above the handful of slots
-/// one recomputation keeps live at once, far below any useful cache.
-pub const MIN_CUT_CACHE_BOUND: usize = 64;
-
-/// Per-node cut cache over an [`IncrementalMig`], bounded in memory.
-///
-/// The cache invariant: a resident [`CutList`] equals what
-/// [`CutStore::ensure`] would recompute from the node's current
-/// transitive fanin. The engine maintains it by invalidating the
-/// transitive fanout of every structural change
-/// ([`CutStore::invalidate_tfo`]).
-///
-/// # The memory bound
-///
-/// Cut lists live in a slot pool capped at `cap` entries
-/// ([`rms_core::opt::OptOptions::cut_cache_bound`]); storing into a full
-/// pool evicts the victim under a deterministic round-robin clock. On a
-/// 100k-node graph an unbounded cache would pin one `CutList` (~168 B)
-/// per node for the whole script; the pool keeps the hot region resident
-/// and recomputes the rest on demand. Eviction only costs recomputation
-/// — recomputed lists are bit-identical to evicted ones (that is exactly
-/// the cache invariant), so the bound never changes optimization
-/// results, and the clock makes *which* lists are recomputed
-/// deterministic too. Slots written during the current [`CutStore::ensure`]
-/// call are never its victims (an epoch stamp protects them), which
-/// guarantees the recomputation DFS terminates even when a stale region
-/// is larger than the pool: the pool then overflows past `cap` for the
-/// duration of the burst instead of thrashing.
-#[derive(Debug)]
-pub struct CutStore {
-    /// Per-node pool slot, or [`STALE`] / [`EVICTED`] when not resident.
-    slots: Vec<u32>,
-    pool: Vec<CutList>,
-    /// Pool slot → owning node (`STALE` = free).
-    owners: Vec<u32>,
-    /// `ensure`-call epoch in which each pool slot was last written.
-    stamps: Vec<u64>,
-    free: Vec<u32>,
-    /// Round-robin eviction hand.
-    clock: usize,
-    /// Resident-list bound (soft during one recomputation burst).
-    cap: usize,
-    epoch: u64,
-    /// Cut sets recomputed (cache misses).
-    pub recomputed: u64,
-    /// Cut sets served from cache at a rewrite root.
-    pub reused: u64,
-    /// Cut sets evicted by the memory bound.
-    pub evicted: u64,
-    scratch: Vec<Cut>,
-}
-
-impl Default for CutStore {
-    fn default() -> Self {
-        CutStore::with_capacity(rms_core::opt::DEFAULT_CUT_CACHE_BOUND)
-    }
-}
-
-impl CutStore {
-    /// An empty cache with the default memory bound.
-    pub fn new() -> Self {
-        CutStore::default()
-    }
-
-    /// An empty cache bounded to `cap` resident cut sets (clamped to
-    /// [`MIN_CUT_CACHE_BOUND`]).
-    pub fn with_capacity(cap: usize) -> Self {
-        CutStore {
-            slots: Vec::new(),
-            pool: Vec::new(),
-            owners: Vec::new(),
-            stamps: Vec::new(),
-            free: Vec::new(),
-            clock: 0,
-            cap: cap.max(MIN_CUT_CACHE_BOUND),
-            epoch: 0,
-            recomputed: 0,
-            reused: 0,
-            evicted: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The resident-list bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of currently resident cut sets.
-    pub fn resident(&self) -> usize {
-        self.pool.len() - self.free.len()
-    }
-
-    /// Whether node `idx` has a resident cut set.
-    fn is_resident(&self, idx: usize) -> bool {
-        self.slots.get(idx).is_some_and(|&s| s < EVICTED)
-    }
-
-    /// Returns node `idx`'s slot (if any) to the free list, marking the
-    /// node [`STALE`] — callers are responsible for the transitivity
-    /// that marker promises.
-    fn drop_list(&mut self, idx: usize) {
-        let s = self.slots[idx];
-        if s < EVICTED {
-            self.owners[s as usize] = STALE;
-            self.free.push(s);
-        }
-        self.slots[idx] = STALE;
-    }
-
-    /// Stores `list` as node `idx`'s cut set, evicting under the clock
-    /// when the pool is at capacity.
-    fn store(&mut self, idx: usize, list: CutList) {
-        let s = self.slots[idx];
-        if s < EVICTED {
-            self.pool[s as usize] = list;
-            self.stamps[s as usize] = self.epoch;
-            return;
-        }
-        let slot = if let Some(s) = self.free.pop() {
-            s as usize
-        } else if self.pool.len() < self.cap {
-            self.pool.push(CutList::default());
-            self.owners.push(STALE);
-            self.stamps.push(self.epoch);
-            self.pool.len() - 1
-        } else {
-            // Deterministic round-robin eviction; slots written during
-            // the current `ensure` call are pinned by their epoch stamp.
-            let mut scanned = 0;
-            loop {
-                let v = self.clock;
-                self.clock = (self.clock + 1) % self.pool.len();
-                if self.stamps[v] != self.epoch {
-                    let prev = self.owners[v];
-                    debug_assert_ne!(prev, STALE, "free slot outside the free list");
-                    self.slots[prev as usize] = EVICTED;
-                    self.evicted += 1;
-                    break v;
-                }
-                scanned += 1;
-                if scanned >= self.pool.len() {
-                    // Every slot was written this call: overflow past the
-                    // bound for the duration of the burst.
-                    self.pool.push(CutList::default());
-                    self.owners.push(STALE);
-                    self.stamps.push(self.epoch);
-                    break self.pool.len() - 1;
-                }
-            }
-        };
-        self.pool[slot] = list;
-        self.owners[slot] = idx as u32;
-        self.stamps[slot] = self.epoch;
-        self.slots[idx] = slot as u32;
-    }
-
-    /// Grows or shrinks the cache to the graph's node-array length
-    /// (undone tentative nodes shrink it; new entries start invalid).
-    fn sync(&mut self, len: usize) {
-        if self.slots.len() > len {
-            for idx in len..self.slots.len() {
-                self.drop_list(idx);
-            }
-            self.slots.truncate(len);
-        } else {
-            self.slots.resize(len, STALE);
-        }
-    }
-
-    /// Drops every cached cut set (the from-scratch mode's round entry).
-    pub fn invalidate_all(&mut self) {
-        for idx in 0..self.slots.len() {
-            self.drop_list(idx);
-        }
-    }
-
-    /// Invalidates the changed nodes and their transitive fanout.
-    ///
-    /// Stopping at an already-`STALE` node is sound because the cache
-    /// invariant guarantees its fanout was invalidated when it became
-    /// stale. An `EVICTED` node promises no such thing — the memory
-    /// bound dropped its list without touching its fanout — so the walk
-    /// continues through evicted nodes (marking them stale, which also
-    /// bounds the walk to one visit per node).
-    pub fn invalidate_tfo(&mut self, g: &IncrementalMig, changed: &[u32]) {
-        self.sync(g.len());
-        let mut stack: Vec<u32> = Vec::new();
-        for &c in changed {
-            if (c as usize) < self.slots.len() {
-                // Newly created nodes are already invalid, but their
-                // fanout may have been valid before they were spliced in.
-                self.drop_list(c as usize);
-                stack.push(c);
-            }
-        }
-        while let Some(i) = stack.pop() {
-            for &p in g.fanouts(i as usize) {
-                if self.slots[p as usize] != STALE {
-                    self.drop_list(p as usize);
-                    stack.push(p);
-                }
-            }
-        }
-    }
-
-    /// The (valid) cut set of `idx`, recomputing stale sets in its
-    /// transitive fanin first. Deterministic.
-    pub fn ensure(&mut self, g: &IncrementalMig, idx: usize) -> CutList {
-        self.sync(g.len());
-        self.epoch += 1;
-        if self.is_resident(idx) {
-            self.reused += 1;
-            return self.pool[self.slots[idx] as usize];
-        }
-        let mut stack: Vec<u32> = vec![idx as u32];
-        while let Some(&top) = stack.last() {
-            let i = top as usize;
-            if self.is_resident(i) {
-                stack.pop();
-                continue;
-            }
-            match g.node(i) {
-                MigNode::Const0 => {
-                    self.store(i, leaf_cuts(i, true));
-                    stack.pop();
-                }
-                MigNode::Input(_) => {
-                    self.store(i, leaf_cuts(i, false));
-                    stack.pop();
-                }
-                MigNode::Maj(kids) => {
-                    let mut ready = true;
-                    for k in kids {
-                        if !self.is_resident(k.node()) {
-                            ready = false;
-                            stack.push(k.node() as u32);
-                        }
-                    }
-                    if ready {
-                        let (c0, c1, c2) = (
-                            self.pool[self.slots[kids[0].node()] as usize],
-                            self.pool[self.slots[kids[1].node()] as usize],
-                            self.pool[self.slots[kids[2].node()] as usize],
-                        );
-                        let list = compute_maj_cuts(
-                            i,
-                            kids,
-                            c0.as_slice(),
-                            c1.as_slice(),
-                            c2.as_slice(),
-                            cuts::MAX_CUTS_PER_NODE,
-                            &mut self.scratch,
-                        );
-                        self.store(i, list);
-                        self.recomputed += 1;
-                        stack.pop();
-                    }
-                }
-            }
-        }
-        self.pool[self.slots[idx] as usize]
-    }
-}
-
-/// The round pre-pass's per-node winner: the best round-start cut of a
-/// node, pre-canonicalized, with its pristine MFFC size. Everything the
-/// sweep needs — the node's full [`CutList`] can be evicted between the
-/// pre-pass and the sweep without affecting the round.
+/// A window's per-node winner: the best round-start cut of a node,
+/// pre-canonicalized, with its pristine MFFC size. Everything the commit
+/// sweep needs — the window's cut lists are dropped before it runs.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     cut: Cut,
@@ -345,103 +48,8 @@ struct Candidate {
     mffc: i64,
 }
 
-/// One in-place rewrite round over a persistent graph, following the
-/// same decision procedure as [`crate::rewrite::rewrite_round`]:
-///
-/// 1. a **pre-pass** validates the cut cache against the round-start
-///    graph (recomputing only what previous rewrites invalidated —
-///    this is the incremental saving), takes the MFFC size of every
-///    candidate cut on the still-pristine graph, exactly as the rebuild
-///    engine measures gains against its immutable source graph, and
-///    reduces each node's cut set to at most one gain-filtered
-///    `Candidate` — after which the round no longer needs any
-///    [`CutList`] resident (the memory bound of the [`CutStore`] may
-///    evict freely),
-/// 2. a topological **sweep** carries an old-signal → image map, exactly
-///    like the rebuild engine's `map` into its fresh graph: every node
-///    is turned into its image in place ([`IncrementalMig::rechild_to`],
-///    free when nothing moved), the pre-pass candidate is evaluated
-///    with its leaves mapped through `map`, and an accepted replacement
-///    only updates the map — parents pick the image up at their own
-///    turn. The strash is rebuilt image-by-image
-///    ([`IncrementalMig::begin_mapped_round`]), so candidate
-///    instantiation shares with exactly the structures a from-scratch
-///    rebuild would offer — no more (stale cones), no fewer,
-/// 3. [`IncrementalMig::finish_mapped_round`] rewires the outputs,
-///    collects everything unreachable, and repairs the deferred derived
-///    structures in one linear, hash-free pass.
-pub fn round_inplace(
-    g: &mut IncrementalMig,
-    cuts: &mut CutStore,
-    db: &Database,
-    accept_zero_gain: bool,
-    mode: EngineMode,
-) -> RoundStats {
-    // Absorb structural changes from the interleaved Ω passes.
-    let changed = g.take_changed();
-    cuts.invalidate_tfo(g, &changed);
-    if mode == EngineMode::FromScratch {
-        cuts.invalidate_all();
-    }
-    let mut stats = RoundStats::default();
-    let order = g.topo_order();
-    // Pre-pass on the pristine round-start graph: cut sets (cached),
-    // per-cut MFFC sizes (recomputed every round — they depend on
-    // reference counts, which the cut invalidation rule does not track),
-    // and best-candidate selection. Selecting here is decision-identical
-    // to selecting in the sweep: round-start cuts, pristine MFFCs, and
-    // the pure NPN/database lookups are all sweep-independent.
-    let t_pre = Instant::now();
-    let mut enum_ns = 0u64;
-    let mut cands: Vec<Option<Candidate>> = vec![None; order.len()];
-    for (pos, &idx) in order.iter().enumerate() {
-        let idx = idx as usize;
-        let t0 = Instant::now();
-        let list = cuts.ensure(g, idx);
-        enum_ns += t0.elapsed().as_nanos() as u64;
-        let mut best: Option<(i64, Candidate)> = None;
-        for &cut in list.iter() {
-            if cut.is_trivial(idx) || cut.leaves().is_empty() {
-                continue;
-            }
-            stats.cuts += 1;
-            let (class, t) = npn::canonicalize(cut.tt);
-            let entry = db.entry(class);
-            let mffc = g.mffc_size(idx, cut.leaves()) as i64;
-            let gain = mffc - entry.gates() as i64;
-            if gain < 0 || (gain == 0 && !accept_zero_gain) {
-                continue;
-            }
-            stats.candidates += 1;
-            if best.is_none_or(|(bg, _)| gain > bg) {
-                best = Some((
-                    gain,
-                    Candidate {
-                        cut,
-                        t,
-                        class,
-                        mffc,
-                    },
-                ));
-            }
-        }
-        cands[pos] = best.map(|(_, c)| c);
-    }
-    stats.t_cut_enum_ns += enum_ns;
-    stats.t_eval_ns += (t_pre.elapsed().as_nanos() as u64).saturating_sub(enum_ns);
-    commit_sweep(g, db, &order, &cands, accept_zero_gain, &mut stats);
-    stats.cut_sets_recomputed = cuts.recomputed;
-    stats.cut_sets_reused = cuts.reused;
-    stats.cut_sets_evicted = cuts.evicted;
-    cuts.recomputed = 0;
-    cuts.reused = 0;
-    cuts.evicted = 0;
-    stats
-}
-
-/// The sequential commit phase shared by [`round_inplace`] and
-/// [`round_windowed`]: the mapped topological sweep over precomputed
-/// per-node candidates. `cands` is aligned with `order`. Commit order is
+/// The sequential commit phase of [`round_windowed`]: the mapped
+/// topological sweep over precomputed per-node candidates. `cands` is aligned with `order`. Commit order is
 /// the topological order itself — fixed before any worker runs — which
 /// is what makes the windowed round bit-identical for every worker
 /// count.
@@ -586,8 +194,8 @@ fn mffc_size_frozen(
 /// Evaluates one window: enumerates window-local cuts (children outside
 /// the window are frozen to leaf cuts, exactly like primary inputs) and
 /// selects at most one gain-filtered candidate per node — the same
-/// decision procedure as the [`round_inplace`] pre-pass, restricted to
-/// the window. Runs on a shared `&IncrementalMig`; mutates nothing.
+/// decision procedure as [`crate::rewrite::rewrite_round`], restricted
+/// to the window. Runs on a shared `&IncrementalMig`; mutates nothing.
 fn eval_window(
     g: &IncrementalMig,
     db: &Database,
@@ -690,16 +298,13 @@ fn eval_window(
 /// Window boundaries are frozen during evaluation: a child outside the
 /// window contributes only its trivial leaf cut, so no cut, MFFC cone,
 /// or candidate ever crosses a window — workers share the graph
-/// read-only. Quality trades against the whole-graph round (cuts
-/// spanning a boundary are not seen), which is why the script only
-/// takes this path above [`rms_core::opt::OptOptions::par_threshold`].
+/// read-only. A graph of at most [`WINDOW_NODES`] nodes is one window,
+/// sees every cut, and runs inline on the calling thread.
 ///
 /// Determinism: the partition depends only on the topological order,
 /// the per-window evaluation is pure, and the commit phase runs
 /// sequentially in topological order — so the result is bit-identical
-/// for every `jobs` value (and trivially identical between the
-/// incremental and from-scratch engine modes, which differ only in cut
-/// caching — this round caches nothing across rounds).
+/// for every `jobs` value.
 pub fn round_windowed(
     g: &mut IncrementalMig,
     db: &Database,
@@ -707,9 +312,6 @@ pub fn round_windowed(
     jobs: usize,
     cancel: &rms_core::CancelToken,
 ) -> RoundStats {
-    // No cut cache to invalidate, but the change log must still drain
-    // (it is bounded by consumers; this round is one).
-    let _ = g.take_changed();
     let mut stats = RoundStats::default();
     let order = g.topo_order();
     let windows: Vec<&[u32]> = order.chunks(WINDOW_NODES).collect();
@@ -725,12 +327,11 @@ pub fn round_windowed(
         stats.t_eval_ns += e.eval_ns;
         cands.extend(e.cands);
     }
-    stats.cut_sets_recomputed = order.len() as u64;
     commit_sweep(g, db, &order, &cands, accept_zero_gain, &mut stats);
     stats
 }
 
-/// Cycles without a new best iterate after which the in-place script
+/// Cycles without a new best iterate after which [`cut_script_inplace`]
 /// stops (under [`OptOptions::early_exit`]). The reshape pass alternates
 /// its push direction every cycle, so the raw fingerprint oscillates
 /// with period 2 and the fixpoint check of the rebuild script almost
@@ -743,24 +344,19 @@ pub const STAGNATION_WINDOW: usize = 8;
 /// Algorithm 5 on the in-place engine: the same cycle structure as
 /// [`rms_core::opt::cut_script`] (eliminate; rewrite round with zero-gain
 /// hops on odd cycles; eliminate; reshape; eliminate; best iterate by
-/// `(gates, depth)`), but every pass splices one persistent graph, so
-/// cuts survive across passes *and* cycles in incremental mode — and
-/// the cycle loop stops after [`STAGNATION_WINDOW`] cycles without
-/// improvement instead of burning the full effort budget.
-pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions, mode: EngineMode) -> (Mig, OptStats) {
+/// `(gates, depth)`), but every pass splices one persistent graph with
+/// [`round_windowed`] as its rewrite round — and the cycle loop stops
+/// after [`STAGNATION_WINDOW`] cycles without improvement instead of
+/// burning the full effort budget.
+pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
     let db = database();
     let compacted = mig.compact();
-    // The windowed path is chosen once, from the compacted input size:
-    // the decision must not depend on intermediate iterates, or the
-    // threshold itself would make results run-order-sensitive.
-    let windowed = compacted.num_gates() >= opts.par_threshold;
     let jobs = if opts.jobs == 0 {
         rms_core::par::num_threads()
     } else {
         opts.jobs
     };
     let mut g = IncrementalMig::from_mig(&compacted);
-    let mut cuts = CutStore::with_capacity(opts.cut_cache_bound);
     let mut best = compacted;
     let mut best_score = (best.num_gates(), best.depth());
     let mut cycles = 0usize;
@@ -775,11 +371,7 @@ pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions, mode: EngineMode) -> (Mi
         }
         let before = g.fingerprint();
         eliminate_inplace(&mut g);
-        let st = if windowed {
-            round_windowed(&mut g, db, c % 2 == 1, jobs, &opts.cancel)
-        } else {
-            round_inplace(&mut g, &mut cuts, db, c % 2 == 1, mode)
-        };
+        let st = round_windowed(&mut g, db, c % 2 == 1, jobs, &opts.cancel);
         rewrites += st.rewrites;
         phase_ns[0] += st.t_cut_enum_ns;
         phase_ns[1] += st.t_eval_ns;
@@ -789,8 +381,7 @@ pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions, mode: EngineMode) -> (Mi
         reshape_inplace(&mut g, c % 2 == 0);
         eliminate_inplace(&mut g);
         cycles = c + 1;
-        // A cancel that fired mid-cycle may have truncated the windowed
-        // round: the iterate is functionally correct but not one a
+        // A cancel that fired mid-cycle may have truncated the round: the iterate is functionally correct but not one a
         // completed run could produce, so never let it become `best`.
         if opts.cancel.cancelled() {
             cancelled = true;
@@ -843,18 +434,6 @@ mod tests {
 
     const SAMPLES: &[&str] = &["rd53_f2", "9sym_d", "con1_f1", "sao2_f4", "exam3_d"];
 
-    /// Exact structural equality of two graphs: node-for-node after a
-    /// canonical rebuild.
-    fn assert_bit_identical(a: &Mig, b: &Mig, what: &str) {
-        assert_eq!(a.num_gates(), b.num_gates(), "{what}: gate counts");
-        assert_eq!(a.depth(), b.depth(), "{what}: depths");
-        assert_eq!(a.len(), b.len(), "{what}: node counts");
-        for idx in 0..a.len() {
-            assert_eq!(a.node(idx), b.node(idx), "{what}: node {idx}");
-        }
-        assert_eq!(a.outputs(), b.outputs(), "{what}: outputs");
-    }
-
     #[test]
     fn inplace_round_preserves_function() {
         let db = database();
@@ -862,8 +441,8 @@ mod tests {
             let m = bench_mig(name).compact();
             for zero_gain in [false, true] {
                 let mut g = IncrementalMig::from_mig(&m);
-                let mut cuts = CutStore::new();
-                let st = round_inplace(&mut g, &mut cuts, db, zero_gain, EngineMode::Incremental);
+                let st =
+                    round_windowed(&mut g, db, zero_gain, 1, &rms_core::CancelToken::default());
                 g.assert_consistent();
                 assert_eq!(st.sig_vetoes, 0, "{name}: database produced a veto");
                 let r = g.to_mig();
@@ -888,98 +467,16 @@ mod tests {
         let o2 = m.or(o1, bc);
         m.add_output("f", o2);
         let mut g = IncrementalMig::from_mig(&m.compact());
-        let mut cuts = CutStore::new();
-        let st = round_inplace(
+        let st = round_windowed(
             &mut g,
-            &mut cuts,
             database(),
             false,
-            EngineMode::Incremental,
+            1,
+            &rms_core::CancelToken::default(),
         );
         assert!(st.rewrites >= 1, "{st:?}");
         assert_eq!(g.num_gates(), 1, "{st:?}");
         assert_equiv(&m, &g.to_mig(), "maj_sop");
-    }
-
-    #[test]
-    fn incremental_and_from_scratch_are_bit_identical() {
-        let opts = OptOptions::with_effort(6);
-        for name in SAMPLES {
-            let m = bench_mig(name);
-            let (inc, _) = cut_script_inplace(&m, &opts, EngineMode::Incremental);
-            let (scr, _) = cut_script_inplace(&m, &opts, EngineMode::FromScratch);
-            assert_bit_identical(&inc, &scr, name);
-            assert_equiv(&m, &inc, name);
-        }
-    }
-
-    #[test]
-    fn bounded_cache_is_bit_identical_to_roomy_cache() {
-        // The minimum cap forces heavy eviction on every benchmark; the
-        // result must not move by a single node (eviction only costs
-        // recomputation) and the resident set must respect the bound
-        // outside recomputation bursts.
-        for name in SAMPLES {
-            let m = bench_mig(name);
-            let roomy = OptOptions::with_effort(6);
-            let tight = OptOptions {
-                cut_cache_bound: MIN_CUT_CACHE_BOUND,
-                ..roomy.clone()
-            };
-            let (a, _) = cut_script_inplace(&m, &roomy, EngineMode::Incremental);
-            let (b, _) = cut_script_inplace(&m, &tight, EngineMode::Incremental);
-            assert_bit_identical(&a, &b, name);
-        }
-    }
-
-    #[test]
-    fn tight_cache_evicts_and_stays_bounded() {
-        let m = bench_mig("9sym_d").compact();
-        let mut g = IncrementalMig::from_mig(&m);
-        let mut cuts = CutStore::with_capacity(1); // clamps to the floor
-        assert_eq!(cuts.capacity(), MIN_CUT_CACHE_BOUND);
-        let st = round_inplace(
-            &mut g,
-            &mut cuts,
-            database(),
-            false,
-            EngineMode::Incremental,
-        );
-        assert!(
-            st.cut_sets_evicted > 0,
-            "9sym_d has {} nodes; a {}-slot pool must evict: {st:?}",
-            g.len(),
-            MIN_CUT_CACHE_BOUND
-        );
-        // Bursts may overflow the pool, but slots are recycled, not
-        // accumulated: the pool stays within one burst of the cap.
-        assert!(
-            cuts.resident() <= g.len(),
-            "resident {} of {} nodes",
-            cuts.resident(),
-            g.len()
-        );
-        assert_equiv(&m, &g.to_mig(), "9sym_d bounded");
-    }
-
-    #[test]
-    fn incremental_reuses_cuts() {
-        let m = bench_mig("9sym_d");
-        let mut g = IncrementalMig::from_mig(&m.compact());
-        let mut cuts = CutStore::new();
-        let db = database();
-        let st1 = round_inplace(&mut g, &mut cuts, db, false, EngineMode::Incremental);
-        // Round one sees an empty cache and computes every cut set; a
-        // second round recomputes only the transitive fanout of round
-        // one's rewrites and serves the rest from the cache.
-        let st2 = round_inplace(&mut g, &mut cuts, db, false, EngineMode::Incremental);
-        assert!(st1.cut_sets_recomputed > 0);
-        assert_eq!(st1.cut_sets_reused, 0);
-        assert!(st2.cut_sets_reused > 0, "{st2:?}");
-        assert!(
-            st2.cut_sets_recomputed < st1.cut_sets_recomputed,
-            "round 2 recomputed no less than round 1: {st1:?} vs {st2:?}"
-        );
     }
 
     #[test]
@@ -992,7 +489,7 @@ mod tests {
         let mut rebuild_total = 0u64;
         for name in SAMPLES {
             let m = bench_mig(name);
-            let (inc, _) = cut_script_inplace(&m, &opts, EngineMode::Incremental);
+            let (inc, _) = cut_script_inplace(&m, &opts);
             let mut round = |m: &Mig, zg: bool| {
                 let (out, st) = crate::rewrite::rewrite_round(m, zg);
                 (out, st.rewrites)

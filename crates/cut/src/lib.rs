@@ -19,12 +19,12 @@
 //!    [`optimize_cut`] (node-count objective) and [`optimize_cut_rram`]
 //!    (interleaved with the paper's Alg. 3, scored by `R·S`).
 //!
-//! Two engines implement the round. The default **incremental engine**
-//! ([`incremental`]) splices rewrites into a persistent
-//! [`rms_core::IncrementalMig`] and recomputes cuts only in the
-//! transitive fanout of a rewrite; the **rebuild engine**
-//! ([`rewrite_round`]) re-enumerates everything per round and is kept as
-//! the measured perf baseline (`rms bench --profile`). Select with
+//! Two engines implement the round. The default **in-place engine**
+//! ([`incremental`]) evaluates fixed-size windows of a persistent
+//! [`rms_core::IncrementalMig`] and splices accepted rewrites into it;
+//! the **rebuild engine** ([`rewrite_round`]) rebuilds the graph per
+//! round and is kept as the reference oracle and the measured perf
+//! baseline (`rms bench --profile`). Select with
 //! [`Engine`] / `rms … --engine`.
 //!
 //! The cycle scripts live in [`rms_core::opt`] so that `rms-core` remains
@@ -61,7 +61,7 @@ pub mod sweep;
 pub use cuts::{Cut, CutList, MAX_CUTS_PER_NODE, MAX_CUT_INPUTS};
 pub use database::{database, prewarm, Database, DbEntry};
 pub use fraig::{fraig_pass, prove_signals, FraigOptions, FraigOutcome, FraigStats, ProveOutcome};
-pub use incremental::{cut_script_inplace, round_windowed, CutStore, EngineMode, WINDOW_NODES};
+pub use incremental::{cut_script_inplace, round_windowed, WINDOW_NODES};
 pub use resub::{resub_pass, ResubOptions, ResubStats};
 pub use rewrite::{
     optimize_cut, optimize_cut_rram, optimize_cut_rram_stats, optimize_cut_stats,

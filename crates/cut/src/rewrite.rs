@@ -14,14 +14,17 @@
 //! candidates simply stay unreferenced and vanish in the final
 //! [`Mig::compact`].
 //!
-//! The cycle scripts themselves ([`rms_core::opt::cut_script`] and
-//! [`rms_core::opt::cut_rram_script`]) live in `rms-core`; this module
-//! plugs the database round into them and exposes the user-facing
-//! [`optimize_cut`] / [`optimize_cut_rram`] drivers.
+//! This rebuild round is the reference oracle of the in-place engine
+//! ([`crate::incremental`], the default [`Engine::Incremental`]) and the
+//! only round of the hybrid cut+RRAM script. The cycle scripts themselves
+//! ([`rms_core::opt::cut_script`] and [`rms_core::opt::cut_rram_script`])
+//! live in `rms-core`; this module plugs the database round into them and
+//! exposes the user-facing [`optimize_cut`] / [`optimize_cut_rram`]
+//! drivers.
 
 use crate::cuts;
 use crate::database::database;
-use crate::incremental::{cut_script_inplace, EngineMode};
+use crate::incremental::cut_script_inplace;
 use crate::npn;
 use rms_core::opt::{cut_rram_script, cut_script, OptOptions, OptStats};
 use rms_core::{Mig, MigNode, MigSignal, Realization};
@@ -29,18 +32,15 @@ use rms_core::{Mig, MigNode, MigSignal, Realization};
 /// Which cut-rewriting engine runs the optimization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The in-place engine with incremental cut maintenance (default):
-    /// rewrites splice the persistent graph, cuts are invalidated only
-    /// in the transitive fanout of a rewrite.
+    /// The in-place engine (default): every round evaluates fixed-size
+    /// windows of the persistent graph and splices accepted rewrites
+    /// into it ([`crate::incremental::round_windowed`]).
     #[default]
     Incremental,
-    /// The in-place engine with full cut recomputation at every round —
-    /// bit-identical results to [`Engine::Incremental`] by construction
-    /// (the differential reference).
-    FromScratch,
-    /// The pre-incremental engine: every round re-enumerates all cuts
-    /// and rebuilds the graph into a fresh [`Mig`]. Kept as the measured
-    /// performance baseline of `rms bench --profile`.
+    /// The rebuild engine: every round re-enumerates all cuts and
+    /// rebuilds the graph into a fresh [`Mig`] ([`rewrite_round`]). Kept
+    /// as the reference oracle and the measured baseline of
+    /// `rms bench --profile`.
     Rebuild,
 }
 
@@ -49,7 +49,6 @@ impl Engine {
     pub fn from_name(name: &str) -> Option<Engine> {
         match name.to_ascii_lowercase().as_str() {
             "incremental" | "inc" | "inplace" | "in-place" => Some(Engine::Incremental),
-            "from-scratch" | "fromscratch" | "scratch" => Some(Engine::FromScratch),
             "rebuild" | "legacy" | "baseline" => Some(Engine::Rebuild),
             _ => None,
         }
@@ -60,7 +59,6 @@ impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Engine::Incremental => write!(f, "incremental"),
-            Engine::FromScratch => write!(f, "from-scratch"),
             Engine::Rebuild => write!(f, "rebuild"),
         }
     }
@@ -80,13 +78,6 @@ pub struct RoundStats {
     /// Candidates rejected by the simulation-signature spot-check
     /// (always 0 for a correct database; in-place engine only).
     pub sig_vetoes: u64,
-    /// Cut sets recomputed this round (in-place engine only).
-    pub cut_sets_recomputed: u64,
-    /// Cut sets served from the incremental cache (in-place engine only).
-    pub cut_sets_reused: u64,
-    /// Cut sets evicted by the cache's memory bound (in-place engine
-    /// only; eviction costs recomputation, never results).
-    pub cut_sets_evicted: u64,
     /// Nanoseconds enumerating cuts this round (see
     /// [`rms_core::opt::OptStats::t_cut_enum_ns`] for the parallel-sum
     /// caveat).
@@ -262,14 +253,12 @@ pub fn optimize_cut_stats(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
 
 /// [`optimize_cut_stats`] on an explicit engine.
 ///
-/// [`Engine::Incremental`] and [`Engine::FromScratch`] produce
-/// bit-identical graphs; [`Engine::Rebuild`] is the pre-incremental
-/// driver ([`rms_core::opt::cut_script`] over [`rewrite_round`]) kept as
-/// the measured perf baseline.
+/// [`Engine::Rebuild`] is the pre-incremental driver
+/// ([`rms_core::opt::cut_script`] over [`rewrite_round`]) kept as the
+/// reference oracle and the measured perf baseline.
 pub fn optimize_cut_stats_engine(mig: &Mig, opts: &OptOptions, engine: Engine) -> (Mig, OptStats) {
     match engine {
-        Engine::Incremental => cut_script_inplace(mig, opts, EngineMode::Incremental),
-        Engine::FromScratch => cut_script_inplace(mig, opts, EngineMode::FromScratch),
+        Engine::Incremental => cut_script_inplace(mig, opts),
         Engine::Rebuild => {
             let mut round = |m: &Mig, zero_gain: bool| {
                 let (out, st) = rewrite_round(m, zero_gain);

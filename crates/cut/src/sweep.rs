@@ -15,14 +15,12 @@
 //! gate), accepted resubstitutions strictly shrink the MFFC, and
 //! `eliminate` is non-increasing, so every iterate is at most the cut
 //! result's size. Results are bit-identical across thread counts and
-//! engines — `Engine::Rebuild` has no in-place post passes of its own
-//! and falls back to the incremental base (the two in-place cut engines
-//! are bit-identical by construction).
+//! engines — the post passes are in-place only, so the flow runs them on
+//! the in-place cut script whichever engine was requested.
 
 use crate::fraig::{fraig_pass, FraigOptions};
-use crate::incremental::{cut_script_inplace, EngineMode};
+use crate::incremental::cut_script_inplace;
 use crate::resub::{resub_pass, ResubOptions};
-use crate::rewrite::Engine;
 use rms_core::fanout::eliminate_inplace;
 use rms_core::opt::{OptOptions, OptStats};
 use rms_core::CancelToken;
@@ -124,19 +122,8 @@ pub(crate) fn post_passes(
 
 /// Runs a sweep script: the in-place cut script, then the requested
 /// SAT-backed post passes until fixpoint (best iterate returned).
-pub fn optimize_sweep_stats(
-    mig: &Mig,
-    opts: &OptOptions,
-    engine: Engine,
-    passes: SweepPasses,
-) -> (Mig, OptStats) {
-    let mode = match engine {
-        Engine::FromScratch => EngineMode::FromScratch,
-        // The post passes are in-place only; the rebuild engine falls
-        // back to the (bit-identical) incremental base.
-        Engine::Incremental | Engine::Rebuild => EngineMode::Incremental,
-    };
-    let (base, mut stats) = cut_script_inplace(mig, opts, mode);
+pub fn optimize_sweep_stats(mig: &Mig, opts: &OptOptions, passes: SweepPasses) -> (Mig, OptStats) {
+    let (base, mut stats) = cut_script_inplace(mig, opts);
     if opts.effort == 0 {
         return (base, stats);
     }
@@ -176,7 +163,7 @@ pub(crate) fn rram_polish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rewrite::optimize_cut_stats_engine;
+    use crate::rewrite::{optimize_cut_stats_engine, Engine};
     use rms_logic::bench_suite;
     use rms_logic::sim::check_equivalence;
 
@@ -193,7 +180,7 @@ mod tests {
             let m = bench_mig(name);
             let (cut, _) = optimize_cut_stats_engine(&m, &opts, Engine::Incremental);
             for passes in [SweepPasses::FRAIG, SweepPasses::RESUB, SweepPasses::BOTH] {
-                let (out, stats) = optimize_sweep_stats(&m, &opts, Engine::Incremental, passes);
+                let (out, stats) = optimize_sweep_stats(&m, &opts, passes);
                 assert!(
                     out.num_gates() <= cut.num_gates(),
                     "{name}: sweep {} > cut {}",
@@ -208,31 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_bit_identical_across_engines() {
-        let opts = OptOptions::with_effort(6);
-        for name in SAMPLES {
-            let m = bench_mig(name);
-            let (a, _) = optimize_sweep_stats(&m, &opts, Engine::Incremental, SweepPasses::BOTH);
-            let (b, _) = optimize_sweep_stats(&m, &opts, Engine::FromScratch, SweepPasses::BOTH);
-            let (c, _) = optimize_sweep_stats(&m, &opts, Engine::Rebuild, SweepPasses::BOTH);
-            assert_eq!(a.to_netlist(), b.to_netlist(), "{name}: engines diverged");
-            assert_eq!(
-                a.to_netlist(),
-                c.to_netlist(),
-                "{name}: rebuild fallback diverged"
-            );
-        }
-    }
-
-    #[test]
     fn effort_zero_skips_post_passes() {
         let m = bench_mig("exam3_d");
-        let (out, stats) = optimize_sweep_stats(
-            &m,
-            &OptOptions::with_effort(0),
-            Engine::Incremental,
-            SweepPasses::BOTH,
-        );
+        let (out, stats) = optimize_sweep_stats(&m, &OptOptions::with_effort(0), SweepPasses::BOTH);
         assert_eq!(stats.fraig_merges + stats.resubs, 0);
         let res = check_equivalence(&m.to_netlist(), &out.to_netlist());
         assert!(res.holds(), "{res:?}");

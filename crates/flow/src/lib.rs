@@ -31,7 +31,7 @@
 //!
 //! The `rms` command-line binary (in the workspace root package) and the
 //! `rms-bench` reproduction harness are both thin wrappers over
-//! [`Pipeline`] and the [`par`] thread pool.
+//! [`Pipeline`] and the [`rms_core::par`] thread pool.
 //!
 //! # Example
 //!
@@ -57,7 +57,6 @@
 
 pub mod error;
 pub mod input;
-pub mod par;
 pub mod pipeline;
 pub mod report;
 pub mod verify;

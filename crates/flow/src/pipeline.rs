@@ -278,28 +278,13 @@ impl Pipeline {
         self
     }
 
-    /// Bounds the incremental engine's resident cut cache (lists, not
-    /// bytes; see [`rms_core::opt::DEFAULT_CUT_CACHE_BOUND`]).
-    pub fn cut_cache_bound(mut self, bound: usize) -> Self {
-        self.options.cut_cache_bound = bound;
-        self
-    }
-
     /// Sets the worker count of the partition-parallel rewrite round
     /// (0 = auto; see [`rms_core::opt::OptOptions::jobs`]). Applies
-    /// *within* a single circuit, on graphs at or above
-    /// [`Pipeline::par_threshold`] gates; the result is bit-identical
-    /// for every value.
+    /// *within* a single circuit, at every size (a graph of at most
+    /// [`rms_cut::WINDOW_NODES`] nodes is one window and runs inline);
+    /// the result is bit-identical for every value.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.options.jobs = jobs;
-        self
-    }
-
-    /// Sets the gate-count threshold above which the cut script uses the
-    /// partition-parallel windowed round (default:
-    /// [`rms_core::opt::DEFAULT_PAR_THRESHOLD`]; `usize::MAX` disables).
-    pub fn par_threshold(mut self, threshold: usize) -> Self {
-        self.options.par_threshold = threshold;
         self
     }
 
@@ -338,10 +323,9 @@ impl Pipeline {
         self
     }
 
-    /// Selects the cut-rewriting engine (default: the in-place
-    /// incremental engine). [`Engine::Rebuild`] is the pre-incremental
-    /// baseline, [`Engine::FromScratch`] the differential reference —
-    /// both produce functionally identical circuits.
+    /// Selects the cut-rewriting engine (default: the in-place engine).
+    /// [`Engine::Rebuild`] is the pre-incremental reference oracle; it
+    /// produces a functionally identical circuit.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -540,7 +524,8 @@ pub fn run_algorithm(
 /// [`run_algorithm`] on an explicit cut-rewriting engine. The paper's
 /// Algs. 1–4 are engine-independent; [`Algorithm::Cut`] dispatches on
 /// it (see [`Engine`]); [`Algorithm::CutRram`]'s hybrid round is
-/// implemented on the rebuild driver only and ignores the request.
+/// implemented on the rebuild driver only, and the sweep scripts on the
+/// in-place engine only, so both ignore the request.
 pub fn run_algorithm_engine(
     mig: &Mig,
     algorithm: Algorithm,
@@ -552,13 +537,13 @@ pub fn run_algorithm_engine(
         Algorithm::Cut => rms_cut::optimize_cut_stats_engine(mig, options, engine),
         Algorithm::CutRram => rms_cut::optimize_cut_rram_stats(mig, realization, options),
         Algorithm::Sweep => {
-            rms_cut::optimize_sweep_stats(mig, options, engine, rms_cut::SweepPasses::FRAIG)
+            rms_cut::optimize_sweep_stats(mig, options, rms_cut::SweepPasses::FRAIG)
         }
         Algorithm::Resub => {
-            rms_cut::optimize_sweep_stats(mig, options, engine, rms_cut::SweepPasses::RESUB)
+            rms_cut::optimize_sweep_stats(mig, options, rms_cut::SweepPasses::RESUB)
         }
         Algorithm::SweepResub => {
-            rms_cut::optimize_sweep_stats(mig, options, engine, rms_cut::SweepPasses::BOTH)
+            rms_cut::optimize_sweep_stats(mig, options, rms_cut::SweepPasses::BOTH)
         }
         other => other.run_stats(mig, realization, options),
     }
@@ -598,6 +583,22 @@ mod tests {
 111 1
 .end
 ";
+
+    #[test]
+    fn sweep_modes_run_in_place_under_every_engine() {
+        let opts = OptOptions::with_effort(6);
+        for name in ["rd53_f2", "9sym_d"] {
+            let mig = Mig::from_netlist(&input::load_bench(name).unwrap());
+            let run = |engine| {
+                run_algorithm_engine(&mig, Algorithm::SweepResub, Realization::Maj, &opts, engine).0
+            };
+            assert_eq!(
+                run(Engine::Incremental).to_netlist(),
+                run(Engine::Rebuild).to_netlist(),
+                "{name}: rebuild request diverged"
+            );
+        }
+    }
 
     #[test]
     fn full_run_verifies_exhaustively() {

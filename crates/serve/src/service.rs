@@ -60,9 +60,9 @@ use crate::json::Value;
 use crate::persist::{Journal, ReplayStats};
 use rms_core::netlist_structural_hash;
 use rms_core::opt::{Algorithm, OptOptions};
-use rms_core::{CancelToken, Realization};
+use rms_core::{par, CancelToken, Realization};
 use rms_flow::{
-    escape_json, input, par, render_json, Engine, FlowError, Frontend, InputFormat, Pipeline,
+    escape_json, input, render_json, Engine, FlowError, Frontend, InputFormat, Pipeline,
     StageTimings, VerifyMode, VerifyOutcome,
 };
 use rms_logic::{bench_suite, Netlist};

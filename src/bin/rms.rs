@@ -114,26 +114,21 @@ FLOW:
                           resubstitution on top of the cut script)
     --realization R       imp | maj                          (default: maj)
     --effort N            optimization cycles                (default: 40)
-    --engine E            incremental | from-scratch | rebuild (--opt cut;
-                          default: incremental — the in-place engine with
-                          cached cuts; rebuild is the pre-incremental
-                          baseline, and the only driver of --opt cut-rram)
+    --engine E            incremental | rebuild              (--opt cut;
+                          default: incremental — the in-place windowed
+                          engine; rebuild is the pre-incremental reference
+                          oracle, and the only driver of --opt cut-rram)
     --frontend F          direct | aig | bdd                 (default: direct)
     --verify MODE         auto | sat | sampled | off         (default: auto —
                           exhaustive <= 14 inputs, SAT proof above; `sampled`
                           opts out of formal checking)
     --no-verify           alias for --verify off
     --seed N              sampled-verification RNG seed      (default: fixed)
-    --cut-cache N         max resident cut sets in the incremental engine's
-                          cache (memory bound; eviction costs recomputation,
-                          never results; default: 262144, ~44 MiB)
     --jobs N              workers for the partition-parallel rewrite round
-                          (applies *within* one circuit, on graphs >= the
-                          --par-threshold gate count; results are bit-identical
-                          for every N; default: all cores, RMS_THREADS also works)
-    --par-threshold N     gate count at which the cut script switches to the
-                          windowed partition-parallel round ('off' disables;
-                          default: 20000)
+                          (applies *within* one circuit, at every size; a graph
+                          of at most 4096 nodes is one window and runs inline;
+                          results are bit-identical for every N; default: all
+                          cores, RMS_THREADS also works)
     --timeout MS          deadline for the optimization in milliseconds; on
                           expiry the run exits 5 with a structured timeout
                           error (completed runs are unaffected and stay
@@ -163,12 +158,13 @@ BENCH:
                           result (exhaustive or SAT-proved)
     --profile             profile the cut engines over the small suite and
                           write the machine-readable BENCH_5.json (rebuild
-                          baseline vs incremental engine; exits non-zero on
-                          any verification or differential regression)
+                          baseline vs incremental engine, sequential and at
+                          4 jobs; exits non-zero on any verification,
+                          --jobs bit-identity, or quality regression)
     --sweep               run sweep+resub vs the cut baseline over the small
                           suite: verifies every row, checks gate count <= cut
-                          on every benchmark and bit-identity across engines
-                          and worker counts; exits non-zero on any regression
+                          on every benchmark and bit-identity across worker
+                          counts; exits non-zero on any regression
     --suite S             small | large — which suite --profile measures
                           (default: small; large is the generated 4k-70k-gate
                           suite, use a low --effort such as 2)
@@ -294,9 +290,7 @@ struct FlowArgs {
     frontend: Frontend,
     verify: VerifyMode,
     seed: Option<u64>,
-    cut_cache: Option<usize>,
     jobs: Option<usize>,
-    par_threshold: Option<usize>,
     timeout_ms: Option<u64>,
     best_effort: bool,
     json: bool,
@@ -320,9 +314,7 @@ impl FlowArgs {
             frontend: Frontend::Direct,
             verify: VerifyMode::Auto,
             seed: None,
-            cut_cache: None,
             jobs: None,
-            par_threshold: None,
             timeout_ms: None,
             best_effort: false,
             json: false,
@@ -391,29 +383,12 @@ impl FlowArgs {
                             .map_err(|_| format!("--seed expects a u64, got {v:?}"))?,
                     );
                 }
-                "--cut-cache" => {
-                    let v = value("--cut-cache")?;
-                    a.cut_cache = Some(
-                        v.parse()
-                            .map_err(|_| format!("--cut-cache expects a list count, got {v:?}"))?,
-                    );
-                }
                 "--jobs" => {
                     let v = value("--jobs")?;
                     a.jobs = Some(
                         v.parse()
                             .map_err(|_| format!("--jobs expects a number, got {v:?}"))?,
                     );
-                }
-                "--par-threshold" => {
-                    let v = value("--par-threshold")?;
-                    a.par_threshold = Some(if v == "off" {
-                        usize::MAX
-                    } else {
-                        v.parse().map_err(|_| {
-                            format!("--par-threshold expects a gate count or 'off', got {v:?}")
-                        })?
-                    });
                 }
                 "--timeout" => {
                     let v = value("--timeout")?;
@@ -481,14 +456,8 @@ impl FlowArgs {
         if let Some(seed) = self.seed {
             pipeline = pipeline.seed(seed);
         }
-        if let Some(bound) = self.cut_cache {
-            pipeline = pipeline.cut_cache_bound(bound);
-        }
         if let Some(jobs) = self.jobs {
             pipeline = pipeline.jobs(jobs);
-        }
-        if let Some(threshold) = self.par_threshold {
-            pipeline = pipeline.par_threshold(threshold);
         }
         Ok(pipeline)
     }
@@ -968,8 +937,8 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
                 println!("wrote {out_path}");
                 if !report.all_passed() {
                     return Err(CliError::other(
-                        "profile regression: a verification, differential, \
-                         parallel-determinism, or quality (gates_delta) check failed",
+                        "profile regression: a verification, parallel-determinism, \
+                         or quality (gates_delta) check failed",
                     ));
                 }
             }

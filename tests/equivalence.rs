@@ -14,13 +14,13 @@
 
 use rram_mig::aig::Aig;
 use rram_mig::bdd::build as bdd_build;
-use rram_mig::flow::par::par_map_threads;
 use rram_mig::flow::{check_netlists, Pipeline, VerifyMode, VerifyOutcome};
 use rram_mig::logic::bench_suite;
 use rram_mig::logic::random::random_netlist;
 use rram_mig::logic::sim::{check_equivalence, random_patterns};
 use rram_mig::mig::cost::Realization;
 use rram_mig::mig::opt::{Algorithm, OptOptions};
+use rram_mig::mig::par::par_map_threads;
 use rram_mig::mig::Mig;
 use rram_mig::rram::compile::compile;
 use rram_mig::rram::machine::Machine;

@@ -18,7 +18,7 @@ fn opts() -> OptOptions {
 fn table2_rows() -> &'static [runner::Table2Measured] {
     use std::sync::OnceLock;
     static ROWS: OnceLock<Vec<runner::Table2Measured>> = OnceLock::new();
-    ROWS.get_or_init(|| runner::run_table2(&opts()))
+    ROWS.get_or_init(|| runner::run_table2(&opts(), 1))
 }
 
 #[test]
@@ -112,7 +112,7 @@ fn area_optimization_has_the_smallest_imp_device_count() {
 
 #[test]
 fn mig_flow_beats_bdd_baseline_on_steps_especially_when_large() {
-    let rows = runner::run_table3_bdd(&opts(), &BddSynthOptions::default());
+    let rows = runner::run_table3_bdd(&opts(), &BddSynthOptions::default(), 1);
     let bdd = runner::sum_by(&rows, |r| r.bdd);
     let maj = runner::sum_by(&rows, |r| r.mig_maj);
     let ratio = bdd.steps as f64 / maj.steps as f64;
@@ -127,7 +127,7 @@ fn mig_flow_beats_bdd_baseline_on_steps_especially_when_large() {
 
 #[test]
 fn mig_flow_beats_aig_baseline_on_steps() {
-    let rows = runner::run_table3_aig(&opts());
+    let rows = runner::run_table3_aig(&opts(), 1);
     let aig: u64 = rows.iter().map(|r| r.aig_steps).sum();
     let maj = runner::sum_by(&rows, |r| r.mig_maj);
     let imp = runner::sum_by(&rows, |r| r.mig_imp);

@@ -138,9 +138,9 @@ fn parallel_table2_sweep_matches_sequential() {
     // (Re-running at several counts tripled an already slow sweep.)
     // Effort 2 is enough: this asserts determinism, not quality.
     let opts = OptOptions::with_effort(2);
-    let seq = runner::run_table2(&opts);
+    let seq = runner::run_table2(&opts, 1);
     let jobs = 2;
-    let par = runner::run_table2_jobs(&opts, jobs);
+    let par = runner::run_table2(&opts, jobs);
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.info.name, b.info.name, "jobs={jobs}");
@@ -152,8 +152,8 @@ fn parallel_table2_sweep_matches_sequential() {
 fn parallel_table3_bdd_sweep_matches_sequential() {
     let opts = OptOptions::with_effort(2);
     let synth = rram_mig::bdd::BddSynthOptions::default();
-    let seq = runner::run_table3_bdd(&opts, &synth);
-    let par = runner::run_table3_bdd_jobs(&opts, &synth, 0);
+    let seq = runner::run_table3_bdd(&opts, &synth, 1);
+    let par = runner::run_table3_bdd(&opts, &synth, 0);
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.info.name, b.info.name);
@@ -219,7 +219,7 @@ fn cut_pipeline_is_machine_verified() {
 #[test]
 fn parallel_algs_sweep_matches_sequential_at_integration_level() {
     let opts = OptOptions::with_effort(2);
-    let seq = runner::run_algs(&opts);
-    let par = runner::run_algs_jobs(&opts, 2);
+    let seq = runner::run_algs(&opts, 1);
+    let par = runner::run_algs(&opts, 2);
     assert_eq!(seq, par, "jobs = 2");
 }

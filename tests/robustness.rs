@@ -26,6 +26,19 @@ fn usage_error_exits_2() {
     assert_eq!(exit_code(&out), 2, "{out:?}");
     let out = rms().output().unwrap();
     assert_eq!(exit_code(&out), 2, "no subcommand: {out:?}");
+    // Removed engine and knob spellings are rejected, not ignored.
+    for removed in [
+        ["--engine", "from-scratch"],
+        ["--cut-cache", "64"],
+        ["--par-threshold", "0"],
+    ] {
+        let out = rms()
+            .args(["run", "--expr", "f = a & b", "--opt", "cut"])
+            .args(removed)
+            .output()
+            .unwrap();
+        assert_eq!(exit_code(&out), 2, "{removed:?}: {out:?}");
+    }
 }
 
 #[test]

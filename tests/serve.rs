@@ -70,6 +70,20 @@ fn permuted_node_ids_and_formats_share_one_cache_entry() {
 }
 
 #[test]
+fn removed_engine_spelling_is_a_structured_error_and_serving_continues() {
+    let s = service();
+    let bad = s.handle_line(&request("bad", BLIF_AND_FIRST).replace(
+        "\"opt\":\"cut\"",
+        "\"opt\":\"cut\",\"engine\":\"from-scratch\"",
+    ));
+    assert!(bad.contains("\"status\":\"error\""), "{bad}");
+    assert!(bad.contains("\"kind\":\"bad_request\""), "{bad}");
+    assert!(bad.contains("unknown engine"), "{bad}");
+    let ok = s.handle_line(&request("ok", BLIF_AND_FIRST));
+    assert!(ok.contains("\"status\":\"ok\""), "{ok}");
+}
+
+#[test]
 fn cache_hit_report_is_byte_identical_to_cold_run() {
     let s = service();
     let cold = s.handle_line(&request("cold", BLIF_AND_FIRST));
