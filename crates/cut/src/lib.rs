@@ -12,7 +12,8 @@
 //!    classes** of ≤4-input functions (exhaustive `4!·2⁴·2` orbit scan
 //!    over precomputed transform tables);
 //! 3. [`mod@database`] maps every class to a size-optimal (exact for ≤3
-//!    gates, near-optimal otherwise) 4-input MIG, built once per process;
+//!    gates, near-optimal otherwise) 4-input MIG, loaded once per process
+//!    from a committed generated table;
 //! 4. [`rewrite`] walks the graph in topological order and replaces a
 //!    node's maximum fanout-free cone with the database structure
 //!    whenever that is a net win (zero-gain hops optional), yielding
@@ -51,6 +52,8 @@
 
 pub mod cuts;
 pub mod database;
+#[rustfmt::skip]
+mod database_table;
 pub mod fraig;
 pub mod incremental;
 pub mod npn;

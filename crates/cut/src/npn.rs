@@ -9,11 +9,14 @@
 //! recorded transform.
 //!
 //! The orbit of a function has at most `4! · 2⁴ · 2 = 768` members, so
-//! canonicalization is an exhaustive scan. All 768 transforms are
-//! precomputed as minterm permutation maps, and the full
+//! canonicalization is an exhaustive scan. The full
 //! `tt → (class, transform)` tables for every 16-bit truth table are
-//! built once per process behind a [`OnceLock`] — after warm-up a lookup
-//! is two array reads.
+//! built once per process behind a [`OnceLock`] (a few milliseconds):
+//! each of the 222 orbits is enumerated once into a 768-entry buffer —
+//! 24 input permutations of the table, input flips as masked half-swaps,
+//! output negation as `!` — and every member is then mapped to the
+//! canonical form. After warm-up a lookup is two array reads, and
+//! [`invert`] is one.
 //!
 //! # Conventions
 //!
@@ -102,11 +105,16 @@ fn transform_at(idx: usize) -> Transform {
 
 /// The index of a transform in the fixed enumeration order.
 fn index_of(t: &Transform) -> usize {
-    let p = PERMS
-        .iter()
-        .position(|q| *q == t.perm)
-        .expect("valid permutation");
-    p * 32 + (t.flips as usize) * 2 + t.negate_output as usize
+    perm_rank(&t.perm) * 32 + (t.flips as usize) * 2 + t.negate_output as usize
+}
+
+/// The position of a permutation in [`PERMS`] (its lexicographic rank,
+/// from the Lehmer code).
+fn perm_rank(p: &[u8; 4]) -> usize {
+    (0..4).fold(0, |rank, i| {
+        let smaller_later = p[i + 1..].iter().filter(|&&q| q < p[i]).count();
+        rank * (4 - i) + smaller_later
+    })
 }
 
 /// The minterm map `σ` of a transform: `σ(m)ᵢ = m_{π(i)} ^ φᵢ`.
@@ -119,12 +127,14 @@ fn sigma(t: &Transform, m: usize) -> usize {
     s
 }
 
-/// Precomputed transform metadata: the 768 transforms and their minterm
-/// maps.
+/// Precomputed transform metadata: the 768 transforms, their minterm
+/// maps and their inverses.
 struct Tables {
     transforms: Vec<Transform>,
     /// `maps[t][m] = σ_t(m)`.
     maps: Vec<[u8; 16]>,
+    /// `invert[t]` is the index of the inverse of transform `t`.
+    invert: Vec<u16>,
 }
 
 fn tables() -> &'static Tables {
@@ -141,7 +151,15 @@ fn tables() -> &'static Tables {
                 map
             })
             .collect();
-        Tables { transforms, maps }
+        let invert = transforms
+            .iter()
+            .map(|t| index_of(&inverse(t)) as u16)
+            .collect();
+        Tables {
+            transforms,
+            maps,
+            invert,
+        }
     })
 }
 
@@ -204,20 +222,48 @@ pub fn compose(a: usize, b: usize) -> usize {
 ///
 /// Panics if `t >= NUM_TRANSFORMS`.
 pub fn invert(t: usize) -> usize {
-    let tt = tables().transforms[t];
+    tables().invert[t] as usize
+}
+
+/// The inverse of a transform, computed from its metadata.
+fn inverse(t: &Transform) -> Transform {
     let mut perm = [0u8; 4];
     let mut flips = 0u8;
     for i in 0..4 {
-        perm[tt.perm[i] as usize] = i as u8;
+        perm[t.perm[i] as usize] = i as u8;
     }
     for (j, &p) in perm.iter().enumerate() {
-        flips |= ((tt.flips >> p) & 1) << j;
+        flips |= ((t.flips >> p) & 1) << j;
     }
-    index_of(&Transform {
+    Transform {
         perm,
         flips,
-        negate_output: tt.negate_output,
-    })
+        negate_output: t.negate_output,
+    }
+}
+
+/// `f` with input `v` complemented: the two halves of the table selected
+/// by `v` swap places.
+fn flip_input(f: u16, v: usize) -> u16 {
+    let shift = 1 << v;
+    ((f & VAR_TT[v]) >> shift) | ((f & !VAR_TT[v]) << shift)
+}
+
+/// Fills `orbit[t]` with `apply(t, f)` for every transform index `t`.
+fn orbit_of(f: u16, orbit: &mut [u16; NUM_TRANSFORMS]) {
+    for (p, block) in orbit.chunks_exact_mut(32).enumerate() {
+        // Transform p·32 is permutation p without flips or negation.
+        let (perm, permuted) = (PERMS[p], apply(p * 32, f));
+        // Flip bit i complements input i of f, i.e. bit π(i) of the
+        // minterm: a half-swap on variable π(i) of the permuted table.
+        for (flips, pair) in block.chunks_exact_mut(2).enumerate() {
+            let g = (0..4)
+                .filter(|&i| (flips >> i) & 1 == 1)
+                .fold(permuted, |g, i| flip_input(g, perm[i] as usize));
+            pair[0] = g;
+            pair[1] = !g;
+        }
+    }
 }
 
 /// Full canonicalization tables over all 65 536 truth tables.
@@ -237,16 +283,17 @@ fn canon() -> &'static Canon {
         let mut to_canonical = vec![0u16; 1 << 16];
         let mut visited = vec![false; 1 << 16];
         let mut classes = Vec::new();
+        let mut orbit = [0u16; NUM_TRANSFORMS];
         for f in 0..=u16::MAX {
             if visited[f as usize] {
                 continue;
             }
-            // First pass: the canonical representative and one transform
-            // reaching it.
+            orbit_of(f, &mut orbit);
+            // First pass: the canonical representative and the first
+            // transform reaching it.
             let mut best = f;
             let mut best_t = 0usize;
-            for t in 0..NUM_TRANSFORMS {
-                let g = apply(t, f);
+            for (t, &g) in orbit.iter().enumerate() {
                 if g < best {
                     best = g;
                     best_t = t;
@@ -255,8 +302,8 @@ fn canon() -> &'static Canon {
             classes.push(best);
             // Second pass: every orbit member m = apply(t, f) reaches the
             // canonical form via best_t ∘ t⁻¹.
-            for t in 0..NUM_TRANSFORMS {
-                let m = apply(t, f) as usize;
+            for (t, &m) in orbit.iter().enumerate() {
+                let m = m as usize;
                 if !visited[m] {
                     visited[m] = true;
                     class_of[m] = best;
@@ -332,6 +379,34 @@ mod tests {
         for idx in 0..NUM_TRANSFORMS {
             assert_eq!(index_of(&transform_at(idx)), idx);
         }
+    }
+
+    #[test]
+    fn orbit_buffer_matches_apply() {
+        let mut rng = SplitMix64::new(44);
+        let mut orbit = [0u16; NUM_TRANSFORMS];
+        for _ in 0..64 {
+            let f = rng.next_u64() as u16;
+            orbit_of(f, &mut orbit);
+            for (t, &g) in orbit.iter().enumerate() {
+                assert_eq!(g, apply(t, f), "f={f:04x} t={t}");
+            }
+        }
+    }
+
+    /// The tables decide how database entries are wired onto cut leaves,
+    /// so they are pinned exactly: FNV-1a over `class_of` then
+    /// `to_canonical`, little-endian.
+    #[test]
+    fn canonicalization_tables_are_pinned() {
+        let c = canon();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &v in c.class_of.iter().chain(&c.to_canonical) {
+            for byte in v.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0x8104_ead4_04c3_3b25);
     }
 
     #[test]

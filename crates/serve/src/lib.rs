@@ -18,12 +18,13 @@
 //! - memory is bounded by an LRU byte budget with deterministic
 //!   (wall-clock-free) eviction order.
 //!
-//! Per-process state that the CLI rebuilds on every invocation — the
-//! NPN-222 cut database and the parsed benchmark suites — is built once
-//! behind `OnceLock`s and shared by every request. Batch requests fan
-//! out over the same scoped-thread pool as `rms bench`, with responses
-//! assembled sequentially in input order so the byte stream is identical
-//! across worker counts.
+//! Per-process state that the CLI sets up on every invocation — the NPN
+//! tables, the NPN-222 cut database (loaded from its committed table) and
+//! the parsed benchmark suites — is set up once behind `OnceLock`s and
+//! shared by every request. Batch requests fan out over the same
+//! scoped-thread pool as `rms bench`, with responses assembled
+//! sequentially in input order so the byte stream is identical across
+//! worker counts.
 //!
 //! The server is hardened for long-lived deployment: the cache can be
 //! journaled to disk ([`persist`], `--cache-dir`) and survives `kill

@@ -459,8 +459,9 @@ struct State {
 /// The long-lived synthesis service.
 ///
 /// Construction prewarms every piece of shared per-process state (the
-/// NPN-222 tables and MIG database via [`rms_cut::prewarm`]) so the
-/// one-time setup cost lands at startup, not inside the first request.
+/// NPN tables and the NPN-222 MIG database via [`rms_cut::prewarm`]) so
+/// the one-time setup cost lands at startup, not inside the first
+/// request.
 ///
 /// # Fault isolation
 ///
