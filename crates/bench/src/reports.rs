@@ -1,8 +1,8 @@
 //! Renders the paper's tables and figure reproductions as text reports.
 //!
-//! Each function returns a complete printable report; the `repro_*`
-//! binaries and the `rms bench` subcommand are one-line wrappers around
-//! them. Sweeps accept a `jobs` worker count (`0` = all cores, `1` =
+//! Each function returns a complete printable report; each section of
+//! the `rms bench` subcommand is a one-line wrapper around one of them.
+//! Sweeps accept a `jobs` worker count (`0` = all cores, `1` =
 //! sequential) and produce identical text for any value — only the
 //! wall-clock time changes.
 

@@ -198,7 +198,7 @@ pub struct ProfileReport {
     pub rows: Vec<ProfileRow>,
     /// Optimization effort used.
     pub effort: usize,
-    /// Timing iterations per engine (minimum is recorded).
+    /// Timing iterations per engine (the median is recorded).
     pub iters: usize,
     /// Whether a parallel (`--jobs`) sweep reproduced the sequential
     /// gate counts bit-identically.

@@ -56,6 +56,16 @@ impl Realization {
             Realization::Maj => 3,
         }
     }
+
+    /// Parses a realization name as given on the command line or in an
+    /// `rms serve` request (`imp` or `maj`, any case).
+    pub fn from_name(name: &str) -> Option<Realization> {
+        match name.to_ascii_lowercase().as_str() {
+            "imp" => Some(Realization::Imp),
+            "maj" => Some(Realization::Maj),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for Realization {
@@ -290,6 +300,15 @@ mod tests {
         assert_eq!(Realization::Maj.rrams_per_gate(), 4);
         assert_eq!(Realization::Maj.steps_per_level(), 3);
         assert_eq!(Realization::Imp.to_string(), "IMP");
+    }
+
+    #[test]
+    fn realization_names_round_trip_display() {
+        for r in Realization::ALL {
+            assert_eq!(Realization::from_name(&r.to_string()), Some(r));
+        }
+        assert_eq!(Realization::from_name("maj"), Some(Realization::Maj));
+        assert_eq!(Realization::from_name("mig"), None);
     }
 
     #[test]

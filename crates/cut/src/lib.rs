@@ -20,13 +20,14 @@
 //!    [`optimize_cut`] (node-count objective) and [`optimize_cut_rram`]
 //!    (interleaved with the paper's Alg. 3, scored by `R·S`).
 //!
-//! Two engines implement the round. The default **in-place engine**
-//! ([`incremental`]) evaluates fixed-size windows of a persistent
-//! [`rms_core::IncrementalMig`] and splices accepted rewrites into it;
-//! the **rebuild engine** ([`rewrite_round`]) rebuilds the graph per
-//! round and is kept as the reference oracle and the measured perf
-//! baseline (`rms bench --profile`). Select with
-//! [`Engine`] / `rms … --engine`.
+//! Algorithm 5 runs one round: the **in-place round** ([`incremental`])
+//! evaluates fixed-size windows of a persistent
+//! [`rms_core::IncrementalMig`] and splices accepted rewrites into it.
+//! The **rebuild round** ([`rewrite_round`]) rebuilds the graph per
+//! round. It drives the hybrid cut+RRAM script, and it is kept as the
+//! reference oracle of differential tests and the measured perf
+//! baseline of `rms bench --profile`, selected through [`Engine`] in
+//! [`optimize_cut_stats_engine`]. No user surface chooses between them.
 //!
 //! The cycle scripts live in [`rms_core::opt`] so that `rms-core` remains
 //! the single home of algorithm definitions; this crate supplies the

@@ -29,39 +29,21 @@ use crate::npn;
 use rms_core::opt::{cut_rram_script, cut_script, OptOptions, OptStats};
 use rms_core::{Mig, MigNode, MigSignal, Realization};
 
-/// Which cut-rewriting engine runs the optimization.
+/// The reference-oracle selector of [`optimize_cut_stats_engine`]: a
+/// library-level switch for differential tests and profiles. No user
+/// surface exposes it; Algorithm 5 always runs the in-place round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The in-place engine (default): every round evaluates fixed-size
+    /// The in-place round (default): every round evaluates fixed-size
     /// windows of the persistent graph and splices accepted rewrites
     /// into it ([`crate::incremental::round_windowed`]).
     #[default]
     Incremental,
-    /// The rebuild engine: every round re-enumerates all cuts and
+    /// The rebuild round: every round re-enumerates all cuts and
     /// rebuilds the graph into a fresh [`Mig`] ([`rewrite_round`]). Kept
     /// as the reference oracle and the measured baseline of
     /// `rms bench --profile`.
     Rebuild,
-}
-
-impl Engine {
-    /// Parses an engine name as given on the command line.
-    pub fn from_name(name: &str) -> Option<Engine> {
-        match name.to_ascii_lowercase().as_str() {
-            "incremental" | "inc" | "inplace" | "in-place" => Some(Engine::Incremental),
-            "rebuild" | "legacy" | "baseline" => Some(Engine::Rebuild),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Incremental => write!(f, "incremental"),
-            Engine::Rebuild => write!(f, "rebuild"),
-        }
-    }
 }
 
 /// Counters of one rewrite round.

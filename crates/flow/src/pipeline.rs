@@ -146,12 +146,6 @@ pub struct FlowReport {
     pub verify_mode: VerifyMode,
     /// Seed of the sampled-verification pattern RNG.
     pub verify_seed: u64,
-    /// Which cut-rewriting engine actually ran. [`Algorithm::Cut`]
-    /// dispatches on the requested engine; [`Algorithm::CutRram`]'s
-    /// hybrid round is implemented on the rebuild driver only (reported
-    /// as [`Engine::Rebuild`] here regardless of the request), and the
-    /// paper's Algs. 1–4 are engine-independent.
-    pub engine: Engine,
     /// Per-stage wall-clock times.
     pub timings: StageTimings,
 }
@@ -182,7 +176,6 @@ pub struct Pipeline {
     frontend: Frontend,
     verify: VerifyMode,
     seed: u64,
-    engine: Engine,
     best_effort: bool,
     parse_time: Duration,
 }
@@ -198,7 +191,6 @@ impl Pipeline {
             frontend: Frontend::Direct,
             verify: VerifyMode::Auto,
             seed: DEFAULT_VERIFY_SEED,
-            engine: Engine::default(),
             best_effort: false,
             parse_time: Duration::ZERO,
         }
@@ -323,14 +315,6 @@ impl Pipeline {
         self
     }
 
-    /// Selects the cut-rewriting engine (default: the in-place engine).
-    /// [`Engine::Rebuild`] is the pre-incremental reference oracle; it
-    /// produces a functionally identical circuit.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Attaches a cooperative-cancellation token (usually one built with
     /// [`rms_core::CancelToken::with_deadline`]). The optimizer polls it
     /// at deterministic checkpoint boundaries; once it trips, the run
@@ -376,7 +360,6 @@ impl Pipeline {
             frontend,
             verify,
             seed,
-            engine,
             best_effort,
             parse_time,
         } = self;
@@ -387,32 +370,17 @@ impl Pipeline {
         let initial = MigStats::of(&initial_mig);
 
         let t0 = Instant::now();
-        let (mig, opt_stats) =
-            run_algorithm_engine(&initial_mig, algorithm, realization, &options, engine);
+        let (mig, opt_stats) = run_algorithm(&initial_mig, algorithm, realization, &options);
         let optimize = t0.elapsed();
         if opt_stats.cancelled && !best_effort {
             return Err(FlowError::Timeout(format!(
-                "optimization of {:?} abandoned after {} of {} cycles at the request deadline                  (re-run with best-effort to keep the best completed iterate)",
+                "optimization of {:?} abandoned after {} of {} cycles at the request deadline \
+                 (re-run with best-effort to keep the best completed iterate)",
                 netlist.name(),
                 opt_stats.cycles,
                 options.effort
             )));
         }
-        // Report the engine that actually ran, not the one requested:
-        // the hybrid cut+RRAM script only exists on the rebuild driver,
-        // and the sweep/resub scripts only exist in-place (a rebuild
-        // request falls back to the incremental base).
-        let engine = if algorithm == Algorithm::CutRram {
-            Engine::Rebuild
-        } else if matches!(
-            algorithm,
-            Algorithm::Sweep | Algorithm::Resub | Algorithm::SweepResub
-        ) && engine == Engine::Rebuild
-        {
-            Engine::Incremental
-        } else {
-            engine
-        };
         let optimized = MigStats::of(&mig);
         let cost = RramCost::of(&mig, realization);
 
@@ -465,7 +433,6 @@ impl Pipeline {
             verify: verify_outcome,
             verify_mode: verify,
             verify_seed: seed,
-            engine,
             timings: StageTimings {
                 parse: parse_time,
                 construct,
@@ -521,11 +488,11 @@ pub fn run_algorithm(
     run_algorithm_engine(mig, algorithm, realization, options, Engine::default())
 }
 
-/// [`run_algorithm`] on an explicit cut-rewriting engine. The paper's
-/// Algs. 1–4 are engine-independent; [`Algorithm::Cut`] dispatches on
-/// it (see [`Engine`]); [`Algorithm::CutRram`]'s hybrid round is
-/// implemented on the rebuild driver only, and the sweep scripts on the
-/// in-place engine only, so both ignore the request.
+/// [`run_algorithm`] with an explicit [`Engine`], the reference-oracle
+/// selector used by differential tests and profiles. Only
+/// [`Algorithm::Cut`] dispatches on it: the paper's Algs. 1–4 have no cut
+/// round, [`Algorithm::CutRram`]'s hybrid round exists only on the
+/// rebuild driver, and the sweep scripts only in place.
 pub fn run_algorithm_engine(
     mig: &Mig,
     algorithm: Algorithm,

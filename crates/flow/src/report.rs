@@ -20,8 +20,8 @@ pub fn render_text(r: &FlowReport) -> String {
     );
     let _ = writeln!(
         out,
-        "flow: frontend={} algorithm={} realization={} effort={} engine={}",
-        r.frontend, r.algorithm, r.realization, r.effort, r.engine
+        "flow: frontend={} algorithm={} realization={} effort={}",
+        r.frontend, r.algorithm, r.realization, r.effort
     );
     let _ = writeln!(
         out,
@@ -93,7 +93,7 @@ pub fn render_text(r: &FlowReport) -> String {
 /// format drift instead of silently misparsing. Bump the suffix whenever
 /// a field is renamed, removed, or changes meaning; adding fields is
 /// backward-compatible and does not bump it.
-pub const REPORT_SCHEMA: &str = "rms-flow-report-v1";
+pub const REPORT_SCHEMA: &str = "rms-flow-report-v2";
 
 /// Renders a report as a JSON object (one document, trailing newline).
 pub fn render_json(r: &FlowReport) -> String {
@@ -108,7 +108,6 @@ pub fn render_json(r: &FlowReport) -> String {
     j.str_field("realization", &r.realization.to_string());
     j.num_field("effort", r.effort as u64);
     j.str_field("frontend", &r.frontend.to_string());
-    j.str_field("engine", &r.engine.to_string());
     j.obj_field("initial", |j| mig_stats(j, &r.initial));
     j.obj_field("optimized", |j| mig_stats(j, &r.optimized));
     j.obj_field("cost", |j| rram_cost(j, &r.cost));

@@ -13,7 +13,8 @@
 //! [`rms_core::cost::RramCost`]. The machine also reports the *physical*
 //! peak device count, which exceeds `R` whenever values produced in one
 //! level must stay alive past the next level; Table I deliberately models
-//! only the per-level footprint (the `repro_*` reports print the measured gap).
+//! only the per-level footprint (the `rms bench` reports print the
+//! measured gap).
 
 use crate::isa::{MicroOp, Operand, Program, RegId};
 use rms_core::cost::Realization;

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 /// The structural hash does the heavy lifting; input/output/gate counts
 /// ride along as a cheap guard against 64-bit collisions between
 /// obviously different circuits, and the canonical option string keeps
-/// distinct flows (algorithm, engine, effort, …) apart.
+/// distinct flows (algorithm, realization, effort, …) apart.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`rms_core::netlist_structural_hash`] of the parsed circuit.
@@ -41,7 +41,7 @@ pub struct CacheKey {
     /// Gate count of the circuit.
     pub gates: u32,
     /// Canonical option string (stable token spelling, fixed field
-    /// order), e.g. `alg=cut;engine=incremental;effort=40;…`.
+    /// order), e.g. `alg=cut;realization=MAJ;effort=40;…`.
     pub options: String,
 }
 

@@ -10,7 +10,7 @@
 //!
 //! ```json
 //! {"id":"r1","circuit":".model t\n.inputs a b\n…","format":"blif",
-//!  "opt":"cut","engine":"incremental","effort":40,"realization":"maj",
+//!  "opt":"cut","effort":40,"realization":"maj",
 //!  "frontend":"direct","verify":"auto","seed":7,"deterministic":false}
 //! ```
 //!
@@ -62,8 +62,8 @@ use rms_core::netlist_structural_hash;
 use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::{par, CancelToken, Realization};
 use rms_flow::{
-    escape_json, input, render_json, Engine, FlowError, Frontend, InputFormat, Pipeline,
-    StageTimings, VerifyMode, VerifyOutcome,
+    escape_json, input, render_json, FlowError, Frontend, InputFormat, Pipeline, StageTimings,
+    VerifyMode, VerifyOutcome,
 };
 use rms_logic::{bench_suite, Netlist};
 use std::collections::BTreeMap;
@@ -198,8 +198,6 @@ pub struct RequestOptions {
     pub realization: Realization,
     /// Optimization effort (cycles).
     pub effort: usize,
-    /// Cut-rewriting engine.
-    pub engine: Engine,
     /// Initial MIG construction.
     pub frontend: Frontend,
     /// Verification policy.
@@ -224,7 +222,6 @@ impl Default for RequestOptions {
             algorithm: Algorithm::RramCosts,
             realization: Realization::Maj,
             effort: OptOptions::default().effort,
-            engine: Engine::default(),
             frontend: Frontend::Direct,
             verify: VerifyMode::Auto,
             seed: rms_flow::DEFAULT_VERIFY_SEED,
@@ -251,20 +248,23 @@ impl RequestOptions {
         }
         if let Some(f) = v.get("realization") {
             let name = f.as_str().ok_or("\"realization\" must be a string")?;
-            o.realization = match name.to_ascii_lowercase().as_str() {
-                "imp" => Realization::Imp,
-                "maj" => Realization::Maj,
-                _ => return Err(format!("unknown realization {name:?}")),
-            };
+            o.realization = Realization::from_name(name)
+                .ok_or_else(|| format!("unknown realization {name:?}"))?;
         }
         if let Some(f) = v.get("effort") {
             o.effort =
                 f.as_u64()
                     .ok_or("\"effort\" must be a non-negative integer")? as usize;
         }
+        // The algorithm alone fixes the rewrite round. A request that
+        // still names an engine is rejected, not ignored, so a client that
+        // asked for the rebuild round is told it would not get it.
         if let Some(f) = v.get("engine") {
-            let name = f.as_str().ok_or("\"engine\" must be a string")?;
-            o.engine = Engine::from_name(name).ok_or_else(|| format!("unknown engine {name:?}"))?;
+            let shown = f.as_str().map(|n| format!(" {n:?}")).unwrap_or_default();
+            return Err(format!(
+                "unknown engine{shown}: the \"engine\" option was removed; \
+                 \"opt\" alone selects the flow"
+            ));
         }
         if let Some(f) = v.get("frontend") {
             let name = f.as_str().ok_or("\"frontend\" must be a string")?;
@@ -297,28 +297,14 @@ impl RequestOptions {
     }
 
     /// The canonical option string: stable machine tokens in a fixed
-    /// field order, *after* the same engine normalization the pipeline
-    /// applies (`cut-rram` always runs on the rebuild driver, the
-    /// sweep modes never do) — so every request spelling that produces
-    /// the same flow produces the same cache key.
+    /// field order, so every request spelling that produces the same
+    /// flow produces the same cache key.
     pub fn canonical(&self) -> String {
-        let engine = if self.algorithm == Algorithm::CutRram {
-            Engine::Rebuild
-        } else if matches!(
-            self.algorithm,
-            Algorithm::Sweep | Algorithm::Resub | Algorithm::SweepResub
-        ) && self.engine == Engine::Rebuild
-        {
-            Engine::Incremental
-        } else {
-            self.engine
-        };
         format!(
-            "alg={};realization={};effort={};engine={};frontend={};verify={};seed={};det={}",
+            "alg={};realization={};effort={};frontend={};verify={};seed={};det={}",
             self.algorithm.token(),
             self.realization,
             self.effort,
-            engine,
             self.frontend,
             self.verify,
             self.seed,
@@ -883,7 +869,6 @@ fn run_pipeline(netlist: Netlist, opts: &RequestOptions) -> RunResult {
         .algorithm(opts.algorithm)
         .realization(opts.realization)
         .effort(opts.effort)
-        .engine(opts.engine)
         .frontend(opts.frontend)
         .verify_mode(opts.verify)
         .seed(opts.seed)
@@ -996,24 +981,24 @@ mod tests {
     }
 
     #[test]
-    fn canonical_options_are_normalized() {
-        let a = RequestOptions {
-            algorithm: Algorithm::CutRram,
-            engine: Engine::Incremental,
-            ..RequestOptions::default()
+    fn canonical_options_string_is_pinned() {
+        assert_eq!(
+            RequestOptions::default().canonical(),
+            "alg=rram;realization=MAJ;effort=40;frontend=direct;verify=auto;seed=24301;det=0"
+        );
+        let key = |algorithm| {
+            RequestOptions {
+                algorithm,
+                ..RequestOptions::default()
+            }
+            .canonical()
         };
-        let b = RequestOptions {
-            algorithm: Algorithm::CutRram,
-            engine: Engine::Rebuild,
-            ..RequestOptions::default()
-        };
-        assert_eq!(a.canonical(), b.canonical(), "cut-rram pins the engine");
-        let c = RequestOptions {
-            algorithm: Algorithm::Sweep,
-            engine: Engine::Rebuild,
-            ..RequestOptions::default()
-        };
-        assert!(c.canonical().contains("engine=incremental"));
+        let keys: std::collections::BTreeSet<String> =
+            [Algorithm::Cut, Algorithm::CutRram, Algorithm::Sweep]
+                .into_iter()
+                .map(key)
+                .collect();
+        assert_eq!(keys.len(), 3, "{keys:?}");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use rms_bench::reports;
 use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::{CancelToken, Realization};
-use rms_flow::{Engine, FlowError, Frontend, InputFormat, Pipeline, VerifyMode, VerifyOutcome};
+use rms_flow::{FlowError, Frontend, InputFormat, Pipeline, VerifyMode, VerifyOutcome};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -114,10 +114,6 @@ FLOW:
                           resubstitution on top of the cut script)
     --realization R       imp | maj                          (default: maj)
     --effort N            optimization cycles                (default: 40)
-    --engine E            incremental | rebuild              (--opt cut;
-                          default: incremental — the in-place windowed
-                          engine; rebuild is the pre-incremental reference
-                          oracle, and the only driver of --opt cut-rram)
     --frontend F          direct | aig | bdd                 (default: direct)
     --verify MODE         auto | sat | sampled | off         (default: auto —
                           exhaustive <= 14 inputs, SAT proof above; `sampled`
@@ -286,7 +282,6 @@ struct FlowArgs {
     algorithm: Algorithm,
     realization: Realization,
     effort: usize,
-    engine: Engine,
     frontend: Frontend,
     verify: VerifyMode,
     seed: Option<u64>,
@@ -310,7 +305,6 @@ impl FlowArgs {
             algorithm: Algorithm::RramCosts,
             realization: Realization::Maj,
             effort: OptOptions::default().effort,
-            engine: Engine::default(),
             frontend: Frontend::Direct,
             verify: VerifyMode::Auto,
             seed: None,
@@ -348,22 +342,14 @@ impl FlowArgs {
                 }
                 "--realization" => {
                     let v = value("--realization")?;
-                    a.realization = match v.to_ascii_lowercase().as_str() {
-                        "imp" => Realization::Imp,
-                        "maj" => Realization::Maj,
-                        _ => return Err(format!("unknown realization {v:?}")),
-                    };
+                    a.realization = Realization::from_name(&v)
+                        .ok_or_else(|| format!("unknown realization {v:?}"))?;
                 }
                 "--effort" => {
                     let v = value("--effort")?;
                     a.effort = v
                         .parse()
                         .map_err(|_| format!("--effort expects a number, got {v:?}"))?;
-                }
-                "--engine" => {
-                    let v = value("--engine")?;
-                    a.engine =
-                        Engine::from_name(&v).ok_or_else(|| format!("unknown engine {v:?}"))?;
                 }
                 "--frontend" => {
                     let v = value("--frontend")?;
@@ -446,7 +432,6 @@ impl FlowArgs {
             .algorithm(self.algorithm)
             .realization(self.realization)
             .effort(self.effort)
-            .engine(self.engine)
             .frontend(self.frontend)
             .verify_mode(self.verify)
             .best_effort(self.best_effort);

@@ -1,6 +1,6 @@
 //! Shape assertions for the paper's evaluation claims, run at reduced
-//! effort on the embedded suite (the `repro_*` binaries run the full
-//! effort-40 configuration). "Shape" means: who wins, and in which
+//! effort on the embedded suite (`rms bench` runs the full effort-40
+//! configuration). "Shape" means: who wins, and in which
 //! direction the trade-offs go — not absolute numbers, since the substrate
 //! circuits are substitutes (see ARCHITECTURE.md).
 

@@ -29,6 +29,8 @@ fn usage_error_exits_2() {
     // Removed engine and knob spellings are rejected, not ignored.
     for removed in [
         ["--engine", "from-scratch"],
+        ["--engine", "rebuild"],
+        ["--engine", "incremental"],
         ["--cut-cache", "64"],
         ["--par-threshold", "0"],
     ] {
@@ -79,6 +81,11 @@ fn expired_deadline_exits_5() {
         .output()
         .unwrap();
     assert_eq!(exit_code(&out), 5, "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("cycles at the request deadline (re-run with best-effort"),
+        "{err}"
+    );
 }
 
 #[test]

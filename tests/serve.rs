@@ -71,16 +71,19 @@ fn permuted_node_ids_and_formats_share_one_cache_entry() {
 
 #[test]
 fn removed_engine_spelling_is_a_structured_error_and_serving_continues() {
+    // Every engine spelling is rejected rather than silently ignored.
     let s = service();
-    let bad = s.handle_line(&request("bad", BLIF_AND_FIRST).replace(
-        "\"opt\":\"cut\"",
-        "\"opt\":\"cut\",\"engine\":\"from-scratch\"",
-    ));
-    assert!(bad.contains("\"status\":\"error\""), "{bad}");
-    assert!(bad.contains("\"kind\":\"bad_request\""), "{bad}");
-    assert!(bad.contains("unknown engine"), "{bad}");
-    let ok = s.handle_line(&request("ok", BLIF_AND_FIRST));
-    assert!(ok.contains("\"status\":\"ok\""), "{ok}");
+    for engine in ["from-scratch", "rebuild", "incremental"] {
+        let bad = s.handle_line(&request("bad", BLIF_AND_FIRST).replace(
+            "\"opt\":\"cut\"",
+            &format!("\"opt\":\"cut\",\"engine\":\"{engine}\""),
+        ));
+        assert!(bad.contains("\"status\":\"error\""), "{bad}");
+        assert!(bad.contains("\"kind\":\"bad_request\""), "{bad}");
+        assert!(bad.contains("unknown engine"), "{bad}");
+        let ok = s.handle_line(&request("ok", BLIF_AND_FIRST));
+        assert!(ok.contains("\"status\":\"ok\""), "{engine}: {ok}");
+    }
 }
 
 #[test]
@@ -96,7 +99,7 @@ fn cache_hit_report_is_byte_identical_to_cold_run() {
     );
     // The report carries the schema version stamp.
     assert!(
-        report_of(&cold).starts_with("{\"schema\":\"rms-flow-report-v1\""),
+        report_of(&cold).starts_with("{\"schema\":\"rms-flow-report-v2\""),
         "{}",
         report_of(&cold)
     );
