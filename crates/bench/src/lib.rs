@@ -7,13 +7,14 @@
 //!   any value,
 //! - [`reports`] — renders the tables/figures as printable text,
 //! - [`mod@format`] — plain-text table rendering with paper-vs-measured
-//!   columns,
-//! - [`timing`] — the minimal stopwatch used by the `benches/` targets
-//!   (the build is offline, so no Criterion).
+//!   columns.
 //!
 //! `rms bench --table2|--table3|--summary|--runtime|--figures` prints
 //! one [`reports`] function each; README.md lists what each section is
-//! expected to show.
+//! expected to show. The reports time only their own sweeps (the
+//! paper's run-time claim); every other measurement of the flow lives in
+//! the standalone `perfbench/` package, and the exact cut gate counts of
+//! both suites are pinned by `tests/incremental.rs`.
 //!
 //! The embedded circuits are substitutes for the unredistributable
 //! LGsynth91/ISCAS89 originals — compare shapes and ratios, not absolute
@@ -22,4 +23,3 @@
 pub mod format;
 pub mod reports;
 pub mod runner;
-pub mod timing;

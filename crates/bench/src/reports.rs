@@ -96,79 +96,6 @@ pub fn table2_report(opts: &OptOptions, jobs: usize) -> String {
     out
 }
 
-/// The engine performance profile behind `rms bench --profile`: rebuild
-/// baseline vs the incremental in-place engine over the selected suite,
-/// with the parallel bit-identity and verification columns.
-pub fn profile_report(report: &crate::timing::ProfileReport) -> String {
-    let mut table = TextTable::new(&[
-        "benchmark",
-        "in",
-        "gates",
-        "Δgates",
-        "rebuild",
-        "incremental",
-        "speedup",
-        &format!("jobs={}", runner::PROFILE_JOBS),
-        "phases e/v/c/g",
-        "cycles",
-        "rewrites",
-        "verified",
-    ]);
-    for r in &report.rows {
-        table.row(vec![
-            r.name.to_string(),
-            r.inputs.to_string(),
-            format!("{} -> {}", r.initial_gates, r.gates),
-            format!("{:+}", r.gates_delta),
-            format!("{:.2}ms", r.baseline_ms),
-            format!("{:.2}ms", r.incremental_ms),
-            format!("{:.2}x", r.speedup()),
-            format!(
-                "{:.2}ms{}",
-                r.par_ms,
-                if r.par_identical { "" } else { " (DIFFERS)" }
-            ),
-            format!(
-                "{:.0}/{:.0}/{:.0}/{:.0}ms",
-                r.t_cut_enum_ms, r.t_eval_ms, r.t_commit_ms, r.t_gc_ms
-            ),
-            r.cycles.to_string(),
-            r.rewrites.to_string(),
-            r.verified.clone(),
-        ]);
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Cut-engine performance profile ({} suite, effort {}, median of {} runs; baseline = pre-incremental rebuild engine)",
-        report.suite, report.effort, report.iters
-    );
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\ntotal: rebuild {:.2}ms | incremental {:.2}ms | speedup {:.2}x",
-        report.total_baseline_ms(),
-        report.total_incremental_ms(),
-        report.speedup()
-    );
-    let _ = writeln!(
-        out,
-        "parallel: {}/{} rows bit-identical at jobs={}; --jobs sweep consistent: {}",
-        report.rows.iter().filter(|r| r.par_identical).count(),
-        report.rows.len(),
-        runner::PROFILE_JOBS,
-        report.jobs_consistent
-    );
-    let _ = writeln!(
-        out,
-        "verified rows: {}/{}; quality regressions vs baseline: {}",
-        report.rows.iter().filter(|r| r.is_verified()).count(),
-        report.rows.len(),
-        report.rows.iter().filter(|r| r.quality_regressed()).count()
-    );
-    out
-}
-
 /// The algorithm-comparison sweep: Algs. 1–4 vs. the cut-rewriting
 /// engine (node counts and MAJ-realization R/S over the small suite).
 pub fn algs_report(opts: &OptOptions, jobs: usize) -> String {

@@ -7,13 +7,12 @@
 //! bit-identical results for every worker count — a property the
 //! integration tests assert.
 
-use crate::timing::{time_median, ProfileReport, ProfileRow};
 use rms_aig::Aig;
 use rms_bdd::{build as bdd_build, rram_synth as bdd_rram, BddSynthOptions};
 use rms_core::cost::{Realization, RramCost};
 use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::{par, Mig};
-use rms_flow::{optimize_cost, Engine};
+use rms_flow::optimize_cost;
 use rms_logic::bench_suite::{self, BenchmarkInfo};
 use rms_logic::paper_data;
 
@@ -34,12 +33,6 @@ impl From<RramCost> for Measured {
         }
     }
 }
-
-/// Worker count of the profile's parallel timing run (the `jobs` /
-/// `par_ms` columns): the acceptance configuration of the windowed
-/// partition-parallel round. Fixed rather than core-count-derived so
-/// committed profiles are comparable across machines.
-pub const PROFILE_JOBS: usize = 4;
 
 /// Resolves a worker count: `0` means the default pool size.
 fn workers(jobs: usize) -> usize {
@@ -324,12 +317,6 @@ pub fn run_algs(opts: &OptOptions, jobs: usize) -> Vec<AlgsMeasured> {
     })
 }
 
-/// Structural bit-identity of two graphs: node-for-node and
-/// output-for-output.
-fn bit_identical(a: &Mig, b: &Mig) -> bool {
-    a.len() == b.len() && a.outputs() == b.outputs() && (0..a.len()).all(|i| a.node(i) == b.node(i))
-}
-
 /// One row of the sweep+resub-vs-cut comparison (`rms bench --sweep`).
 #[derive(Debug, Clone)]
 pub struct SweepMeasured {
@@ -392,7 +379,7 @@ impl SweepReport {
 pub fn run_sweep_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> SweepMeasured {
     let nl = bench_suite::build_info(info);
     let mig = Mig::from_netlist(&nl);
-    let (cut, _) = rms_cut::optimize_cut_stats_engine(&mig, opts, rms_cut::Engine::Incremental);
+    let (cut, _) = rms_flow::run_algorithm(&mig, Algorithm::Cut, Realization::Maj, opts);
     let (sweep, stats) = rms_cut::optimize_sweep_stats(&mig, opts, rms_cut::SweepPasses::BOTH);
     let verified = if nl.num_inputs() <= rms_flow::verify::EXHAUSTIVE_VERIFY_VARS {
         if sweep.truth_tables() == nl.truth_tables() {
@@ -451,171 +438,6 @@ pub fn run_sweep(opts: &OptOptions, jobs: usize) -> SweepReport {
     SweepReport {
         rows,
         jobs_identical,
-    }
-}
-
-/// Profiles the cut algorithm on one benchmark: rebuild baseline vs the
-/// incremental engine (median of `iters` runs each), a parallel run at
-/// [`PROFILE_JOBS`] workers (timed, and checked bit-identical against
-/// the sequential result), and verification of the optimized result
-/// against the source netlist.
-///
-/// The below-cutoff reference truth tables are computed **once** per
-/// benchmark and shared across both engine runs (they are a property of
-/// the source netlist alone); every engine's output is asserted against
-/// the same tables.
-pub fn run_profile_row(
-    info: &'static BenchmarkInfo,
-    opts: &OptOptions,
-    iters: usize,
-) -> ProfileRow {
-    let nl = bench_suite::build_info(info);
-    profile_netlist_row(info.name, &nl, opts, iters, rms_flow::VerifyMode::Auto)
-}
-
-/// The suite-independent core of [`run_profile_row`]: profiles one
-/// source netlist under both engines. `wide_mode` chooses how
-/// above-cutoff circuits are verified — `Auto` (SAT proof with sampled
-/// fallback) for the small suite, `Sampled` for the large one, where a
-/// 100k-node miter would dominate the whole profile's runtime.
-fn profile_netlist_row(
-    name: &'static str,
-    nl: &rms_logic::Netlist,
-    opts: &OptOptions,
-    iters: usize,
-    wide_mode: rms_flow::VerifyMode,
-) -> ProfileRow {
-    let mig = Mig::from_netlist(nl);
-    // Hoisted once per benchmark, not once per engine run.
-    let reference =
-        (nl.num_inputs() <= rms_flow::verify::EXHAUSTIVE_VERIFY_VARS).then(|| nl.truth_tables());
-    let (baseline, (reb, _)) = time_median(iters, || {
-        rms_cut::optimize_cut_stats_engine(&mig, opts, Engine::Rebuild)
-    });
-    // The sequential run pins jobs = 1 so incremental_ms measures the
-    // single-worker engine even when the ambient options say "auto".
-    let mut seq_opts = opts.clone();
-    seq_opts.jobs = 1;
-    let (incremental, (inc, stats)) = time_median(iters, || {
-        rms_cut::optimize_cut_stats_engine(&mig, &seq_opts, Engine::Incremental)
-    });
-    let mut par_opts = opts.clone();
-    par_opts.jobs = PROFILE_JOBS;
-    let (par, (par_out, _)) = time_median(iters, || {
-        rms_cut::optimize_cut_stats_engine(&mig, &par_opts, Engine::Incremental)
-    });
-    let par_identical = bit_identical(&inc, &par_out);
-    let verified = match &reference {
-        Some(reference) => {
-            let mut trouble = None;
-            for (what, out) in [("incremental", &inc), ("rebuild", &reb)] {
-                if out.truth_tables() != *reference {
-                    trouble = Some(format!("FAILED {what}"));
-                    break;
-                }
-            }
-            trouble.unwrap_or_else(|| "exhaustive".to_string())
-        }
-        None => match rms_flow::check_netlists(
-            nl,
-            &inc.to_netlist(),
-            wide_mode,
-            rms_flow::DEFAULT_VERIFY_SEED,
-        ) {
-            Ok(rms_flow::VerifyOutcome::Proved { conflicts, .. }) => {
-                format!("SAT proved ({conflicts} conflicts)")
-            }
-            Ok(outcome) if outcome.passed() => outcome.label(),
-            Ok(outcome) => format!("FAILED {}", outcome.label()),
-            Err(e) => format!("ERROR {e}"),
-        },
-    };
-    ProfileRow {
-        name,
-        inputs: nl.num_inputs() as u32,
-        initial_gates: mig.num_gates() as u64,
-        gates: inc.num_gates() as u64,
-        baseline_gates: reb.num_gates() as u64,
-        gates_delta: inc.num_gates() as i64 - reb.num_gates() as i64,
-        baseline_ms: baseline.as_secs_f64() * 1e3,
-        incremental_ms: incremental.as_secs_f64() * 1e3,
-        jobs: PROFILE_JOBS,
-        par_ms: par.as_secs_f64() * 1e3,
-        par_identical,
-        t_cut_enum_ms: stats.t_cut_enum_ns as f64 / 1e6,
-        t_eval_ms: stats.t_eval_ns as f64 / 1e6,
-        t_commit_ms: stats.t_commit_ns as f64 / 1e6,
-        t_gc_ms: stats.t_gc_ns as f64 / 1e6,
-        cycles: stats.cycles as u64,
-        passes: stats.passes,
-        rewrites: stats.rewrites,
-        peak_nodes: stats.peak_nodes,
-        verified,
-    }
-}
-
-/// Runs the whole performance profile over the small suite: per-row
-/// engine timings and checks, plus a parallel-sweep consistency check
-/// (the incremental engine must return bit-identical gate counts under
-/// any `--jobs` worker count).
-pub fn run_profile(opts: &OptOptions, iters: usize) -> ProfileReport {
-    // Build the shared NPN tables + MIG database before the first timed
-    // run, so the one-time cost never lands inside a measurement.
-    rms_cut::prewarm();
-    let rows: Vec<ProfileRow> = bench_suite::SMALL_SUITE
-        .iter()
-        .map(|info| run_profile_row(info, opts, iters))
-        .collect();
-    let par_gates: Vec<u64> = over_suite(bench_suite::SMALL_SUITE, 3, |info| {
-        let mig = Mig::from_netlist(&bench_suite::build_info(info));
-        let (out, _) = rms_cut::optimize_cut_stats_engine(&mig, opts, Engine::Incremental);
-        out.num_gates() as u64
-    });
-    let jobs_consistent = rows.iter().zip(&par_gates).all(|(r, &g)| r.gates == g);
-    ProfileReport {
-        suite: "small",
-        rows,
-        effort: opts.effort,
-        iters,
-        jobs_consistent,
-    }
-}
-
-/// Runs the performance profile over the generated large suite
-/// ([`rms_logic::large_suite`], 4k–70k-gate circuits): the scale
-/// baseline behind `rms bench --suite large --profile` and the
-/// committed `BENCH_8.json`.
-///
-/// Identical methodology to [`run_profile`] except that above-cutoff
-/// verification is sampled simulation rather than a SAT proof (every
-/// circuit here is far above the exhaustive cutoff, and a 100k-node
-/// miter proof would dwarf the timings being measured). The parallel
-/// `--jobs` consistency sweep (4 workers vs sequential) runs unchanged.
-pub fn run_profile_large(opts: &OptOptions, iters: usize) -> ProfileReport {
-    rms_cut::prewarm();
-    let targets: Vec<(&'static str, rms_logic::Netlist)> = rms_logic::large_suite::SUITE
-        .iter()
-        .map(|info| (info.name, rms_logic::large_suite::build_info(info)))
-        .collect();
-    let rows: Vec<ProfileRow> = targets
-        .iter()
-        .map(|(name, nl)| profile_netlist_row(name, nl, opts, iters, rms_flow::VerifyMode::Sampled))
-        .collect();
-    // The acceptance bar: gate counts must be bit-identical whether the
-    // suite runs sequentially (jobs = 1, the rows above) or fanned out
-    // across 4 workers.
-    let par_gates: Vec<u64> = par::par_map_threads(&targets, 4, |(_, nl)| {
-        let mig = Mig::from_netlist(nl);
-        let (out, _) = rms_cut::optimize_cut_stats_engine(&mig, opts, Engine::Incremental);
-        out.num_gates() as u64
-    });
-    let jobs_consistent = rows.iter().zip(&par_gates).all(|(r, &g)| r.gates == g);
-    ProfileReport {
-        suite: "large",
-        rows,
-        effort: opts.effort,
-        iters,
-        jobs_consistent,
     }
 }
 

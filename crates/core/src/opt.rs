@@ -110,21 +110,6 @@ pub struct OptStats {
     /// Proof attempts abandoned at the conflict budget (candidates kept
     /// unmerged — the engine never merges unproven).
     pub sat_budget_exhausted: u64,
-    /// Wall-clock nanoseconds spent enumerating cuts (cache-validated or
-    /// window-local), summed over rewrite rounds. On the parallel
-    /// windowed path this is per-worker time summed across workers, so
-    /// it can exceed the round's wall clock.
-    pub t_cut_enum_ns: u64,
-    /// Nanoseconds spent evaluating candidates (NPN canonicalization,
-    /// database lookups, MFFC gain estimation), summed like
-    /// [`OptStats::t_cut_enum_ns`].
-    pub t_eval_ns: u64,
-    /// Nanoseconds in the sequential commit sweep (candidate
-    /// instantiation, signature checks, map updates).
-    pub t_commit_ns: u64,
-    /// Nanoseconds in end-of-round garbage collection and derived-
-    /// structure repair (`finish_mapped_round`).
-    pub t_gc_ns: u64,
     /// Whether the run stopped early at a cancellation checkpoint (the
     /// returned graph is still the best *verified-complete* iterate).
     pub cancelled: bool,

@@ -32,7 +32,6 @@ use rms_core::opt::{OptOptions, OptStats};
 use rms_core::par::par_map_threads;
 use rms_core::rewrite::eliminate;
 use rms_core::{IncrementalMig, Mig, MigNode, MigSignal};
-use std::time::Instant;
 
 /// A window's per-node winner: the best round-start cut of a node,
 /// pre-canonicalized, with its pristine MFFC size. Everything the commit
@@ -61,7 +60,6 @@ fn commit_sweep(
     accept_zero_gain: bool,
     stats: &mut RoundStats,
 ) {
-    let t_commit = Instant::now();
     g.begin_mapped_round();
     let mut map: Vec<MigSignal> = (0..g.len()).map(|i| MigSignal::new(i, false)).collect();
     for (pos, &idx) in order.iter().enumerate() {
@@ -124,10 +122,7 @@ fn commit_sweep(
             g.undo_tail(len_before);
         }
     }
-    stats.t_commit_ns += t_commit.elapsed().as_nanos() as u64;
-    let t_gc = Instant::now();
     g.finish_mapped_round(&map);
-    stats.t_gc_ns += t_gc.elapsed().as_nanos() as u64;
 }
 
 /// Nodes per window of the partition-parallel round.
@@ -146,8 +141,6 @@ struct WindowEval {
     cands: Vec<Option<Candidate>>,
     cuts: u64,
     candidates: u64,
-    enum_ns: u64,
-    eval_ns: u64,
 }
 
 /// MFFC size of `root` with respect to `leaves` on a **shared** graph:
@@ -212,8 +205,6 @@ fn eval_window(
             cands: vec![None; window.len()],
             cuts: 0,
             candidates: 0,
-            enum_ns: 0,
-            eval_ns: 0,
         };
     }
     let mut local: FxHashMap<u32, u32> = FxHashMap::default();
@@ -228,8 +219,6 @@ fn eval_window(
         cands: vec![None; window.len()],
         cuts: 0,
         candidates: 0,
-        enum_ns: 0,
-        eval_ns: 0,
     };
     for (p, &idx) in window.iter().enumerate() {
         let idx = idx as usize;
@@ -237,7 +226,6 @@ fn eval_window(
             lists.push(CutList::default());
             continue;
         };
-        let t0 = Instant::now();
         let mut cls = [CutList::default(); 3];
         for (slot, k) in cls.iter_mut().zip(kids) {
             *slot = match local.get(&(k.node() as u32)) {
@@ -255,8 +243,6 @@ fn eval_window(
             &mut scratch,
         );
         lists.push(list);
-        let t1 = Instant::now();
-        out.enum_ns += (t1 - t0).as_nanos() as u64;
         let mut best: Option<(i64, Candidate)> = None;
         for &cut in list.iter() {
             if cut.is_trivial(idx) || cut.leaves().is_empty() {
@@ -284,7 +270,6 @@ fn eval_window(
             }
         }
         out.cands[p] = best.map(|(_, c)| c);
-        out.eval_ns += t1.elapsed().as_nanos() as u64;
     }
     out
 }
@@ -323,8 +308,6 @@ pub fn round_windowed(
     for e in evals {
         stats.cuts += e.cuts;
         stats.candidates += e.candidates;
-        stats.t_cut_enum_ns += e.enum_ns;
-        stats.t_eval_ns += e.eval_ns;
         cands.extend(e.cands);
     }
     commit_sweep(g, db, &order, &cands, accept_zero_gain, &mut stats);
@@ -363,7 +346,6 @@ pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
     let mut rewrites = 0u64;
     let mut stale = 0usize;
     let mut cancelled = false;
-    let mut phase_ns = [0u64; 4];
     for c in 0..opts.effort {
         if opts.cancel.cancelled() {
             cancelled = true;
@@ -371,12 +353,7 @@ pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
         }
         let before = g.fingerprint();
         eliminate_inplace(&mut g);
-        let st = round_windowed(&mut g, db, c % 2 == 1, jobs, &opts.cancel);
-        rewrites += st.rewrites;
-        phase_ns[0] += st.t_cut_enum_ns;
-        phase_ns[1] += st.t_eval_ns;
-        phase_ns[2] += st.t_commit_ns;
-        phase_ns[3] += st.t_gc_ns;
+        rewrites += round_windowed(&mut g, db, c % 2 == 1, jobs, &opts.cancel).rewrites;
         eliminate_inplace(&mut g);
         reshape_inplace(&mut g, c % 2 == 0);
         eliminate_inplace(&mut g);
@@ -407,10 +384,6 @@ pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
         gates_before: mig.num_gates() as u64,
         gates_after: out.num_gates() as u64,
         peak_nodes: g.peak_len() as u64,
-        t_cut_enum_ns: phase_ns[0],
-        t_eval_ns: phase_ns[1],
-        t_commit_ns: phase_ns[2],
-        t_gc_ns: phase_ns[3],
         cancelled,
         ..OptStats::default()
     };

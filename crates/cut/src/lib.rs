@@ -25,9 +25,9 @@
 //! [`rms_core::IncrementalMig`] and splices accepted rewrites into it.
 //! The **rebuild round** ([`rewrite_round`]) rebuilds the graph per
 //! round. It drives the hybrid cut+RRAM script, and it is kept as the
-//! reference oracle of differential tests and the measured perf
-//! baseline of `rms bench --profile`, selected through [`Engine`] in
-//! [`optimize_cut_stats_engine`]. No user surface chooses between them.
+//! reference oracle of differential tests, selected through [`Engine`]
+//! in [`optimize_cut_stats_engine`]. No user surface chooses between
+//! them.
 //!
 //! The cycle scripts live in [`rms_core::opt`] so that `rms-core` remains
 //! the single home of algorithm definitions; this crate supplies the

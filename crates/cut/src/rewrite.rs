@@ -30,7 +30,7 @@ use rms_core::opt::{cut_rram_script, cut_script, OptOptions, OptStats};
 use rms_core::{Mig, MigNode, MigSignal, Realization};
 
 /// The reference-oracle selector of [`optimize_cut_stats_engine`]: a
-/// library-level switch for differential tests and profiles. No user
+/// library-level switch for differential tests. No user
 /// surface exposes it; Algorithm 5 always runs the in-place round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
@@ -41,8 +41,7 @@ pub enum Engine {
     Incremental,
     /// The rebuild round: every round re-enumerates all cuts and
     /// rebuilds the graph into a fresh [`Mig`] ([`rewrite_round`]). Kept
-    /// as the reference oracle and the measured baseline of
-    /// `rms bench --profile`.
+    /// as the reference oracle of `tests/incremental.rs`.
     Rebuild,
 }
 
@@ -60,16 +59,6 @@ pub struct RoundStats {
     /// Candidates rejected by the simulation-signature spot-check
     /// (always 0 for a correct database; in-place engine only).
     pub sig_vetoes: u64,
-    /// Nanoseconds enumerating cuts this round (see
-    /// [`rms_core::opt::OptStats::t_cut_enum_ns`] for the parallel-sum
-    /// caveat).
-    pub t_cut_enum_ns: u64,
-    /// Nanoseconds evaluating candidates (NPN + database + MFFC).
-    pub t_eval_ns: u64,
-    /// Nanoseconds in the sequential commit sweep.
-    pub t_commit_ns: u64,
-    /// Nanoseconds in end-of-round GC / derived-structure repair.
-    pub t_gc_ns: u64,
 }
 
 /// Size of the maximum fanout-free cone of `root` with respect to

@@ -489,7 +489,7 @@ pub fn run_algorithm(
 }
 
 /// [`run_algorithm`] with an explicit [`Engine`], the reference-oracle
-/// selector used by differential tests and profiles. Only
+/// selector used by differential tests. Only
 /// [`Algorithm::Cut`] dispatches on it: the paper's Algs. 1–4 have no cut
 /// round, [`Algorithm::CutRram`]'s hybrid round exists only on the
 /// rebuild driver, and the sweep scripts only in place.

@@ -152,22 +152,10 @@ BENCH:
                           sections (default: summary); --algs sweeps
                           Algs. 1-4 vs the cut engine and verifies every
                           result (exhaustive or SAT-proved)
-    --profile             profile the cut engines over the small suite and
-                          write the machine-readable BENCH_5.json (rebuild
-                          baseline vs incremental engine, sequential and at
-                          4 jobs; exits non-zero on any verification,
-                          --jobs bit-identity, or quality regression)
     --sweep               run sweep+resub vs the cut baseline over the small
                           suite: verifies every row, checks gate count <= cut
                           on every benchmark and bit-identity across worker
                           counts; exits non-zero on any regression
-    --suite S             small | large — which suite --profile measures
-                          (default: small; large is the generated 4k-70k-gate
-                          suite, use a low --effort such as 2)
-    --out FILE            where --profile writes its JSON (default:
-                          BENCH_5.json, or BENCH_8.json with --suite large)
-    --iters N             timing iterations per engine for --profile; the
-                          median is recorded                 (default: 3)
     --list                list embedded benchmark names
     --sequential          disable the thread pool
     --jobs N              worker threads (default: all cores; RMS_THREADS also works)
@@ -231,15 +219,14 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
     // A panic anywhere below is caught and mapped to the dedicated
     // internal-error exit code, so scripts can tell a crash from a bad
     // input. The `cli-panic` fault point lets the robustness tests
     // exercise this path from outside the process.
     let dispatch = std::panic::catch_unwind(|| {
+        if rest.iter().any(|a| a == "--help" || a == "-h") {
+            return stdout(USAGE);
+        }
         if rms_serve::faults::fire("cli-panic") {
             panic!("injected fault: cli-panic");
         }
@@ -250,10 +237,7 @@ fn main() -> ExitCode {
             "verify" => cmd_verify(rest),
             "bench" => cmd_bench(rest),
             "serve" => cmd_serve(rest),
-            "help" | "--help" | "-h" => {
-                print!("{USAGE}");
-                Ok(())
-            }
+            "help" | "--help" | "-h" => stdout(USAGE),
             other => Err(CliError::usage(format!(
                 "unknown subcommand {other:?}; try `rms help`"
             ))),
@@ -271,6 +255,17 @@ fn main() -> ExitCode {
             ExitCode::from(6)
         }
     }
+}
+
+/// Writes `bytes` to stdout and flushes them. Every stdout write of the
+/// CLI goes through here, so a closed or failing stdout (`rms ... | head`)
+/// is an output I/O failure, exit 1, instead of a panic.
+fn stdout(bytes: impl AsRef<[u8]>) -> Result<(), CliError> {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    out.write_all(bytes.as_ref())
+        .and_then(|()| out.flush())
+        .map_err(|e| CliError::other(format!("stdout: {e}")))
 }
 
 /// Flags shared by `run`, `optimize`, and `compile`.
@@ -452,11 +447,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let a = FlowArgs::parse(args).map_err(CliError::usage)?;
     let out = a.pipeline()?.run().map_err(CliError::from_flow)?;
     if a.json {
-        print!("{}", rms_flow::render_json(&out.report));
+        stdout(rms_flow::render_json(&out.report))
     } else {
-        print!("{}", rms_flow::render_text(&out.report));
+        stdout(rms_flow::render_text(&out.report))
     }
-    Ok(())
 }
 
 fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
@@ -485,10 +479,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
             eprintln!("wrote {path}");
         }
         (Some(bytes), None) => {
-            use std::io::Write as _;
-            std::io::stdout()
-                .write_all(&bytes)
-                .map_err(|e| CliError::other(format!("stdout: {e}")))?;
+            stdout(bytes)?;
             stdout_taken = true;
         }
         (None, _) => {}
@@ -499,7 +490,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
         rms_flow::render_text(&out.report)
     };
     if a.json && !stdout_taken {
-        print!("{report}");
+        stdout(report)?;
     } else {
         eprint!("{report}");
     }
@@ -514,16 +505,16 @@ fn cmd_compile(args: &[String]) -> Result<(), CliError> {
     } else {
         ("array", &out.array.program)
     };
-    println!(
-        "{what} program: {} steps, {} registers, {} inputs, {} outputs (verification: {})",
+    stdout(format!(
+        "{what} program: {} steps, {} registers, {} inputs, {} outputs (verification: {})\n",
         program.num_steps(),
         program.num_regs,
         program.num_inputs,
         program.outputs.len(),
         out.report.verify.label()
-    );
+    ))?;
     if a.listing {
-        print!("{}", program.listing());
+        stdout(program.listing())?;
     }
     Ok(())
 }
@@ -606,8 +597,8 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
             ),
             _ => "null".into(),
         };
-        println!(
-            "{{\"a\":\"{}\",\"b\":\"{}\",\"inputs\":{},\"outputs\":{},\"equivalent\":{},\"proof\":{},\"result\":\"{}\",\"counterexample\":{counterexample},\"sat_conflicts\":{conflicts},\"sat_decisions\":{decisions},\"time_ms\":{:.3}}}",
+        stdout(format!(
+            "{{\"a\":\"{}\",\"b\":\"{}\",\"inputs\":{},\"outputs\":{},\"equivalent\":{},\"proof\":{},\"result\":\"{}\",\"counterexample\":{counterexample},\"sat_conflicts\":{conflicts},\"sat_decisions\":{decisions},\"time_ms\":{:.3}}}\n",
             esc(a.name()),
             esc(b.name()),
             a.num_inputs(),
@@ -616,16 +607,16 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
             outcome.is_proof(),
             esc(&outcome.label()),
             elapsed.as_secs_f64() * 1e3
-        );
+        ))?;
     } else {
-        println!(
-            "verify: {:?} vs {:?}: {} inputs, {} outputs",
+        stdout(format!(
+            "verify: {:?} vs {:?}: {} inputs, {} outputs\nresult: {} in {elapsed:.2?}\n",
             a.name(),
             b.name(),
             a.num_inputs(),
-            a.num_outputs()
-        );
-        println!("result: {} in {elapsed:.2?}", outcome.label());
+            a.num_outputs(),
+            outcome.label()
+        ))?;
     }
     match outcome {
         VerifyOutcome::Failed {
@@ -745,15 +736,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             let bound = server.local_addr();
             // The bound address goes to *stdout* (and is flushed) so
             // wrappers binding port 0 can parse the real port.
-            {
-                use std::io::Write as _;
-                let mut out = std::io::stdout();
-                let _ = writeln!(
-                    out,
-                    "rms serve: listening on http://{bound} (POST /synth, GET /stats, GET /health)"
-                );
-                let _ = out.flush();
-            }
+            let _ = stdout(format!(
+                "rms serve: listening on http://{bound} (POST /synth, GET /stats, GET /health)\n"
+            ));
             let shutdown = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
             #[cfg(unix)]
             {
@@ -792,9 +777,6 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     let mut sections: Vec<&str> = Vec::new();
     let mut effort = OptOptions::default().effort;
     let mut jobs = 0usize; // 0 = default thread pool
-    let mut out_path: Option<String> = None;
-    let mut iters = 3usize;
-    let mut suite = "small".to_string();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -804,53 +786,28 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             "--summary" => sections.push("summary"),
             "--runtime" => sections.push("runtime"),
             "--figures" => sections.push("figures"),
-            "--profile" => sections.push("profile"),
             "--sweep" => sections.push("sweep"),
-            "--out" => {
-                out_path = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::usage("--out requires a value"))?,
-                );
-            }
-            "--suite" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--suite requires a value"))?;
-                match v.as_str() {
-                    "small" | "large" => suite = v.clone(),
-                    other => {
-                        return Err(CliError::usage(format!(
-                            "--suite expects small or large, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            "--iters" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--iters requires a value"))?;
-                iters = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("--iters expects a number, got {v:?}")))?;
-                if iters == 0 {
-                    return Err(CliError::usage("--iters must be at least 1"));
-                }
-            }
             "--list" => {
+                let mut list = String::new();
                 for info in rms_logic::bench_suite::LARGE_SUITE {
-                    println!("{:<12} {} inputs (Table II suite)", info.name, info.inputs);
+                    list += &format!(
+                        "{:<12} {} inputs (Table II suite)\n",
+                        info.name, info.inputs
+                    );
                 }
                 for info in rms_logic::bench_suite::SMALL_SUITE {
-                    println!("{:<12} {} inputs (Table III suite)", info.name, info.inputs);
+                    list += &format!(
+                        "{:<12} {} inputs (Table III suite)\n",
+                        info.name, info.inputs
+                    );
                 }
                 for info in rms_logic::large_suite::SUITE {
-                    println!(
-                        "{:<12} ~{} gates (generated large suite: {})",
+                    list += &format!(
+                        "{:<12} ~{} gates (generated large suite: {})\n",
                         info.name, info.approx_gates, info.description
                     );
                 }
-                return Ok(());
+                return stdout(list);
             }
             "--sequential" => jobs = 1,
             "--jobs" => {
@@ -882,48 +839,25 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     let opts = OptOptions::with_effort(effort);
     for (i, section) in sections.iter().enumerate() {
         if i > 0 {
-            println!();
+            stdout("\n")?;
         }
         match *section {
-            "table2" => print!("{}", reports::table2_report(&opts, jobs)),
-            "table3" => print!(
-                "{}",
-                reports::table3_report(&opts, &rms_bdd::BddSynthOptions::default(), jobs)
-            ),
-            "algs" => print!("{}", reports::algs_report(&opts, jobs)),
-            "summary" => print!("{}", reports::summary_report(&opts, jobs)),
-            "runtime" => print!("{}", reports::runtime_report(&opts)),
-            "figures" => print!("{}", reports::figures_report()),
+            "table2" => stdout(reports::table2_report(&opts, jobs))?,
+            "table3" => stdout(reports::table3_report(
+                &opts,
+                &rms_bdd::BddSynthOptions::default(),
+                jobs,
+            ))?,
+            "algs" => stdout(reports::algs_report(&opts, jobs))?,
+            "summary" => stdout(reports::summary_report(&opts, jobs))?,
+            "runtime" => stdout(reports::runtime_report(&opts))?,
+            "figures" => stdout(reports::figures_report())?,
             "sweep" => {
                 let report = rms_bench::runner::run_sweep(&opts, jobs);
-                print!("{}", reports::sweep_report(&report));
+                stdout(reports::sweep_report(&report))?;
                 if !report.all_passed() {
                     return Err(CliError::other(
                         "sweep regression: a verification, baseline, or determinism check failed",
-                    ));
-                }
-            }
-            "profile" => {
-                let report = if suite == "large" {
-                    rms_bench::runner::run_profile_large(&opts, iters)
-                } else {
-                    rms_bench::runner::run_profile(&opts, iters)
-                };
-                let out_path = out_path.clone().unwrap_or_else(|| {
-                    if suite == "large" {
-                        "BENCH_8.json".to_string()
-                    } else {
-                        "BENCH_5.json".to_string()
-                    }
-                });
-                print!("{}", reports::profile_report(&report));
-                std::fs::write(&out_path, report.to_json())
-                    .map_err(|e| CliError::other(format!("{out_path}: {e}")))?;
-                println!("wrote {out_path}");
-                if !report.all_passed() {
-                    return Err(CliError::other(
-                        "profile regression: a verification, parallel-determinism, \
-                         or quality (gates_delta) check failed",
                     ));
                 }
             }

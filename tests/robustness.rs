@@ -41,6 +41,34 @@ fn usage_error_exits_2() {
             .unwrap();
         assert_eq!(exit_code(&out), 2, "{removed:?}: {out:?}");
     }
+    // The removed profile flags of `rms bench` are rejected too.
+    for removed in [
+        &["--profile"][..],
+        &["--suite", "large"],
+        &["--iters", "3"],
+        &["--out", "x.json"],
+    ] {
+        let out = rms().arg("bench").args(removed).output().unwrap();
+        assert_eq!(exit_code(&out), 2, "{removed:?}: {out:?}");
+    }
+}
+
+#[test]
+fn closed_stdout_exits_1_without_a_panic() {
+    // `rms compile ... | head -c1`: the reader goes away before the
+    // listing is written, which is an output I/O failure, not a crash.
+    let mut child = rms()
+        .args(["compile", "--bench", "apex1", "--listing"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(exit_code(&out), 1, "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("rms: stdout:"), "{err}");
 }
 
 #[test]
