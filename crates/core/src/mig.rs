@@ -18,7 +18,7 @@
 use crate::hash::FxHashMap;
 use crate::signal::MigSignal;
 use rms_logic::netlist::{GateKind, Netlist, NetlistBuilder, Wire};
-use rms_logic::tt::{TruthTable, MAX_VARS};
+use rms_logic::tt::{exhaustive_tables, TruthTable, MAX_VARS};
 use std::fmt::Write as _;
 
 /// Sorts majority children and applies the Ω.M collapse rules.
@@ -416,33 +416,7 @@ impl Mig {
     pub fn truth_tables(&self) -> Vec<TruthTable> {
         let n = self.num_inputs;
         assert!(n <= MAX_VARS, "too many inputs for exhaustive tables");
-        let mut tts: Vec<TruthTable> = self.outputs.iter().map(|_| TruthTable::zero(n)).collect();
-        let total = 1u64 << n;
-        let mut base = 0u64;
-        while base < total {
-            let chunk = 64.min(total - base);
-            let inputs: Vec<u64> = (0..n)
-                .map(|i| {
-                    let mut w = 0u64;
-                    for b in 0..chunk {
-                        if ((base + b) >> i) & 1 == 1 {
-                            w |= 1 << b;
-                        }
-                    }
-                    w
-                })
-                .collect();
-            let outs = self.simulate_words(&inputs);
-            for (t, &w) in tts.iter_mut().zip(&outs) {
-                for b in 0..chunk {
-                    if (w >> b) & 1 == 1 {
-                        t.set_bit(base + b);
-                    }
-                }
-            }
-            base += chunk;
-        }
-        tts
+        exhaustive_tables(n, self.outputs.len(), |inputs| self.simulate_words(inputs))
     }
 
     /// Converts a gate-level netlist into an MIG.

@@ -7,8 +7,13 @@
 //! | Tier | When | Guarantee |
 //! |---|---|---|
 //! | exhaustive | `n ≤ 14` inputs (under [`VerifyMode::Auto`]) | all `2^n` minterms simulated |
-//! | SAT proof | `n > 14`, or forced with [`VerifyMode::Sat`] | miter refuted by the `rms-sat` CDCL solver — a proof at any width |
+//! | SAT proof | `n > 14`, or forced with [`VerifyMode::Sat`] | sweeping miter refuted by the `rms-sat` CDCL solver — a proof at any width |
 //! | sampled | explicit [`VerifyMode::Sampled`], or under [`VerifyMode::Auto`] when a miter exhausts [`SAT_CONFLICT_BUDGET`] | 64 random 64-bit pattern words — evidence, not proof |
+//!
+//! The SAT tier's miters sweep before they refute: internal signals of
+//! the two sides that agree on random simulation are proved equal
+//! bottom-up in the same solver, so the output miter only has to bridge
+//! what the optimizer genuinely changed (see `rms_sat::sweep`).
 //!
 //! Historically the pipeline silently degraded to sampling above the
 //! cutoff; the SAT tier replaces that, so a "pass" normally means
@@ -59,13 +64,16 @@ pub const VERIFY_SAMPLE_WORDS: usize = 64;
 /// only fail fast, never claim equivalence.
 pub const PRE_SAT_SPOT_WORDS: usize = 4;
 
-/// Conflict budget per SAT miter. Every bundled benchmark proves well
-/// under this (the largest, `apex1`, needs ~17k conflicts), but
-/// user-supplied circuits can be adversarial for any SAT solver
-/// (a 32-input multiplier miter is exponentially hard), so the proof
-/// attempt is bounded: under [`VerifyMode::Auto`] an exhausted budget
-/// falls back to sampled verification; under [`VerifyMode::Sat`] it is
-/// an error (the caller explicitly demanded a proof).
+/// Conflict budget per SAT miter, sweep and output refutation together.
+/// Every bundled benchmark proves well under this: the sweeping miter
+/// proves each Table II circuit in at most about a thousand conflicts
+/// (`apex1`), and the large suite's `xl_mul32` and `xl_add2048` in
+/// under 50k. User-supplied circuits can still be adversarial for any
+/// SAT solver (two differently structured multipliers share no internal
+/// equivalences to sweep), so the proof attempt is bounded: under
+/// [`VerifyMode::Auto`] an exhausted budget falls back to sampled
+/// verification; under [`VerifyMode::Sat`] it is an error (the caller
+/// explicitly demanded a proof).
 pub const SAT_CONFLICT_BUDGET: u64 = 500_000;
 
 /// How verification is performed.

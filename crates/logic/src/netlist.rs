@@ -26,7 +26,7 @@
 //! assert_eq!(tts[1].count_ones(), 1); // AND
 //! ```
 
-use crate::tt::{TruthTable, MAX_VARS};
+use crate::tt::{exhaustive_tables, TruthTable, MAX_VARS};
 use std::fmt;
 
 /// A reference to a netlist node, with a complement flag.
@@ -264,33 +264,7 @@ impl Netlist {
             n <= MAX_VARS,
             "{n}-input circuit too large for exhaustive truth tables"
         );
-        let mut tts: Vec<TruthTable> = self.outputs.iter().map(|_| TruthTable::zero(n)).collect();
-        let total: u64 = 1u64 << n;
-        let mut base = 0u64;
-        while base < total {
-            let chunk = 64.min(total - base);
-            let inputs: Vec<u64> = (0..n)
-                .map(|i| {
-                    let mut w = 0u64;
-                    for b in 0..chunk {
-                        if ((base + b) >> i) & 1 == 1 {
-                            w |= 1 << b;
-                        }
-                    }
-                    w
-                })
-                .collect();
-            let outs = self.simulate_words(&inputs);
-            for (t, &w) in tts.iter_mut().zip(&outs) {
-                for b in 0..chunk {
-                    if (w >> b) & 1 == 1 {
-                        t.set_bit(base + b);
-                    }
-                }
-            }
-            base += chunk;
-        }
-        tts
+        exhaustive_tables(n, self.outputs.len(), |inputs| self.simulate_words(inputs))
     }
 
     /// Depth of the circuit: the longest input-to-output path in gates.

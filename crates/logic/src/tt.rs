@@ -52,6 +52,47 @@ const VAR_PATTERNS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
+/// Word of variable `i` over the 64 minterms starting at `base` (a
+/// multiple of 64): bit `b` is the variable's value in minterm
+/// `base + b`. Simulating a circuit on these words for every `base` in
+/// steps of 64 yields its exhaustive table one word at a time (see
+/// [`TruthTable::from_words`]).
+pub fn minterm_word(base: u64, i: usize) -> u64 {
+    match VAR_PATTERNS.get(i) {
+        Some(&w) => w,
+        None if (base >> i) & 1 == 1 => u64::MAX,
+        None => 0,
+    }
+}
+
+/// Exhaustive tables of a circuit with `num_outputs` outputs over
+/// `num_vars` inputs, built from its word simulator: `simulate` maps one
+/// word per input to one word per output and is called once per 64
+/// minterms, on the words of [`minterm_word`].
+///
+/// # Panics
+///
+/// Panics if `num_vars > MAX_VARS`.
+pub fn exhaustive_tables(
+    num_vars: usize,
+    num_outputs: usize,
+    mut simulate: impl FnMut(&[u64]) -> Vec<u64>,
+) -> Vec<TruthTable> {
+    TruthTable::assert_vars(num_vars);
+    let chunks = (1usize << num_vars).div_ceil(64);
+    let mut words: Vec<Vec<u64>> = vec![Vec::with_capacity(chunks); num_outputs];
+    for c in 0..chunks as u64 {
+        let inputs: Vec<u64> = (0..num_vars).map(|i| minterm_word(c * 64, i)).collect();
+        for (col, w) in words.iter_mut().zip(simulate(&inputs)) {
+            col.push(w);
+        }
+    }
+    words
+        .into_iter()
+        .map(|col| TruthTable::from_words(num_vars, col))
+        .collect()
+}
+
 impl TruthTable {
     /// Number of words needed for an `n`-variable table.
     fn word_count(num_vars: usize) -> usize {
@@ -160,6 +201,26 @@ impl TruthTable {
             num_vars,
             words: vec![bits & Self::tail_mask(num_vars)],
         }
+    }
+
+    /// Builds a table from its packed words (bit `m & 63` of word
+    /// `m >> 6` is minterm `m`); bits past minterm `2^num_vars - 1` are
+    /// cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vars > MAX_VARS` or `words` is not
+    /// `max(1, 2^num_vars / 64)` long.
+    pub fn from_words(num_vars: usize, mut words: Vec<u64>) -> Self {
+        Self::assert_vars(num_vars);
+        assert_eq!(
+            words.len(),
+            Self::word_count(num_vars),
+            "{num_vars}-variable table needs {} words",
+            Self::word_count(num_vars)
+        );
+        words[0] &= Self::tail_mask(num_vars);
+        TruthTable { num_vars, words }
     }
 
     /// Number of variables of this table.

@@ -235,65 +235,36 @@ impl Machine {
     /// Panics if the program has more than [`rms_logic::tt::MAX_VARS`]
     /// inputs.
     pub fn truth_tables(program: &Program) -> Result<Vec<rms_logic::TruthTable>, ProgramError> {
-        use rms_logic::tt::{TruthTable, MAX_VARS};
+        use rms_logic::tt::{minterm_word, TruthTable, MAX_VARS};
         let n = program.num_inputs;
         assert!(n <= MAX_VARS, "too many inputs for exhaustive tables");
         program.validate()?;
-        let mut tts: Vec<TruthTable> = program
-            .outputs
-            .iter()
-            .map(|_| TruthTable::zero(n))
-            .collect();
-        let total = 1u64 << n;
-        let chunk_words = total.div_ceil(64);
+        let chunks = (1u64 << n).div_ceil(64);
+        let mut words: Vec<Vec<u64>> =
+            vec![Vec::with_capacity(chunks as usize); program.outputs.len()];
         let mut machine = Machine::new();
         machine.reset_touched(program);
         let mut block: Vec<Vec<u64>> = Vec::with_capacity(BLOCK_WORDS);
         let mut outs: Vec<Vec<u64>> = Vec::with_capacity(BLOCK_WORDS);
         let mut chunk = 0u64;
-        while chunk < chunk_words {
+        while chunk < chunks {
             block.clear();
-            let first = chunk;
-            while chunk < chunk_words && block.len() < BLOCK_WORDS {
+            while chunk < chunks && block.len() < BLOCK_WORDS {
                 block.push((0..n).map(|i| minterm_word(chunk * 64, i)).collect());
                 chunk += 1;
             }
             outs.clear();
             machine.simulate_block::<BLOCK_WORDS, _>(program, &block, &mut outs);
-            for (c, words) in (first..).zip(&outs) {
-                let base = c * 64;
-                let live = match total - base {
-                    64.. => u64::MAX,
-                    lanes => (1 << lanes) - 1,
-                };
-                for (t, &w) in tts.iter_mut().zip(words) {
-                    let mut ones = w & live;
-                    while ones != 0 {
-                        t.set_bit(base + u64::from(ones.trailing_zeros()));
-                        ones &= ones - 1;
-                    }
+            for out in &outs {
+                for (col, &w) in words.iter_mut().zip(out) {
+                    col.push(w);
                 }
             }
         }
-        Ok(tts)
-    }
-}
-
-/// Word of input `i` over the 64 minterms starting at `base` (a multiple
-/// of 64): bit `b` is input `i`'s value in minterm `base + b`.
-fn minterm_word(base: u64, i: usize) -> u64 {
-    const LOW: [u64; 6] = [
-        0xAAAA_AAAA_AAAA_AAAA,
-        0xCCCC_CCCC_CCCC_CCCC,
-        0xF0F0_F0F0_F0F0_F0F0,
-        0xFF00_FF00_FF00_FF00,
-        0xFFFF_0000_FFFF_0000,
-        0xFFFF_FFFF_0000_0000,
-    ];
-    match LOW.get(i) {
-        Some(&w) => w,
-        None if (base >> i) & 1 == 1 => u64::MAX,
-        None => 0,
+        Ok(words
+            .into_iter()
+            .map(|col| TruthTable::from_words(n, col))
+            .collect())
     }
 }
 

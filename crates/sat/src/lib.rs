@@ -9,7 +9,8 @@
 //!
 //! 1. [`solver`] — a conflict-driven clause-learning SAT solver (watched
 //!    literals, first-UIP learning, VSIDS activities, phase saving, Luby
-//!    restarts), `std`-only and fully deterministic;
+//!    restarts, incremental solving under assumptions), `std`-only and
+//!    fully deterministic;
 //! 2. [`tseitin`] — an [`Encoder`] lowering gates to CNF with constant
 //!    folding, structural hashing, and a *native* majority encoding (one
 //!    variable, six prime-implicant clauses per MAJ — no AND/OR
@@ -17,7 +18,11 @@
 //! 3. [`miter`] — equivalence problems over shared inputs: netlist vs.
 //!    netlist and netlist vs. compiled RRAM [`rms_rram::isa::Program`]
 //!    (array or PLiM), where UNSAT *proves* equivalence at any width and
-//!    a model is a concrete counterexample assignment.
+//!    a model is a concrete counterexample assignment;
+//! 4. [`sweep`] — the sweeping that every miter proof runs first:
+//!    internal signals of the two sides that agree on random simulation
+//!    are proved equal bottom-up with small assumption solves, so the
+//!    output miter only has to bridge what genuinely differs.
 //!
 //! `rms-flow` builds its tiered verification policy (exhaustive / SAT
 //! proof / opt-out sampling) on [`check_netlists`] and
@@ -54,6 +59,7 @@
 pub mod lit;
 pub mod miter;
 pub mod solver;
+pub mod sweep;
 pub mod tseitin;
 
 pub use lit::{Lit, Var};

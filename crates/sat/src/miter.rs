@@ -7,6 +7,13 @@
 //! unlike exhaustive simulation — and a SAT model is a concrete
 //! counterexample assignment.
 //!
+//! Every proof is a *sweeping* proof ([`crate::sweep`]): before the
+//! output miter is refuted, internal signals that agree on random
+//! simulation are proved equal bottom-up in the same solver, and each
+//! proved pair becomes two binary clauses. Optimized circuits keep most
+//! of their source's intermediate functions, so this turns one hard
+//! refutation into many easy ones.
+//!
 //! [`Miter`] can encode both circuit shapes the pipeline produces:
 //!
 //! - a gate-level [`Netlist`] (the specification, or an optimized MIG via
@@ -43,6 +50,7 @@
 
 use crate::lit::Lit;
 use crate::solver::SatResult;
+use crate::sweep::{self, Budget};
 use crate::tseitin::Encoder;
 use rms_logic::netlist::{GateKind, Netlist, Wire};
 use rms_rram::isa::{MicroOp, Operand, Program, ProgramError};
@@ -123,6 +131,7 @@ impl From<ProgramError> for MiterError {
 pub struct Miter {
     enc: Encoder,
     inputs: Vec<Lit>,
+    cancel: rms_core::CancelToken,
 }
 
 impl Miter {
@@ -130,7 +139,11 @@ impl Miter {
     pub fn new(num_inputs: usize) -> Self {
         let mut enc = Encoder::new();
         let inputs = (0..num_inputs).map(|_| enc.fresh()).collect();
-        Miter { enc, inputs }
+        Miter {
+            enc,
+            inputs,
+            cancel: rms_core::CancelToken::default(),
+        }
     }
 
     /// The shared primary-input literals.
@@ -144,11 +157,13 @@ impl Miter {
     }
 
     /// Attaches a cooperative-cancellation token: a cancelled token makes
-    /// [`Miter::prove_limited`] return `Ok(None)` at the next solver
-    /// restart boundary, exactly like budget exhaustion. Callers tell the
-    /// two apart by checking the token afterwards.
+    /// [`Miter::prove_limited`] return `Ok(None)` at the next pair proof
+    /// of the sweep or the next solver restart boundary, exactly like
+    /// budget exhaustion. Callers tell the two apart by checking the
+    /// token afterwards.
     pub fn set_cancel(&mut self, cancel: rms_core::CancelToken) {
-        self.enc.set_cancel(cancel);
+        self.enc.set_cancel(cancel.clone());
+        self.cancel = cancel;
     }
 
     /// Encodes a netlist over the shared inputs; returns its output
@@ -260,6 +275,15 @@ impl Miter {
     /// fall back to a weaker check rather than hang on an adversarial
     /// instance).
     ///
+    /// The proof sweeps before it refutes: internal signals that agree
+    /// on random simulation are proved equal bottom-up with small
+    /// solves in the same solver (see [`crate::sweep`]), and only then
+    /// is the output miter — guarded by its own literal, so the sweep
+    /// never sees it — refuted. `max_conflicts` bounds the sum over both
+    /// stages, and [`MiterOutcome::Equivalent`] reports the solver's
+    /// totals. When the outputs already differ on a simulated pattern
+    /// the sweep is skipped and the output miter answers directly.
+    ///
     /// # Errors
     ///
     /// Returns [`MiterError::OutputCountMismatch`] when the vectors have
@@ -282,8 +306,17 @@ impl Miter {
             .map(|(&la, &lb)| self.enc.xor(la, lb))
             .collect();
         let any = self.enc.or_many(&diffs);
-        self.enc.assert_true(any);
-        match self.enc.solve_limited(max_conflicts) {
+        let budget = Budget::new(&self.enc, max_conflicts);
+        if any != self.enc.false_lit() {
+            let sim = sweep::simulate(&self.enc);
+            if sweep::sim_is_zero(&sim, any)
+                && sweep::sweep(&mut self.enc, sim, &budget, &self.cancel).is_none()
+            {
+                return Ok(None);
+            }
+        }
+        let limit = budget.remaining(&self.enc, None);
+        match self.enc.solver_mut().solve_limited_assuming(&[any], limit) {
             None => Ok(None),
             Some(SatResult::Unsat) => {
                 let stats = self.enc.stats();

@@ -7,8 +7,12 @@
 //! - two watched literals per clause for unit propagation,
 //! - first-UIP conflict analysis with clause learning,
 //! - VSIDS-style variable activities with an indexed max-heap,
-//! - phase saving, and
-//! - Luby-sequence restarts.
+//! - phase saving,
+//! - Luby-sequence restarts, and
+//! - incremental solving under assumptions
+//!   ([`Solver::solve_limited_assuming`]): one solver answers a sequence
+//!   of related queries and keeps what it learned between them, which is
+//!   what the sweeping miter in [`crate::miter`] runs on.
 //!
 //! It is `std`-only (the workspace builds offline) and fully
 //! deterministic: the same clause set always produces the same model,
@@ -287,6 +291,13 @@ impl Solver {
         None
     }
 
+    /// Raises `v`'s branching priority as a conflict involving it would,
+    /// so the next search decides it early. A hint only: answers do not
+    /// depend on it.
+    pub(crate) fn bump_activity(&mut self, v: Var) {
+        self.bump(v);
+    }
+
     fn bump(&mut self, v: Var) {
         let a = &mut self.activity[v.index()];
         *a += self.var_inc;
@@ -423,6 +434,23 @@ impl Solver {
     /// search backtracks to the root and can be resumed by calling
     /// again — learned clauses are kept, so progress is not lost).
     pub fn solve_limited(&mut self, max_conflicts: Option<u64>) -> Option<SatResult> {
+        self.solve_limited_assuming(&[], max_conflicts)
+    }
+
+    /// [`Solver::solve_limited`] under `assumptions`, in the MiniSat
+    /// style: the assumptions are decided first, one per decision level,
+    /// and an assumption found false answers [`SatResult::Unsat`] —
+    /// meaning unsatisfiable *together with the assumptions*, not on its
+    /// own. The solver stays usable afterwards: the assumptions leave no
+    /// trace except the clauses learned under them, which are implied by
+    /// the clause set alone and therefore kept. Restarts backtrack to the
+    /// root and re-decide the assumptions.
+    pub fn solve_limited_assuming(
+        &mut self,
+        assumptions: &[Lit],
+        max_conflicts: Option<u64>,
+    ) -> Option<SatResult> {
+        self.backtrack(0);
         if self.root_unsat {
             return Some(SatResult::Unsat);
         }
@@ -466,6 +494,20 @@ impl Solver {
                     // the root, so abandoning here loses nothing.
                     if self.cancel.cancelled() {
                         return None;
+                    }
+                }
+            } else if let Some(&p) = assumptions.get(self.decision_level()) {
+                match self.lit_state(p) {
+                    // Already implied: an empty level keeps levels and
+                    // assumptions aligned.
+                    1 => self.trail_lim.push(self.trail.len()),
+                    -1 => {
+                        self.backtrack(0);
+                        return Some(SatResult::Unsat);
+                    }
+                    _ => {
+                        self.trail_lim.push(self.trail.len());
+                        self.enqueue(p, NO_REASON);
                     }
                 }
             } else if self.trail.len() == self.num_vars() {
@@ -744,6 +786,69 @@ mod tests {
         }
         assert_eq!(s.solve_limited(Some(1)), None, "budget of 1 is too small");
         assert_eq!(s.solve_limited(None), Some(SatResult::Unsat));
+    }
+
+    #[test]
+    fn assumptions_answer_without_constraining_later_calls() {
+        // x0 -> x1 -> x2; assuming x0 and !x2 is unsat, assuming x0 alone
+        // is sat with the chain true, and the solver stays usable.
+        let mut s = Solver::new();
+        let v = lits(&mut s, 3);
+        s.add_clause(&[!v[0], v[1]]);
+        s.add_clause(&[!v[1], v[2]]);
+        assert_eq!(
+            s.solve_limited_assuming(&[v[0], !v[2]], None),
+            Some(SatResult::Unsat)
+        );
+        assert_eq!(
+            s.solve_limited_assuming(&[v[0]], None),
+            Some(SatResult::Sat)
+        );
+        assert!(v.iter().all(|&l| s.value(l)));
+        assert_eq!(
+            s.solve_limited_assuming(&[!v[2]], None),
+            Some(SatResult::Sat)
+        );
+        assert!(v.iter().all(|&l| !s.value(l)));
+        // A contradictory assumption set is unsat; the instance is not.
+        assert_eq!(
+            s.solve_limited_assuming(&[v[1], !v[1]], None),
+            Some(SatResult::Unsat)
+        );
+        assert_eq!(s.solve(), SatResult::Sat);
+    }
+
+    #[test]
+    fn assumption_solves_keep_learned_clauses_and_budgets() {
+        // php(5,4) guarded by an activation literal: unsat under the
+        // guard (resumable after a budget stop), sat without it.
+        let mut s = Solver::new();
+        let act = Lit::positive(s.new_var());
+        let p: Vec<Vec<Lit>> = (0..5)
+            .map(|_| (0..4).map(|_| Lit::positive(s.new_var())).collect())
+            .collect();
+        for row in &p {
+            let mut c = row.clone();
+            c.push(!act);
+            s.add_clause(&c);
+        }
+        for a in 0..5 {
+            for b in (a + 1)..5 {
+                for (&la, &lb) in p[a].iter().zip(&p[b]) {
+                    s.add_clause(&[!la, !lb]);
+                }
+            }
+        }
+        assert_eq!(s.solve_limited_assuming(&[act], Some(1)), None);
+        let spent = s.stats().conflicts;
+        assert!(spent <= 1, "budget of 1 overspent: {spent}");
+        assert_eq!(
+            s.solve_limited_assuming(&[act], None),
+            Some(SatResult::Unsat)
+        );
+        assert!(s.stats().learned > 0);
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert!(!s.value(act), "the guard must be off in every model");
     }
 
     #[test]

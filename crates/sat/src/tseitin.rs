@@ -36,17 +36,28 @@
 //! assert_eq!(enc.solve(), SatResult::Unsat);
 //! ```
 
-use crate::lit::Lit;
+use crate::lit::{Lit, Var};
 use crate::solver::{SatResult, Solver, SolverStats};
 use rms_core::hash::FxHashMap;
 
 /// A structurally-hashed gate key (operands already canonicalized).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum GateKey {
+pub(crate) enum GateKey {
     And(Lit, Lit),
     Xor(Lit, Lit),
     Maj(Lit, Lit, Lit),
     Mux(Lit, Lit, Lit),
+}
+
+impl GateKey {
+    /// The gate's operand literals.
+    pub(crate) fn operands(self) -> impl Iterator<Item = Lit> {
+        let (ops, n) = match self {
+            GateKey::And(a, b) | GateKey::Xor(a, b) => ([a, b, a], 2),
+            GateKey::Maj(a, b, c) | GateKey::Mux(a, b, c) => ([a, b, c], 3),
+        };
+        ops.into_iter().take(n)
+    }
 }
 
 /// CNF builder over a [`Solver`].
@@ -55,6 +66,10 @@ pub struct Encoder {
     solver: Solver,
     true_lit: Lit,
     cache: FxHashMap<GateKey, Lit>,
+    /// Every defined gate as `(output variable, definition)`, in creation
+    /// order. A gate's operands exist before it, so the order is
+    /// topological.
+    gates: Vec<(Var, GateKey)>,
 }
 
 impl Default for Encoder {
@@ -73,6 +88,7 @@ impl Encoder {
             solver,
             true_lit,
             cache: FxHashMap::default(),
+            gates: Vec::new(),
         }
     }
 
@@ -120,7 +136,14 @@ impl Encoder {
             self.solver.add_clause(&clause);
         }
         self.cache.insert(key, z);
+        self.gates.push((z.var(), key));
         z
+    }
+
+    /// Every defined gate in creation (topological) order; variables not
+    /// listed are the constant and free inputs.
+    pub(crate) fn gates(&self) -> &[(Var, GateKey)] {
+        &self.gates
     }
 
     /// `a ∧ b`.

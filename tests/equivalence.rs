@@ -336,3 +336,305 @@ fn above_cutoff_benchmarks_are_proved_not_sampled() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// The sweeping miter: every `rms-sat` proof first merges internal
+// equivalences found by simulation, then refutes the output miter. The
+// sweep may only ever add proved clauses, so its answers must match the
+// truth-table oracle exactly, its budget must bound the whole proof, and
+// it must be deterministic.
+// ---------------------------------------------------------------------
+
+use rram_mig::logic::rng::SplitMix64;
+use rram_mig::logic::{Netlist, NetlistBuilder, Wire};
+use rram_mig::rram::isa::Program;
+use rram_mig::sat::{
+    check_netlist_vs_program, check_netlist_vs_program_cancellable,
+    check_netlist_vs_program_limited, MiterOutcome,
+};
+
+/// Minterm index of an input assignment (bit `i` = input `i`).
+fn minterm_of(inputs: &[bool]) -> u64 {
+    inputs
+        .iter()
+        .enumerate()
+        .fold(0, |m, (i, &b)| m | (u64::from(b) << i))
+}
+
+/// Replaces one random op of `program` with a random op on the same
+/// device: a functional bug that may change one output on few inputs,
+/// or nothing at all.
+fn mutate_op(program: &mut Program, rng: &mut SplitMix64) {
+    use rram_mig::rram::isa::{MicroOp, Operand};
+    let si = rng.next_index(program.steps.len());
+    let step = &mut program.steps[si];
+    let oi = rng.next_index(step.len());
+    let dst = step[oi].dst();
+    let operand = Operand::Input(rng.next_index(program.num_inputs));
+    step[oi] = match rng.next_index(4) {
+        0 => MicroOp::False { dst },
+        1 => MicroOp::Load { dst, src: operand },
+        2 => MicroOp::Imp { p: operand, q: dst },
+        _ => MicroOp::Maj {
+            p: operand,
+            q: Operand::Const(rng.next_bool()),
+            r: dst,
+        },
+    };
+}
+
+/// How [`mutant`] changes a netlist.
+#[derive(Clone, Copy)]
+enum Mutation {
+    /// One random gate's kind swapped (AND→OR→XOR→AND, MAJ↔MUX) or one
+    /// of its fanins complemented.
+    Gate,
+    /// The first output flipped on the two minterms of a random cube
+    /// over all inputs but one: a difference random simulation almost
+    /// never sees, left for the miter's SAT calls to find.
+    RareFlip,
+}
+
+/// Rebuilds `nl` gate for gate with one `mutation` applied.
+fn mutant(nl: &Netlist, rng: &mut SplitMix64, mutation: Mutation) -> Netlist {
+    use rram_mig::logic::GateKind;
+    let target = match mutation {
+        Mutation::Gate => rng.next_index(nl.num_gates()),
+        Mutation::RareFlip => usize::MAX,
+    };
+    let mut b = NetlistBuilder::new("mutant");
+    let mut wires: Vec<Wire> = vec![b.const0()];
+    for name in nl.input_names() {
+        wires.push(b.input(name.clone()));
+    }
+    let wire = |wires: &[Wire], w: Wire| {
+        let x = wires[w.node()];
+        if w.is_complemented() {
+            x.complement()
+        } else {
+            x
+        }
+    };
+    for (k, (_, gate)) in nl.gates().enumerate() {
+        let mut f: Vec<Wire> = gate.fanins.iter().map(|&w| wire(&wires, w)).collect();
+        let mut kind = gate.kind;
+        if k == target {
+            if rng.next_bool() {
+                kind = match kind {
+                    GateKind::And => GateKind::Or,
+                    GateKind::Or => GateKind::Xor,
+                    GateKind::Xor => GateKind::And,
+                    GateKind::Maj => GateKind::Mux,
+                    GateKind::Mux => GateKind::Maj,
+                };
+            } else {
+                let i = rng.next_index(f.len());
+                f[i] = f[i].complement();
+            }
+        }
+        wires.push(match kind {
+            GateKind::And => b.and(f[0], f[1]),
+            GateKind::Or => b.or(f[0], f[1]),
+            GateKind::Xor => b.xor(f[0], f[1]),
+            GateKind::Maj => b.maj(f[0], f[1], f[2]),
+            GateKind::Mux => b.mux(f[0], f[1], f[2]),
+        });
+    }
+    for (o, (name, w)) in nl.outputs().iter().enumerate() {
+        let mut out = wire(&wires, *w);
+        if o == 0 && matches!(mutation, Mutation::RareFlip) {
+            let mut cube = b.const1();
+            for i in 1..nl.num_inputs() {
+                let x = if rng.next_bool() {
+                    wires[1 + i]
+                } else {
+                    wires[1 + i].complement()
+                };
+                cube = b.and(cube, x);
+            }
+            out = b.xor(out, cube);
+        }
+        b.output(name.clone(), out);
+    }
+    b.build()
+}
+
+#[test]
+fn sweeping_program_miter_matches_exhaustive_simulation_on_mutants() {
+    // 16–20 inputs: past the exhaustive verification cutoff, but still
+    // cheap to tabulate here as the oracle. No spot-check in front: the
+    // miter alone must catch every mutant that changes the function,
+    // however few inputs it changes.
+    let mut rng = SplitMix64::new(18);
+    let (mut differ, mut same) = (0, 0);
+    for case in 0..40u64 {
+        let n = 16 + (case % 5) as usize;
+        let nl = random_netlist("sweep_mutant", case, n, 3, 60);
+        // A quarter compile a rarely-flipped copy, the rest mutate one
+        // op of the program, and one in eight stays intact.
+        let mig = if case % 4 == 1 {
+            Mig::from_netlist(&mutant(&nl, &mut rng, Mutation::RareFlip))
+        } else {
+            Mig::from_netlist(&nl)
+        };
+        let mut program = if case % 2 == 0 {
+            compile(&mig, Realization::Maj).program
+        } else {
+            rram_mig::rram::plim::compile_plim(&mig).program
+        };
+        if case % 4 != 1 && case % 8 != 0 {
+            mutate_op(&mut program, &mut rng);
+        }
+        let equal = Machine::truth_tables(&program).unwrap() == nl.truth_tables();
+        match check_netlist_vs_program(&nl, &program).unwrap() {
+            MiterOutcome::Equivalent { .. } => {
+                assert!(equal, "case {case}: proved a mutant that differs");
+                same += 1;
+            }
+            MiterOutcome::Counterexample { inputs } => {
+                assert!(!equal, "case {case}: refuted an equivalent program");
+                assert_eq!(inputs.len(), n);
+                assert_ne!(
+                    nl.evaluate(minterm_of(&inputs)),
+                    Machine::run_bools(&program, &inputs).unwrap(),
+                    "case {case}: counterexample {inputs:?} does not distinguish"
+                );
+                differ += 1;
+            }
+        }
+    }
+    assert!(differ > 0 && same > 0, "{differ} differ, {same} same");
+}
+
+#[test]
+fn sweeping_netlist_miter_matches_truth_tables() {
+    // Random pairs up to 14 inputs: optimized results (equal), rarely
+    // flipped copies (different) and single-gate mutants (equal or
+    // not), against the truth tables.
+    let mut rng = SplitMix64::new(14);
+    let opts = OptOptions::with_effort(4);
+    let (mut differ, mut same) = (0, 0);
+    for case in 0..60u64 {
+        let n = 6 + (case % 9) as usize;
+        let nl = random_netlist("sweep_pair", case, n, 1 + (case % 3) as usize, 50);
+        let other = match case % 3 {
+            0 => {
+                let mig = Mig::from_netlist(&nl);
+                rram_mig::flow::run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &opts)
+                    .0
+                    .to_netlist()
+            }
+            1 => mutant(&nl, &mut rng, Mutation::RareFlip),
+            _ => mutant(&nl, &mut rng, Mutation::Gate),
+        };
+        let equal = nl.truth_tables() == other.truth_tables();
+        match rram_mig::sat::check_netlists(&nl, &other).unwrap() {
+            MiterOutcome::Equivalent { .. } => {
+                assert!(equal, "case {case}: proved circuits that differ");
+                same += 1;
+            }
+            MiterOutcome::Counterexample { inputs } => {
+                assert!(!equal, "case {case}: refuted equal circuits");
+                let m = minterm_of(&inputs);
+                assert_ne!(nl.evaluate(m), other.evaluate(m), "case {case}");
+                differ += 1;
+            }
+        }
+    }
+    assert!(differ > 0 && same > 0, "{differ} differ, {same} same");
+}
+
+/// `bits × bits` array multiplier: rows of partial products folded in
+/// with ripple-carry adders.
+fn array_multiplier(bits: usize) -> Netlist {
+    let mut b = NetlistBuilder::new("mul");
+    let x: Vec<Wire> = (0..bits).map(|i| b.input(format!("a{i}"))).collect();
+    let y: Vec<Wire> = (0..bits).map(|i| b.input(format!("b{i}"))).collect();
+    let mut acc: Vec<Wire> = (0..bits).map(|j| b.and(x[0], y[j])).collect();
+    for (i, &xi) in x.iter().enumerate().skip(1) {
+        let mut carry = b.const0();
+        for (j, &yj) in y.iter().enumerate() {
+            let pp = b.and(xi, yj);
+            let k = i + j;
+            let sum_in = acc.get(k).copied().unwrap_or_else(|| b.const0());
+            let t = b.xor(sum_in, pp);
+            let s = b.xor(t, carry);
+            carry = b.maj(sum_in, pp, carry);
+            if k < acc.len() {
+                acc[k] = s;
+            } else {
+                acc.push(s);
+            }
+        }
+        acc.push(carry);
+    }
+    for (k, &p) in acc.iter().enumerate() {
+        b.output(format!("p{k}"), p);
+    }
+    b.build()
+}
+
+/// A 6×6 multiplier and the array program of its cut-optimized MIG.
+fn multiplier_case() -> (Netlist, Program) {
+    let nl = array_multiplier(6);
+    let mig = Mig::from_netlist(&nl);
+    let opts = OptOptions::with_effort(2);
+    let (opt, _) = rram_mig::flow::run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &opts);
+    (nl, compile(&opt, Realization::Maj).program)
+}
+
+#[test]
+fn sweeping_miter_is_deterministic_counts_included() {
+    let (nl, program) = multiplier_case();
+    let first = check_netlist_vs_program(&nl, &program).unwrap();
+    assert!(first.is_equivalent(), "{first:?}");
+    assert_eq!(check_netlist_vs_program(&nl, &program).unwrap(), first);
+    for seed in 0..4u64 {
+        let nl = random_netlist("sweep_det", seed, 18, 3, 80);
+        let program = compile(&Mig::from_netlist(&nl), Realization::Maj).program;
+        let once = check_netlist_vs_program(&nl, &program).unwrap();
+        assert_eq!(check_netlist_vs_program(&nl, &program).unwrap(), once);
+    }
+}
+
+#[test]
+fn sweeping_miter_budget_bounds_the_whole_proof() {
+    let (nl, program) = multiplier_case();
+    let full = check_netlist_vs_program(&nl, &program).unwrap();
+    let MiterOutcome::Equivalent {
+        conflicts: total, ..
+    } = full
+    else {
+        panic!("multiplier must prove: {full:?}");
+    };
+    assert!(total >= 40, "too easy to exercise the budget: {total}");
+    // Any budget below the total runs out — most of them during the
+    // sweep, whose pair proofs spend the bulk of the conflicts; any
+    // budget at or above it reproduces the unbudgeted proof exactly.
+    for b in [0, 1, 7, total / 4, total / 2, total - 1] {
+        assert_eq!(
+            check_netlist_vs_program_limited(&nl, &program, Some(b)).unwrap(),
+            None,
+            "budget {b} of {total}"
+        );
+    }
+    for b in [total, total + 1, 10 * total] {
+        assert_eq!(
+            check_netlist_vs_program_limited(&nl, &program, Some(b)).unwrap(),
+            Some(full.clone()),
+            "budget {b} of {total}"
+        );
+    }
+}
+
+#[test]
+fn sweeping_miter_stops_on_a_cancelled_token() {
+    let (nl, program) = multiplier_case();
+    let token = rram_mig::mig::CancelToken::new();
+    token.cancel();
+    assert_eq!(
+        check_netlist_vs_program_cancellable(&nl, &program, None, &token).unwrap(),
+        None
+    );
+    assert!(token.cancelled());
+}
