@@ -12,6 +12,11 @@
 //! the trivial cut `{n}`), and each node keeps at most
 //! [`MAX_CUTS_PER_NODE`] cuts, preferring small leaf sets — the standard
 //! *priority cuts* bound that keeps enumeration linear in practice.
+//! Before the sorted leaf merge, each child cut's 64-bit leaf signature
+//! (bit `leaf % 64` per leaf) rules out pairs and triples whose union
+//! must exceed [`MAX_CUT_INPUTS`] leaves, as in ABC's priority cuts; the
+//! prefilter only skips merges that would fail, so the cut sets are
+//! unchanged.
 //!
 //! The representation is allocation-free on the hot path: a [`Cut`] is a
 //! `Copy` value holding its leaves inline, and a node's cut set is a
@@ -179,42 +184,43 @@ fn merge_leaves(a: &[u32], b: &[u32], c: &[u32]) -> Option<([u32; MAX_CUT_INPUTS
     Some((out, n))
 }
 
-/// The cut set of one majority node, merged from its children's cut
-/// sets. `scratch` is a caller-provided buffer reused across nodes so
-/// the merge allocates nothing in steady state.
-pub(crate) fn compute_maj_cuts(
-    node: usize,
-    kids: [MigSignal; 3],
-    c0: &[Cut],
-    c1: &[Cut],
-    c2: &[Cut],
-    max_cuts: usize,
-    scratch: &mut Vec<Cut>,
-) -> CutList {
-    scratch.clear();
-    for a in c0 {
-        for b in c1 {
-            for c in c2 {
-                let Some((leaves, n)) = merge_leaves(a.leaves(), b.leaves(), c.leaves()) else {
-                    continue;
-                };
-                let leaves = &leaves[..n];
-                if scratch.iter().any(|m| m.leaves() == leaves) {
-                    continue;
-                }
-                let mut tts = [0u16; 3];
-                for (slot, (cut, sig)) in
-                    tts.iter_mut()
-                        .zip([(a, kids[0]), (b, kids[1]), (c, kids[2])])
-                {
-                    let t = expand(cut.tt, cut.leaves(), leaves);
-                    *slot = if sig.is_complemented() { !t } else { t };
-                }
-                let tt = (tts[0] & tts[1]) | (tts[0] & tts[2]) | (tts[1] & tts[2]);
-                scratch.push(Cut::new(leaves, tt));
-            }
-        }
+/// 64-bit leaf signature of a cut: bit `leaf % 64` set for every leaf.
+/// Distinct leaves may share a bit, so the popcount of an OR of
+/// signatures is a lower bound on the size of the leaf union.
+fn leaf_signature(cut: &Cut) -> u64 {
+    cut.leaves().iter().fold(0, |s, &l| s | 1 << (l % 64))
+}
+
+/// Whether a signature union already proves the leaf union too large.
+fn too_many_leaves(sig: u64) -> bool {
+    sig.count_ones() as usize > MAX_CUT_INPUTS
+}
+
+/// Merges one child-cut triple into `scratch` unless its leaf union is
+/// infeasible or already present.
+fn merge_into(scratch: &mut Vec<Cut>, kids: [MigSignal; 3], a: &Cut, b: &Cut, c: &Cut) {
+    let Some((leaves, n)) = merge_leaves(a.leaves(), b.leaves(), c.leaves()) else {
+        return;
+    };
+    let leaves = &leaves[..n];
+    if scratch.iter().any(|m| m.leaves() == leaves) {
+        return;
     }
+    let mut tts = [0u16; 3];
+    for (slot, (cut, sig)) in tts
+        .iter_mut()
+        .zip([(a, kids[0]), (b, kids[1]), (c, kids[2])])
+    {
+        let t = expand(cut.tt, cut.leaves(), leaves);
+        *slot = if sig.is_complemented() { !t } else { t };
+    }
+    let tt = (tts[0] & tts[1]) | (tts[0] & tts[2]) | (tts[1] & tts[2]);
+    scratch.push(Cut::new(leaves, tt));
+}
+
+/// Orders the merged cuts, keeps the best `max_cuts - 1` and appends the
+/// trivial cut of `node`.
+fn finish_list(node: usize, max_cuts: usize, scratch: &mut Vec<Cut>) -> CutList {
     scratch.sort_by_key(|x| (x.len, x.leaves));
     scratch.truncate(max_cuts.saturating_sub(1).min(MAX_CUTS_PER_NODE - 1));
     // The trivial cut last: parents can always merge through the node
@@ -225,6 +231,47 @@ pub(crate) fn compute_maj_cuts(
     }
     list.push(Cut::new(&[node as u32], VAR_TT[0]));
     list
+}
+
+/// The cut set of one majority node, merged from its children's cut
+/// sets. `scratch` is a caller-provided buffer reused across nodes so
+/// the merge allocates nothing in steady state.
+///
+/// Pairs and triples of child cuts whose leaf signatures already cover
+/// more than [`MAX_CUT_INPUTS`] bits are skipped before the sorted
+/// merge: their union is too large, so [`merge_leaves`] would reject
+/// them anyway, and the cut list is unchanged.
+pub(crate) fn compute_maj_cuts(
+    node: usize,
+    kids: [MigSignal; 3],
+    c0: &[Cut],
+    c1: &[Cut],
+    c2: &[Cut],
+    max_cuts: usize,
+    scratch: &mut Vec<Cut>,
+) -> CutList {
+    debug_assert!(c0.len().max(c1.len()).max(c2.len()) <= MAX_CUTS_PER_NODE);
+    let mut sigs = [[0u64; MAX_CUTS_PER_NODE]; 3];
+    for (row, cuts) in sigs.iter_mut().zip([c0, c1, c2]) {
+        for (s, cut) in row.iter_mut().zip(cuts) {
+            *s = leaf_signature(cut);
+        }
+    }
+    scratch.clear();
+    for (a, &sa) in c0.iter().zip(&sigs[0]) {
+        for (b, &sb) in c1.iter().zip(&sigs[1]) {
+            let sab = sa | sb;
+            if too_many_leaves(sab) {
+                continue;
+            }
+            for (c, &sc) in c2.iter().zip(&sigs[2]) {
+                if !too_many_leaves(sab | sc) {
+                    merge_into(scratch, kids, a, b, c);
+                }
+            }
+        }
+    }
+    finish_list(node, max_cuts, scratch)
 }
 
 /// The cut set of an input or constant node.
@@ -249,6 +296,14 @@ pub(crate) fn leaf_cuts(node: usize, is_const: bool) -> CutList {
 /// Panics if `max_cuts` exceeds [`MAX_CUTS_PER_NODE`] — cut sets are
 /// stored inline with that capacity.
 pub fn enumerate(mig: &Mig, max_cuts: usize) -> Vec<CutList> {
+    enumerate_with(mig, max_cuts, compute_maj_cuts)
+}
+
+/// The signature of [`compute_maj_cuts`].
+type MergeFn = fn(usize, [MigSignal; 3], &[Cut], &[Cut], &[Cut], usize, &mut Vec<Cut>) -> CutList;
+
+/// [`enumerate`] over a given majority-node merge step.
+fn enumerate_with(mig: &Mig, max_cuts: usize, merge: MergeFn) -> Vec<CutList> {
     assert!(
         max_cuts <= MAX_CUTS_PER_NODE,
         "max_cuts {max_cuts} exceeds the inline capacity {MAX_CUTS_PER_NODE}"
@@ -266,7 +321,7 @@ pub fn enumerate(mig: &Mig, max_cuts: usize) -> Vec<CutList> {
                     sets[kids[1].node()],
                     sets[kids[2].node()],
                 );
-                compute_maj_cuts(
+                merge(
                     idx,
                     kids,
                     c0.as_slice(),
@@ -286,7 +341,61 @@ pub fn enumerate(mig: &Mig, max_cuts: usize) -> Vec<CutList> {
 mod tests {
     use super::*;
     use rms_core::MigSignal;
+    use rms_logic::random::random_netlist;
     use std::collections::HashMap;
+
+    /// [`compute_maj_cuts`] without the signature prefilter: every child
+    /// cut triple goes through the sorted merge.
+    fn compute_maj_cuts_unfiltered(
+        node: usize,
+        kids: [MigSignal; 3],
+        c0: &[Cut],
+        c1: &[Cut],
+        c2: &[Cut],
+        max_cuts: usize,
+        scratch: &mut Vec<Cut>,
+    ) -> CutList {
+        scratch.clear();
+        for a in c0 {
+            for b in c1 {
+                for c in c2 {
+                    merge_into(scratch, kids, a, b, c);
+                }
+            }
+        }
+        finish_list(node, max_cuts, scratch)
+    }
+
+    #[test]
+    fn signature_prefilter_keeps_every_cut_list() {
+        // Graphs of several hundred nodes, so leaf indices collide mod 64
+        // and signatures undercount unions.
+        for seed in 0..6u64 {
+            let nl = random_netlist("cut_sig", seed, 12, 4, 400);
+            let mig = Mig::from_netlist(&nl).compact();
+            assert!(mig.len() > 128, "seed {seed}: only {} nodes", mig.len());
+            for max_cuts in [4, MAX_CUTS_PER_NODE] {
+                let fast = enumerate(&mig, max_cuts);
+                let reference = enumerate_with(&mig, max_cuts, compute_maj_cuts_unfiltered);
+                assert_eq!(fast, reference, "seed {seed}, max_cuts {max_cuts}");
+            }
+        }
+    }
+
+    #[test]
+    fn signature_popcount_bounds_the_leaf_union() {
+        // Leaves 3 and 67 share bit 3: the signature undercounts, never
+        // overcounts.
+        let a = Cut::new(&[3, 67], 0);
+        let b = Cut::new(&[5, 131], 0);
+        let s = leaf_signature(&a) | leaf_signature(&b);
+        assert_eq!(s.count_ones(), 2);
+        assert!(!too_many_leaves(s));
+        assert!(merge_leaves(a.leaves(), b.leaves(), &[]).is_some());
+        let c = Cut::new(&[1, 2, 4], 0);
+        assert!(too_many_leaves(s | leaf_signature(&c)));
+        assert!(merge_leaves(a.leaves(), b.leaves(), c.leaves()).is_none());
+    }
 
     /// Reference evaluation: value of `node` given values for the leaves.
     fn eval_node(

@@ -27,7 +27,6 @@ use crate::database::{database, Database};
 use crate::npn;
 use crate::rewrite::RoundStats;
 use rms_core::fanout::{eliminate_inplace, reshape_inplace};
-use rms_core::hash::FxHashMap;
 use rms_core::opt::{OptOptions, OptStats};
 use rms_core::par::par_map_threads;
 use rms_core::rewrite::eliminate;
@@ -143,23 +142,59 @@ struct WindowEval {
     candidates: u64,
 }
 
+/// Marks a node-indexed slot of [`RefOverlay`] and of the window index
+/// that holds no value.
+const UNSET: u32 = u32::MAX;
+
+/// A lazy local copy of the graph's reference counts for
+/// [`mffc_size_frozen`]: a node-indexed array whose slots are filled on
+/// first touch, plus the list of touched slots, which is reset after
+/// every call. Allocated once per window.
+struct RefOverlay {
+    refs: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl RefOverlay {
+    fn new(len: usize) -> RefOverlay {
+        RefOverlay {
+            refs: vec![UNSET; len],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Decrements the overlay count of `node`, first loading it from `g`,
+    /// and returns the new count.
+    fn deref(&mut self, g: &IncrementalMig, node: usize) -> u32 {
+        let r = &mut self.refs[node];
+        if *r == UNSET {
+            *r = g.refs(node);
+            self.touched.push(node as u32);
+        }
+        *r -= 1;
+        *r
+    }
+
+    fn reset(&mut self) {
+        for &n in &self.touched {
+            self.refs[n as usize] = UNSET;
+        }
+        self.touched.clear();
+    }
+}
+
 /// MFFC size of `root` with respect to `leaves` on a **shared** graph:
 /// the recursive deref walk of [`IncrementalMig::mffc_size`], but
 /// against a lazy local refcount overlay instead of mutating the
 /// graph's counts — windows evaluate concurrently on `&IncrementalMig`.
 /// The cone of a window-local cut never leaves the window (out-of-window
 /// children are always cut leaves), so the overlay stays small.
-fn mffc_size_frozen(
-    g: &IncrementalMig,
-    root: usize,
-    leaves: &[u32],
-    refs: &mut FxHashMap<u32, u32>,
-) -> u32 {
+fn mffc_size_frozen(g: &IncrementalMig, root: usize, leaves: &[u32], refs: &mut RefOverlay) -> u32 {
     fn deref(
         g: &IncrementalMig,
         node: usize,
         leaves: &[u32],
-        refs: &mut FxHashMap<u32, u32>,
+        refs: &mut RefOverlay,
         count: &mut u32,
     ) {
         let Some(kids) = g.maj_children(node) else {
@@ -170,17 +205,15 @@ fn mffc_size_frozen(
             if leaves.contains(&(c as u32)) || g.maj_children(c).is_none() {
                 continue;
             }
-            let r = refs.entry(c as u32).or_insert_with(|| g.refs(c));
-            *r -= 1;
-            if *r == 0 {
+            if refs.deref(g, c) == 0 {
                 *count += 1;
                 deref(g, c, leaves, refs, count);
             }
         }
     }
-    refs.clear();
     let mut count = 1u32;
     deref(g, root, leaves, refs, &mut count);
+    refs.reset();
     count
 }
 
@@ -207,14 +240,14 @@ fn eval_window(
             candidates: 0,
         };
     }
-    let mut local: FxHashMap<u32, u32> = FxHashMap::default();
-    local.reserve(window.len());
+    // Node -> position in the window, UNSET outside it.
+    let mut local = vec![UNSET; g.len()];
     for (p, &idx) in window.iter().enumerate() {
-        local.insert(idx, p as u32);
+        local[idx as usize] = p as u32;
     }
     let mut lists: Vec<CutList> = Vec::with_capacity(window.len());
     let mut scratch: Vec<Cut> = Vec::new();
-    let mut refs: FxHashMap<u32, u32> = FxHashMap::default();
+    let mut refs = RefOverlay::new(g.len());
     let mut out = WindowEval {
         cands: vec![None; window.len()],
         cuts: 0,
@@ -228,9 +261,9 @@ fn eval_window(
         };
         let mut cls = [CutList::default(); 3];
         for (slot, k) in cls.iter_mut().zip(kids) {
-            *slot = match local.get(&(k.node() as u32)) {
-                Some(&lp) => lists[lp as usize],
-                None => leaf_cuts(k.node(), matches!(g.node(k.node()), MigNode::Const0)),
+            *slot = match local[k.node()] {
+                UNSET => leaf_cuts(k.node(), matches!(g.node(k.node()), MigNode::Const0)),
+                lp => lists[lp as usize],
             };
         }
         let list = compute_maj_cuts(
@@ -424,6 +457,42 @@ mod tests {
                     assert!(r.num_gates() <= m.num_gates(), "{name}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn frozen_mffc_matches_the_live_mffc_on_every_cut() {
+        // The array overlay (reused across cuts, reset per call) against
+        // the graph's own deref/reref walk.
+        for name in SAMPLES.iter().chain(&["t481_d", "max46_d"]) {
+            let m = bench_mig(name).compact();
+            let mut g = IncrementalMig::from_mig(&m);
+            let mut overlay = RefOverlay::new(g.len());
+            let mut checked = 0usize;
+            for (node, cuts) in cuts::enumerate(&m, cuts::MAX_CUTS_PER_NODE)
+                .iter()
+                .enumerate()
+            {
+                if g.maj_children(node).is_none() {
+                    continue;
+                }
+                for cut in cuts.iter() {
+                    let frozen = mffc_size_frozen(&g, node, cut.leaves(), &mut overlay);
+                    assert_eq!(
+                        frozen,
+                        g.mffc_size(node, cut.leaves()),
+                        "{name}: node {node}, leaves {:?}",
+                        cut.leaves()
+                    );
+                    checked += 1;
+                }
+            }
+            assert!(overlay.touched.is_empty());
+            assert!(
+                overlay.refs.iter().all(|&r| r == UNSET),
+                "{name}: overlay not reset"
+            );
+            assert!(checked > 0, "{name}: no cuts");
         }
     }
 

@@ -28,9 +28,18 @@
 //! exhaustion rejects the substitution. Counterexamples from refuted
 //! candidates are fed back as new simulation lanes, sharpening the
 //! filter for later nodes. The pass is fully deterministic.
+//!
+//! The 1-resub triple search is the pass's inner loop. It reads each
+//! divisor's lane-0 word from a local array and prunes whole divisor
+//! pairs that cannot reach the target on lane 0 (see `search_triples`),
+//! which skips exactly the triples the lane-0 filter would reject: the
+//! candidates, their order and every SAT call are those of the plain
+//! scan. Divisor windows are collected with one generation-stamped visit
+//! array for the whole pass.
 
 use crate::fraig::{append_cex_lane, init_sim, prove_signals, ProveOutcome};
 use rms_core::{IncrementalMig, MajBuilder, MigNode, MigSignal};
+use std::ops::ControlFlow;
 
 /// Options of the resubstitution pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,20 +84,54 @@ pub struct ResubStats {
     pub sat_conflicts: u64,
 }
 
+/// Visit marks of [`collect_divisors`], reused across every node of a
+/// pass: a node is marked for the current call when its stamp equals
+/// the current generation, so starting a new window costs one increment
+/// instead of an O(graph) clear.
+#[derive(Default)]
+struct Stamps {
+    stamp: Vec<u32>,
+    generation: u32,
+}
+
+impl Stamps {
+    /// Starts a new generation covering nodes `0..len`.
+    fn start(&mut self, len: usize) {
+        if self.stamp.len() < len {
+            self.stamp.resize(len, 0);
+        }
+        if self.generation == u32::MAX {
+            self.stamp.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+    }
+
+    /// Marks `node`; returns whether it was unmarked.
+    fn mark(&mut self, node: usize) -> bool {
+        let fresh = self.stamp[node] != self.generation;
+        self.stamp[node] = self.generation;
+        fresh
+    }
+
+    fn is_marked(&self, node: usize) -> bool {
+        self.stamp[node] == self.generation
+    }
+}
+
 /// Collects the divisor window of `n`: constant, bounded transitive
 /// fanin, and reconvergent siblings, all at level <= `n`'s (so none can
 /// be in `n`'s transitive fanout and substitution stays acyclic).
-fn collect_divisors(g: &IncrementalMig, n: usize, cap: usize) -> Vec<usize> {
+fn collect_divisors(g: &IncrementalMig, n: usize, cap: usize, seen: &mut Stamps) -> Vec<usize> {
     let level_n = g.level(n);
     let mut divisors = vec![0usize];
-    let mut seen = vec![0u8; g.len()];
-    seen[0] = 1;
-    seen[n] = 1;
+    seen.start(g.len());
+    seen.mark(0);
+    seen.mark(n);
     let mut queue: Vec<usize> = Vec::new();
     if let Some(kids) = g.maj_children(n) {
         for kid in kids {
-            if seen[kid.node()] == 0 {
-                seen[kid.node()] = 1;
+            if seen.mark(kid.node()) {
                 queue.push(kid.node());
             }
         }
@@ -104,8 +147,7 @@ fn collect_divisors(g: &IncrementalMig, n: usize, cap: usize) -> Vec<usize> {
         // Deeper fanin of the window.
         if let Some(kids) = g.maj_children(d) {
             for kid in kids {
-                if seen[kid.node()] == 0 {
-                    seen[kid.node()] = 1;
+                if seen.mark(kid.node()) {
                     queue.push(kid.node());
                 }
             }
@@ -114,8 +156,8 @@ fn collect_divisors(g: &IncrementalMig, n: usize, cap: usize) -> Vec<usize> {
         // deeper than `n` itself.
         for &p in g.fanouts(d) {
             let p = p as usize;
-            if seen[p] == 0 && !g.is_dead(p) && g.level(p) <= level_n {
-                seen[p] = 1;
+            if !seen.is_marked(p) && !g.is_dead(p) && g.level(p) <= level_n {
+                seen.mark(p);
                 queue.push(p);
             }
         }
@@ -141,6 +183,7 @@ pub fn resub_pass(g: &mut IncrementalMig, opts: &ResubOptions) -> ResubStats {
     let topo = g.topo_order();
     let mut sim = init_sim(g, &topo, opts.extra_words);
     let mut cexes: Vec<Vec<bool>> = Vec::new();
+    let mut stamps = Stamps::default();
 
     for &nu in &topo {
         if opts.cancel.cancelled() {
@@ -150,7 +193,7 @@ pub fn resub_pass(g: &mut IncrementalMig, opts: &ResubOptions) -> ResubStats {
         if g.is_dead(n) || !matches!(g.node(n), MigNode::Maj(_)) {
             continue;
         }
-        let divisors = collect_divisors(g, n, opts.max_divisors);
+        let divisors = collect_divisors(g, n, opts.max_divisors, &mut stamps);
         let target = sim[n].clone();
 
         // 0-resub: an existing divisor already computes n (mod phase).
@@ -187,80 +230,58 @@ pub fn resub_pass(g: &mut IncrementalMig, opts: &ResubOptions) -> ResubStats {
         }
 
         // 1-resub: one new majority over three divisors. Needs the MFFC
-        // to free at least two nodes so the net gain is >= 1. Input
-        // phase combinations with two or three complements are covered
-        // by the output phase (¬M(a,b,c) = M(¬a,¬b,¬c)), so only the
-        // four 0/1-complement shapes are enumerated.
-        'outer: for i in 0..divisors.len() {
-            for j in (i + 1)..divisors.len() {
-                for k in (j + 1)..divisors.len() {
-                    let (da, db, dc) = (divisors[i], divisors[j], divisors[k]);
-                    if g.is_dead(da) || g.is_dead(db) || g.is_dead(dc) {
-                        continue;
-                    }
-                    for combo in 0..4u8 {
-                        let pa = combo == 1;
-                        let pb = combo == 2;
-                        let pc = combo == 3;
-                        // Fast lane-0 filter before the full compare.
-                        let m0 = maj_lane(&sim, (da, pa), (db, pb), (dc, pc), 0);
-                        let out_phase = if m0 == target[0] {
-                            false
-                        } else if m0 == !target[0] {
-                            true
-                        } else {
-                            continue;
-                        };
-                        let lanes = sim[n].len();
-                        let full = (1..lanes).all(|l| {
-                            let w = maj_lane(&sim, (da, pa), (db, pb), (dc, pc), l);
-                            (w ^ if out_phase { !0 } else { 0 }) == target[l]
-                        });
-                        if !full {
-                            continue;
-                        }
-                        // Gain check on the pristine graph: the MFFC of n
-                        // with the three divisors as boundary must free
-                        // more than the one node we are about to add.
-                        let freed = g.mffc_size(n, &[da as u32, db as u32, dc as u32]);
-                        if freed < 2 {
-                            continue;
-                        }
-                        let len_before = g.len();
-                        let m = g.maj(
-                            MigSignal::new(da, pa),
-                            MigSignal::new(db, pb),
-                            MigSignal::new(dc, pc),
-                        );
-                        if m.node() == n {
-                            // Strashing found n itself — not a substitution.
-                            g.undo_tail(len_before);
-                            continue;
-                        }
-                        let cand = m.complement_if(out_phase);
-                        stats.candidates += 1;
-                        match try_substitute_built(g, n, cand, len_before, opts, &mut stats) {
-                            Verdict::Accepted => {
-                                // Record the new node's lanes so later
-                                // windows can use it as a divisor.
-                                if m.node() >= sim.len() {
-                                    let mut row = Vec::with_capacity(sim[n].len());
-                                    for l in 0..sim[n].len() {
-                                        row.push(maj_lane(&sim, (da, pa), (db, pb), (dc, pc), l));
-                                    }
-                                    sim.push(row);
-                                }
-                                break 'outer;
-                            }
-                            Verdict::Refuted(cex) => {
-                                if cexes.len() < 64 {
-                                    cexes.push(cex);
-                                }
-                            }
-                            Verdict::Rejected => {}
-                        }
-                    }
+        // to free at least two nodes so the net gain is >= 1. Liveness
+        // cannot change before a commit, and a commit ends the search.
+        let live: Vec<usize> = divisors
+            .iter()
+            .copied()
+            .filter(|&d| !g.is_dead(d))
+            .collect();
+        let rows: Vec<&[u64]> = live.iter().map(|&d| sim[d].as_slice()).collect();
+        let accepted = search_triples(&rows, &target, |m| {
+            let [pa, pb, pc] = m.phases();
+            let (da, db, dc) = (live[m.i], live[m.j], live[m.k]);
+            // Gain check on the pristine graph: the MFFC of n with the
+            // three divisors as boundary must free more than the one node
+            // we are about to add.
+            let freed = g.mffc_size(n, &[da as u32, db as u32, dc as u32]);
+            if freed < 2 {
+                return ControlFlow::Continue(());
+            }
+            let len_before = g.len();
+            let built = g.maj(
+                MigSignal::new(da, pa),
+                MigSignal::new(db, pb),
+                MigSignal::new(dc, pc),
+            );
+            if built.node() == n {
+                // Strashing found n itself — not a substitution.
+                g.undo_tail(len_before);
+                return ControlFlow::Continue(());
+            }
+            let cand = built.complement_if(m.out_phase);
+            stats.candidates += 1;
+            match try_substitute_built(g, n, cand, len_before, opts, &mut stats) {
+                Verdict::Accepted => {
+                    ControlFlow::Break((built.node(), [(da, pa), (db, pb), (dc, pc)]))
                 }
+                Verdict::Refuted(cex) => {
+                    if cexes.len() < 64 {
+                        cexes.push(cex);
+                    }
+                    ControlFlow::Continue(())
+                }
+                Verdict::Rejected => ControlFlow::Continue(()),
+            }
+        });
+        // Record the new node's lanes so later windows can use it as a
+        // divisor.
+        if let Some((node, [a, b, c])) = accepted {
+            if node >= sim.len() {
+                let row = (0..target.len())
+                    .map(|l| maj_lane(&sim, a, b, c, l))
+                    .collect();
+                sim.push(row);
             }
         }
 
@@ -281,10 +302,124 @@ fn maj_lane(
     (c, pc): (usize, bool),
     lane: usize,
 ) -> u64 {
-    let wa = sim[a][lane] ^ if pa { !0 } else { 0 };
-    let wb = sim[b][lane] ^ if pb { !0 } else { 0 };
-    let wc = sim[c][lane] ^ if pc { !0 } else { 0 };
-    (wa & wb) | (wa & wc) | (wb & wc)
+    maj3(
+        sim[a][lane] ^ phase_mask(pa),
+        sim[b][lane] ^ phase_mask(pb),
+        sim[c][lane] ^ phase_mask(pc),
+    )
+}
+
+fn phase_mask(complemented: bool) -> u64 {
+    if complemented {
+        !0
+    } else {
+        0
+    }
+}
+
+fn maj3(a: u64, b: u64, c: u64) -> u64 {
+    (a & b) | (a & c) | (b & c)
+}
+
+/// One match of the 1-resub triple search: divisor positions `i < j < k`,
+/// the input phase shape `combo` (0: no input complemented, 1/2/3: the
+/// first/second/third input complemented), and the output phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TripleMatch {
+    i: usize,
+    j: usize,
+    k: usize,
+    combo: u8,
+    out_phase: bool,
+}
+
+impl TripleMatch {
+    /// Complement flags of the three inputs.
+    fn phases(&self) -> [bool; 3] {
+        [self.combo == 1, self.combo == 2, self.combo == 3]
+    }
+}
+
+/// The 1-resub triple search. Visits, in `(i, j, k, combo)` order, every
+/// majority over three divisor rows that equals `target` on all lanes,
+/// possibly complemented; stops at the first match `visit` breaks on and
+/// returns its value.
+///
+/// Input phase combinations with two or three complements are covered by
+/// the output phase (¬M(a,b,c) = M(¬a,¬b,¬c)), so only the four
+/// 0/1-complement shapes are enumerated. The output phase is set by lane
+/// 0, then checked on every other lane.
+///
+/// Pairs are pruned before the `k` loop. Where the (phased) lane-0 words
+/// of `a` and `b` agree, M(a, b, c) equals them, so a pair shape can only
+/// match if `a` equals the target (or its complement) on those bits. A
+/// pair whose three shapes all fail skips its `k` loop, and a combo whose
+/// pair shape fails is skipped: exactly the triples the lane-0 filter
+/// would reject, so the visiting order is that of the plain scan.
+fn search_triples<B>(
+    rows: &[&[u64]],
+    target: &[u64],
+    mut visit: impl FnMut(TripleMatch) -> ControlFlow<B>,
+) -> Option<B> {
+    // Pair shape of each combo: (a, b), (¬a, b), (a, ¬b), (a, b).
+    const PAIR_SHAPE: [usize; 4] = [0, 1, 2, 0];
+    let t = target[0];
+    let w0: Vec<u64> = rows.iter().map(|r| r[0]).collect();
+    let pair_fits = |a: u64, b: u64| {
+        let agree = !(a ^ b);
+        (a ^ t) & agree == 0 || (a ^ !t) & agree == 0
+    };
+    for i in 0..rows.len() {
+        for j in (i + 1)..rows.len() {
+            let (a, b) = (w0[i], w0[j]);
+            let fits = [pair_fits(a, b), pair_fits(!a, b), pair_fits(a, !b)];
+            if fits == [false; 3] {
+                continue;
+            }
+            for k in (j + 1)..rows.len() {
+                for combo in 0..4u8 {
+                    if !fits[PAIR_SHAPE[combo as usize]] {
+                        continue;
+                    }
+                    let m = TripleMatch {
+                        i,
+                        j,
+                        k,
+                        combo,
+                        out_phase: false,
+                    };
+                    let Some(m) = full_match(rows, target, m) else {
+                        continue;
+                    };
+                    if let ControlFlow::Break(b) = visit(m) {
+                        return Some(b);
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Checks one triple shape against `target`: the output phase comes from
+/// lane 0, and every lane must then agree. Returns the match with its
+/// output phase set.
+fn full_match(rows: &[&[u64]], target: &[u64], m: TripleMatch) -> Option<TripleMatch> {
+    let [pa, pb, pc] = m.phases().map(phase_mask);
+    let (ra, rb, rc) = (rows[m.i], rows[m.j], rows[m.k]);
+    let lane = |l: usize| maj3(ra[l] ^ pa, rb[l] ^ pb, rc[l] ^ pc);
+    let m0 = lane(0);
+    let out_phase = if m0 == target[0] {
+        false
+    } else if m0 == !target[0] {
+        true
+    } else {
+        return None;
+    };
+    let out = phase_mask(out_phase);
+    (1..target.len())
+        .all(|l| lane(l) ^ out == target[l])
+        .then_some(TripleMatch { out_phase, ..m })
 }
 
 enum Verdict {
@@ -379,6 +514,7 @@ mod tests {
     use super::*;
     use rms_core::Mig;
     use rms_logic::bench_suite;
+    use rms_logic::rng::SplitMix64;
     use rms_logic::sim::check_equivalence;
 
     fn bench_inc(name: &str) -> IncrementalMig {
@@ -408,14 +544,152 @@ mod tests {
     fn divisor_windows_are_bounded_and_shallow() {
         let g = bench_inc("9sym_d");
         let topo = g.topo_order();
+        let mut stamps = Stamps::default();
         for &nu in &topo {
             let n = nu as usize;
-            let divisors = collect_divisors(&g, n, 16);
+            let divisors = collect_divisors(&g, n, 16, &mut stamps);
             assert!(divisors.len() <= 16);
             for &d in &divisors {
                 assert!(d == 0 || g.level(d) <= g.level(n), "divisor above the node");
                 assert_ne!(d, n);
             }
+        }
+    }
+
+    #[test]
+    fn reused_stamps_collect_the_same_windows() {
+        // One stamp array across the pass against a fresh one per node,
+        // including a generation wrap-around.
+        for name in ["t481_d", "max46_d"] {
+            let g = bench_inc(name);
+            let mut reused = Stamps::default();
+            for &nu in &g.topo_order() {
+                let n = nu as usize;
+                if n.is_multiple_of(7) {
+                    reused.generation = u32::MAX;
+                }
+                let fresh = collect_divisors(&g, n, 24, &mut Stamps::default());
+                assert_eq!(
+                    collect_divisors(&g, n, 24, &mut reused),
+                    fresh,
+                    "{name}: node {n}"
+                );
+            }
+        }
+    }
+
+    /// The plain O(d³·4) scan: lane-0 output phase, then every lane.
+    fn naive_triples(rows: &[&[u64]], target: &[u64]) -> Vec<TripleMatch> {
+        let mut out = Vec::new();
+        for i in 0..rows.len() {
+            for j in (i + 1)..rows.len() {
+                for k in (j + 1)..rows.len() {
+                    for combo in 0..4u8 {
+                        let m = TripleMatch {
+                            i,
+                            j,
+                            k,
+                            combo,
+                            out_phase: false,
+                        };
+                        let [pa, pb, pc] = m.phases().map(phase_mask);
+                        let lane =
+                            |l: usize| maj3(rows[i][l] ^ pa, rows[j][l] ^ pb, rows[k][l] ^ pc);
+                        let out_phase = if lane(0) == target[0] {
+                            false
+                        } else if lane(0) == !target[0] {
+                            true
+                        } else {
+                            continue;
+                        };
+                        let mask = phase_mask(out_phase);
+                        if (0..target.len()).all(|l| lane(l) ^ mask == target[l]) {
+                            out.push(TripleMatch { out_phase, ..m });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn pruned_triples(rows: &[&[u64]], target: &[u64]) -> Vec<TripleMatch> {
+        let mut out = Vec::new();
+        let none: Option<()> = search_triples(rows, target, |m| {
+            out.push(m);
+            ControlFlow::Continue(())
+        });
+        assert!(none.is_none());
+        out
+    }
+
+    #[test]
+    fn pruned_triple_search_matches_the_plain_scan_on_random_words() {
+        let mut rng = SplitMix64::new(0x5eed_1e5b);
+        let mut matched = 0usize;
+        for trial in 0..400 {
+            // Few live bits per word, so lane-0 agreements (and full
+            // matches) are common; rows are random or majorities of
+            // earlier rows, with the constant row first.
+            let mask = !0u64 >> (64 - 1 - (trial % 12));
+            let lanes = 1 + trial % 4;
+            let d = 3 + trial % 14;
+            let mut rows: Vec<Vec<u64>> = vec![vec![0; lanes]];
+            while rows.len() < d {
+                let r: Vec<u64> = if rows.len() >= 3 && rng.next_u64().is_multiple_of(2) {
+                    let pick = |x: u64| &rows[x as usize % rows.len()];
+                    let (a, b, c) = (
+                        pick(rng.next_u64()),
+                        pick(rng.next_u64()),
+                        pick(rng.next_u64()),
+                    );
+                    let flip = phase_mask(rng.next_u64().is_multiple_of(2));
+                    (0..lanes).map(|l| maj3(a[l] ^ flip, b[l], c[l])).collect()
+                } else {
+                    (0..lanes).map(|_| rng.next_u64() & mask).collect()
+                };
+                rows.push(r);
+            }
+            let target: Vec<u64> = match rng.next_u64() % 3 {
+                0 => (0..lanes).map(|_| rng.next_u64() & mask).collect(),
+                1 => {
+                    let (a, b, c) = (&rows[1], &rows[d / 2], &rows[d - 1]);
+                    (0..lanes).map(|l| !maj3(a[l], !b[l], c[l])).collect()
+                }
+                _ => rows[rng.next_u64() as usize % d].clone(),
+            };
+            let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
+            let want = naive_triples(&refs, &target);
+            assert_eq!(pruned_triples(&refs, &target), want, "trial {trial}");
+            matched += want.len();
+        }
+        assert!(
+            matched > 100,
+            "too few matches to exercise the search: {matched}"
+        );
+    }
+
+    #[test]
+    fn pruned_triple_search_matches_the_plain_scan_on_real_windows() {
+        let opts = ResubOptions::default();
+        for name in ["rd84_f4", "t481_d", "9sym_d"] {
+            let g = bench_inc(name);
+            let topo = g.topo_order();
+            let sim = init_sim(&g, &topo, opts.extra_words);
+            let mut stamps = Stamps::default();
+            let mut matched = 0usize;
+            for &nu in &topo {
+                let n = nu as usize;
+                if g.maj_children(n).is_none() {
+                    continue;
+                }
+                let divisors = collect_divisors(&g, n, opts.max_divisors, &mut stamps);
+                let rows: Vec<&[u64]> = divisors.iter().map(|&d| sim[d].as_slice()).collect();
+                let want = naive_triples(&rows, &sim[n]);
+                assert_eq!(pruned_triples(&rows, &sim[n]), want, "{name}: node {n}");
+                matched += want.len();
+            }
+            assert!(matched > 0, "{name}: no window has a 1-resub match");
         }
     }
 }

@@ -6,19 +6,22 @@
 //! bit-identical across `--jobs` worker counts and across repeated runs,
 //! on graphs of one window and of many.
 //!
-//! Two pin tests fix the exact `Algorithm::Cut` gate count of every
-//! bundled circuit, so a quality change fails here instead of drifting:
-//! the small suite at effort 40 in every run, the generated large suite
-//! at effort 2 under `--include-ignored` (run it in release:
+//! Pin tests fix exact quality counts, so a quality change fails here
+//! instead of drifting. In every run: the `Algorithm::Cut` gate count of
+//! the small suite at effort 40, and the candidate, accepted and refuted
+//! counts of one resubstitution pass on two Table II circuits. Under
+//! `--include-ignored`: the cut gate count of the generated large suite
+//! at effort 2, and the Table II gate counts under rram, cut and
+//! sweep-resub at effort 40 (run them in release:
 //! `cargo test --release --test incremental -- --include-ignored`).
 
 use rms_core::cost::Realization;
 use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::{CancelToken, IncrementalMig, Mig};
-use rms_cut::{database, rewrite_round, round_windowed, WINDOW_NODES};
-use rms_flow::{run_algorithm, run_algorithm_engine, Engine};
+use rms_cut::{database, resub_pass, rewrite_round, round_windowed, ResubOptions, WINDOW_NODES};
+use rms_flow::{run_algorithm, run_algorithm_engine, Engine, InputFormat, Pipeline, VerifyMode};
 use rms_logic::random::random_netlist;
-use rms_logic::{bench_suite, large_suite};
+use rms_logic::{bench_suite, blif, large_suite};
 
 /// Node-for-node structural equality (indices, children, complement
 /// attributes, outputs, levels).
@@ -153,7 +156,7 @@ fn windowed_round_is_deterministic_across_multiple_windows() {
     match rms_flow::check_netlists(
         &nl,
         &j1.to_netlist(),
-        rms_flow::VerifyMode::Sat,
+        VerifyMode::Sat,
         rms_flow::DEFAULT_VERIFY_SEED,
     ) {
         Ok(outcome) => assert!(outcome.is_proof() && outcome.passed(), "{outcome:?}"),
@@ -202,6 +205,46 @@ const LARGE_SUITE_CUT_GATES: [(&str, usize); 6] = [
     ("xl_mul128", 65171),
 ];
 
+/// Gate counts of the 25 Table II circuits at effort 40 under
+/// [`TABLE2_ALGS`], in suite order, for each circuit's BLIF rendering
+/// run through the pipeline: the `gates` column of perfbench's
+/// `table2-default` workload.
+const TABLE2_GATES: [(&str, [usize; 3]); 25] = [
+    ("5xp1", [139, 52, 47]),
+    ("alu4", [131, 79, 71]),
+    ("apex1", [1179, 1026, 1016]),
+    ("apex2", [148, 117, 117]),
+    ("apex4", [1818, 1143, 972]),
+    ("apex5", [457, 427, 423]),
+    ("apex6", [470, 451, 451]),
+    ("apex7", [153, 141, 138]),
+    ("b9", [94, 87, 85]),
+    ("clip", [78, 21, 17]),
+    ("cm150a", [46, 33, 31]),
+    ("cm162a", [45, 42, 40]),
+    ("cm163a", [39, 37, 36]),
+    ("cordic", [107, 78, 76]),
+    ("misex1", [39, 39, 36]),
+    ("misex3", [748, 528, 506]),
+    ("parity", [45, 24, 24]),
+    ("seq", [905, 760, 749]),
+    ("t481", [193, 106, 80]),
+    ("table5", [864, 631, 615]),
+    ("too_large", [185, 139, 137]),
+    ("x1", [159, 145, 143]),
+    ("x2", [22, 19, 18]),
+    ("x3", [471, 447, 444]),
+    ("x4", [307, 285, 284]),
+];
+
+/// The algorithms of [`TABLE2_GATES`]: Alg. 3, cut rewriting, and SAT
+/// sweeping with resubstitution.
+const TABLE2_ALGS: [Algorithm; 3] = [Algorithm::RramCosts, Algorithm::Cut, Algorithm::SweepResub];
+
+/// `ResubStats { candidates, accepted, refuted }` of one default
+/// `resub_pass` over the effort-40 cut result.
+const RESUB_COUNTS: [(&str, [u64; 3]); 2] = [("apex4", [496, 82, 414]), ("t481", [62, 6, 56])];
+
 #[test]
 fn cut_gates_are_pinned_on_the_small_suite() {
     let names: Vec<&str> = bench_suite::SMALL_SUITE.iter().map(|i| i.name).collect();
@@ -212,6 +255,54 @@ fn cut_gates_are_pinned_on_the_small_suite() {
         let out = run_windowed(&Mig::from_netlist(&nl), 40, 1);
         assert_eq!(out.num_gates(), gates, "{name}: cut gate count");
         assert_eq!(out.truth_tables(), nl.truth_tables(), "{name}: function");
+    }
+}
+
+#[test]
+#[ignore = "about 18 s unoptimized; run in release with --include-ignored"]
+fn table2_gates_are_pinned_under_rram_cut_and_sweep_resub() {
+    let names: Vec<&str> = bench_suite::LARGE_SUITE.iter().map(|i| i.name).collect();
+    let pinned: Vec<&str> = TABLE2_GATES.iter().map(|&(n, _)| n).collect();
+    assert_eq!(
+        names, pinned,
+        "pin table out of step with the Table II suite"
+    );
+    for (name, gates) in TABLE2_GATES {
+        // The benchmark's route: BLIF bytes through the whole pipeline.
+        let blif = blif::write(&bench_suite::build(name).unwrap());
+        for (alg, want) in TABLE2_ALGS.into_iter().zip(gates) {
+            let out = Pipeline::from_bytes(InputFormat::Blif, blif.as_bytes(), name)
+                .unwrap()
+                .algorithm(alg)
+                .effort(40)
+                .verify_mode(VerifyMode::Off)
+                .run()
+                .unwrap_or_else(|e| panic!("{name} / {}: {e}", alg.token()));
+            assert_eq!(
+                out.report.optimized.gates,
+                want as u64,
+                "{name} / {}: gate count",
+                alg.token()
+            );
+        }
+    }
+}
+
+#[test]
+fn resub_counts_are_pinned_on_apex4_and_t481() {
+    // The resubstitution filter decides which candidates reach SAT, so
+    // any drift in it changes these counts before it changes gates.
+    let opts = OptOptions::with_effort(40);
+    for (name, [candidates, accepted, refuted]) in RESUB_COUNTS {
+        let mig = Mig::from_netlist(&bench_suite::build(name).unwrap());
+        let (cut, _) = run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &opts);
+        let mut g = IncrementalMig::from_mig(&cut.compact());
+        let st = resub_pass(&mut g, &ResubOptions::default());
+        assert_eq!(
+            [st.candidates, st.accepted, st.refuted],
+            [candidates, accepted, refuted],
+            "{name}: resub candidates, accepted, refuted ({st:?})"
+        );
     }
 }
 
@@ -231,7 +322,7 @@ fn cut_gates_are_pinned_on_the_large_suite() {
         let outcome = rms_flow::check_netlists(
             &nl,
             &j1.to_netlist(),
-            rms_flow::VerifyMode::Sampled,
+            VerifyMode::Sampled,
             rms_flow::DEFAULT_VERIFY_SEED,
         )
         .unwrap_or_else(|e| panic!("{name}: verification error: {e}"));
