@@ -448,7 +448,7 @@ pub fn runtime_report(opts: &OptOptions) -> String {
     for alg in Algorithm::ALL {
         let t0 = Instant::now();
         for mig in &migs {
-            let _ = alg.run(mig, Realization::Maj, opts);
+            let _ = rms_flow::run_algorithm(mig, alg, Realization::Maj, opts);
         }
         table.row(vec![
             alg.to_string(),

@@ -13,14 +13,11 @@
 //! | [`optimize_rram`]  | Alg. 3 | R and S | push-up; Ω.I(1–3); push-up; reshape↓; eliminate |
 //! | [`optimize_steps`] | Alg. 4 | S | push-up; Ω.I(1); Ω.I(1–3); push-up |
 //!
-//! Beyond the paper, this module also hosts the **cycle scripts** of the
-//! cut-rewriting engine (Algorithm 5, [`Algorithm::Cut`] and the hybrid
-//! [`Algorithm::CutRram`]): [`cut_script`] and [`cut_rram_script`] run the
-//! same best-iterate loop with a pluggable *rewrite round* callback. The
-//! actual NPN-database round lives in the `rms-cut` crate (which depends
-//! on this one); `rms-flow` injects it. Calling [`Algorithm::run`] on a
-//! cut variant from plain `rms-core` degrades gracefully to the
-//! underlying Ω/Ψ script with identity rounds.
+//! [`drive`] is the best-iterate loop they share. It is public so that
+//! the scripts built on the cut-rewriting round of the `rms-cut` crate
+//! (which depends on this one) use the same loop; `rms-core` itself
+//! knows nothing about cut rewriting. `rms_flow::run_algorithm` is the
+//! one dispatcher over [`Algorithm`].
 
 use crate::cancel::CancelToken;
 use crate::cost::{Realization, RramCost};
@@ -115,9 +112,19 @@ pub struct OptStats {
     pub cancelled: bool,
 }
 
-/// Generic driver: runs `cycle` up to `effort` times, tracking the iterate
-/// with the smallest `score`; also reports how many cycles executed.
-fn drive<S: PartialOrd + Copy>(
+/// The best-iterate loop of every cycle script: runs `cycle` (given the
+/// current graph and the cycle index) up to `opts.effort` times on the
+/// compacted input, and returns the iterate with the smallest `score`,
+/// the number of cycles run, and whether the run was cancelled.
+///
+/// With [`OptOptions::early_exit`] the loop stops once a cycle leaves the
+/// graph's fingerprint unchanged. The cancel token is polled before and
+/// after every cycle. A cycle during which it tripped is never scored: a
+/// cycle whose rewrite round polls the token may have been truncated, and
+/// its result, though functionally correct, is not one a completed run
+/// could produce. So a cancelled run still returns the best
+/// verified-complete iterate.
+pub fn drive<S: PartialOrd + Copy>(
     mig: &Mig,
     opts: &OptOptions,
     score: impl Fn(&Mig) -> S,
@@ -127,19 +134,17 @@ fn drive<S: PartialOrd + Copy>(
     let mut best = current.clone();
     let mut best_score = score(&best);
     let mut cycles = 0;
-    let mut cancelled = false;
     // One fingerprint per cycle, carried over — not two.
     let mut fp = fingerprint(&current);
     for c in 0..opts.effort {
-        // Cycle boundaries are the coarse cancellation checkpoints of
-        // Algs. 1–4 and the cut scripts: the best iterate so far is a
-        // complete, committed graph, so stopping here is always safe.
         if opts.cancel.cancelled() {
-            cancelled = true;
-            break;
+            return (best, cycles, true);
         }
         current = cycle(&current, c);
         cycles = c + 1;
+        if opts.cancel.cancelled() {
+            return (best, cycles, true);
+        }
         let s = score(&current);
         if s < best_score {
             best_score = s;
@@ -151,24 +156,24 @@ fn drive<S: PartialOrd + Copy>(
         }
         fp = new_fp;
     }
-    (best, cycles, cancelled)
+    (best, cycles, false)
 }
 
-/// Assembles an [`OptStats`] from a finished run.
+/// Assembles an [`OptStats`] from a finished run of [`drive`] with
+/// `passes_per_cycle` passes per cycle and one final polish pass.
 fn stats_of(
     before: &Mig,
     after: &Mig,
     cycles: usize,
     passes_per_cycle: u64,
-    final_passes: u64,
-    rewrites: u64,
+    cancelled: bool,
 ) -> OptStats {
     OptStats {
         cycles,
-        passes: cycles as u64 * passes_per_cycle + final_passes,
-        rewrites,
+        passes: cycles as u64 * passes_per_cycle + 1,
         gates_before: before.num_gates() as u64,
         gates_after: after.num_gates() as u64,
+        cancelled,
         ..OptStats::default()
     }
 }
@@ -194,8 +199,7 @@ pub fn optimize_area_stats(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
         },
     );
     let out = eliminate(&out);
-    let mut stats = stats_of(mig, &out, cycles, 3, 1, 0);
-    stats.cancelled = cancelled;
+    let stats = stats_of(mig, &out, cycles, 3, cancelled);
     (out, stats)
 }
 
@@ -220,8 +224,7 @@ pub fn optimize_depth_stats(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
         },
     );
     let out = push_up(&out);
-    let mut stats = stats_of(mig, &out, cycles, 3, 1, 0);
-    stats.cancelled = cancelled;
+    let stats = stats_of(mig, &out, cycles, 3, cancelled);
     (out, stats)
 }
 
@@ -260,8 +263,7 @@ pub fn optimize_rram_stats(
         },
     );
     let out = push_up(&out);
-    let mut stats = stats_of(mig, &out, cycles, 5, 1, 0);
-    stats.cancelled = cancelled;
+    let stats = stats_of(mig, &out, cycles, 5, cancelled);
     (out, stats)
 }
 
@@ -296,96 +298,8 @@ pub fn optimize_steps_stats(
         },
     );
     let out = push_up(&out);
-    let mut stats = stats_of(mig, &out, cycles, 4, 1, 0);
-    stats.cancelled = cancelled;
+    let stats = stats_of(mig, &out, cycles, 4, cancelled);
     (out, stats)
-}
-
-/// A cut-rewriting round: maps a graph to a rewritten graph plus the
-/// number of accepted rewrites. The second argument enables zero-gain
-/// replacements (used on alternating cycles to escape plateaus).
-pub type CutRound<'a> = &'a mut dyn FnMut(&Mig, bool) -> (Mig, u64);
-
-/// Algorithm 5 — cut-based NPN rewriting (node-count objective).
-///
-/// Per cycle: `eliminate`, one database **rewrite round** (zero-gain
-/// replacements enabled on odd cycles), `eliminate`, `reshape`
-/// (alternating direction), `eliminate`; a final `eliminate` after the
-/// loop. The cycle is a superset of Alg. 1's, so with the same effort the
-/// result is at least as good in practice; the best iterate by
-/// `(gates, depth)` is returned.
-///
-/// The round callback is supplied by the `rms-cut` crate (via
-/// `rms-flow`); see the module docs.
-pub fn cut_script(mig: &Mig, opts: &OptOptions, round: CutRound) -> (Mig, OptStats) {
-    let mut rewrites = 0u64;
-    let (out, cycles, cancelled) = drive(
-        mig,
-        opts,
-        |m| (m.num_gates(), m.depth()),
-        |m, c| {
-            let m = eliminate(m);
-            let (m, rw) = round(&m, c % 2 == 1);
-            rewrites += rw;
-            let m = eliminate(&m);
-            let m = reshape(&m, c % 2 == 0);
-            eliminate(&m)
-        },
-    );
-    let out = eliminate(&out);
-    let mut stats = stats_of(mig, &out, cycles, 5, 1, rewrites);
-    stats.cancelled = cancelled;
-    (out, stats)
-}
-
-/// The hybrid cut + RRAM-cost script ([`Algorithm::CutRram`]).
-///
-/// Interleaves one database rewrite round with the Alg. 3 pass sequence
-/// per cycle, scoring iterates by the `R·S` product for `realization`.
-/// The plain Alg. 3 result is evaluated as a candidate too, so the
-/// returned graph **never scores worse than [`optimize_rram`]**.
-pub fn cut_rram_script(
-    mig: &Mig,
-    realization: Realization,
-    opts: &OptOptions,
-    round: CutRound,
-) -> (Mig, OptStats) {
-    let score = |m: &Mig| {
-        let c = RramCost::of(m, realization);
-        (c.rrams.saturating_mul(c.steps), c.steps)
-    };
-    let base = optimize_rram(mig, realization, opts);
-    let mut rewrites = 0u64;
-    let (hybrid, cycles, cancelled) = drive(mig, opts, score, |m, c| {
-        let (m, rw) = round(m, c % 2 == 1);
-        rewrites += rw;
-        let m = push_up(&m);
-        let m = inverter_propagation(&m, InverterCases::ALL, false);
-        let m = push_up(&m);
-        let m = reshape(&m, true);
-        eliminate(&m)
-    });
-    let polished = push_up(&hybrid);
-    let mut best = base;
-    let mut from_hybrid = false;
-    for cand in [hybrid, polished] {
-        if score(&cand) < score(&best) {
-            best = cand;
-            from_hybrid = true;
-        }
-    }
-    // When the plain Alg. 3 result wins, the returned graph contains no
-    // cut rewrites — do not attribute the hybrid loop's work to it.
-    let mut stats = stats_of(
-        mig,
-        &best,
-        cycles,
-        6,
-        1,
-        if from_hybrid { rewrites } else { 0 },
-    );
-    stats.cancelled = cancelled;
-    (best, stats)
 }
 
 /// Which optimization algorithm to run (used by the harness binaries).
@@ -400,25 +314,20 @@ pub enum Algorithm {
     /// Alg. 4, step optimization.
     Steps,
     /// Alg. 5, cut-based NPN-database rewriting (node-count objective).
-    ///
-    /// The database round lives in the `rms-cut` crate; run this through
-    /// `rms_flow::optimize_cost` (or `rms_cut::optimize_cut`) to get the
-    /// full engine. Plain [`Algorithm::run`] degrades to identity rounds.
+    /// The database round lives in the `rms-cut` crate, like every mode
+    /// below; `rms_flow::run_algorithm` runs each of them.
     Cut,
     /// The hybrid script: cut rewriting interleaved with Alg. 3 passes,
-    /// scored by the `R·S` product (same caveat as [`Algorithm::Cut`]).
+    /// scored by the `R·S` product.
     CutRram,
     /// SAT sweeping (fraiging): the cut script followed by
-    /// simulation-guided, SAT-proved global node merging. The engine
-    /// lives in `rms-cut`; plain [`Algorithm::run`] degrades to the cut
-    /// script with identity rounds.
+    /// simulation-guided, SAT-proved global node merging.
     Sweep,
     /// Windowed Boolean resubstitution: the cut script followed by
-    /// SAT-validated 0/1-resubstitution over divisor windows (same
-    /// degradation caveat as [`Algorithm::Sweep`]).
+    /// SAT-validated 0/1-resubstitution over divisor windows.
     Resub,
     /// Both post passes: cut script, then alternating fraig + resub
-    /// rounds until a fixpoint (same degradation caveat).
+    /// rounds until a fixpoint.
     SweepResub,
 }
 
@@ -455,43 +364,6 @@ impl Algorithm {
         Algorithm::SweepResub,
     ];
 
-    /// Runs the selected algorithm.
-    pub fn run(self, mig: &Mig, realization: Realization, opts: &OptOptions) -> Mig {
-        self.run_stats(mig, realization, opts).0
-    }
-
-    /// Runs the selected algorithm and reports run statistics.
-    ///
-    /// For the cut variants this uses **identity rewrite rounds** (the
-    /// NPN-database engine is a separate crate layered above this one);
-    /// the result is functionally correct but equivalent to running the
-    /// underlying Ω/Ψ script alone. `rms_flow::optimize_cost` injects the
-    /// real engine.
-    pub fn run_stats(
-        self,
-        mig: &Mig,
-        realization: Realization,
-        opts: &OptOptions,
-    ) -> (Mig, OptStats) {
-        let mut identity = |m: &Mig, _zero_gain: bool| (m.clone(), 0u64);
-        match self {
-            Algorithm::Area => optimize_area_stats(mig, opts),
-            Algorithm::Depth => optimize_depth_stats(mig, opts),
-            Algorithm::RramCosts => optimize_rram_stats(mig, realization, opts),
-            Algorithm::Steps => optimize_steps_stats(mig, realization, opts),
-            Algorithm::Cut => cut_script(mig, opts, &mut identity),
-            Algorithm::CutRram => cut_rram_script(mig, realization, opts, &mut identity),
-            // The SAT-backed post passes live in `rms-cut`; from plain
-            // rms-core these modes degrade to the cut script (itself with
-            // identity rounds), which is their common base.
-            Algorithm::Sweep | Algorithm::Resub | Algorithm::SweepResub => {
-                cut_script(mig, opts, &mut identity)
-            }
-        }
-    }
-}
-
-impl Algorithm {
     /// Parses an algorithm name as given on the command line or in an
     /// `rms serve` request (accepts the same aliases as `rms --opt`).
     pub fn from_name(name: &str) -> Option<Algorithm> {
@@ -565,9 +437,14 @@ mod tests {
         let opts = OptOptions::with_effort(6);
         for name in SAMPLES {
             let m = bench_mig(name);
-            for alg in Algorithm::ALL {
-                for real in Realization::ALL {
-                    let o = alg.run(&m, real, &opts);
+            for real in Realization::ALL {
+                let outs = [
+                    ("area", optimize_area(&m, &opts)),
+                    ("depth", optimize_depth(&m, &opts)),
+                    ("rram", optimize_rram(&m, real, &opts)),
+                    ("steps", optimize_steps(&m, real, &opts)),
+                ];
+                for (alg, o) in outs {
                     assert_equiv(&m, &o, &format!("{name}/{alg}/{real}"));
                 }
             }
@@ -627,6 +504,35 @@ mod tests {
         let m = bench_mig("exam3_d");
         let o = optimize_area(&m, &OptOptions::with_effort(0));
         assert_equiv(&m, &o, "effort 0");
+    }
+
+    #[test]
+    fn drive_never_scores_a_cycle_the_token_tripped_in() {
+        // The second cycle returns a smaller graph but trips the token on
+        // the way, as a rewrite round polling it mid-cycle would: its
+        // result must not become the best iterate.
+        let m = bench_mig("exam3_d");
+        let opts = OptOptions {
+            early_exit: false,
+            cancel: CancelToken::new(),
+            ..OptOptions::with_effort(4)
+        };
+        let (out, cycles, cancelled) = drive(
+            &m,
+            &opts,
+            |g| g.num_gates(),
+            |g, c| {
+                if c == 0 {
+                    return g.clone();
+                }
+                opts.cancel.cancel();
+                Mig::with_inputs("truncated", g.num_inputs())
+            },
+        );
+        assert!(cancelled);
+        assert_eq!(cycles, 2);
+        assert_eq!(out.num_gates(), m.compact().num_gates());
+        assert!(out.num_gates() > 0);
     }
 
     #[test]

@@ -20,19 +20,19 @@
 //!    [`optimize_cut`] (node-count objective) and [`optimize_cut_rram`]
 //!    (interleaved with the paper's Alg. 3, scored by `R·S`).
 //!
-//! Algorithm 5 runs one round: the **in-place round** ([`incremental`])
-//! evaluates fixed-size windows of a persistent
+//! Every script runs one round, the **in-place round** ([`incremental`]):
+//! it evaluates fixed-size windows of a persistent
 //! [`rms_core::IncrementalMig`] and splices accepted rewrites into it.
-//! The **rebuild round** ([`rewrite_round`]) rebuilds the graph per
-//! round. It drives the hybrid cut+RRAM script, and it is kept as the
-//! reference oracle of differential tests, selected through [`Engine`]
-//! in [`optimize_cut_stats_engine`]. No user surface chooses between
-//! them.
+//! Algorithm 5 ([`cut_script_inplace`]) and the SAT-sweeping scripts
+//! ([`sweep`]) rewrite one graph for the whole run; the hybrid
+//! ([`optimize_cut_rram`]) runs the round on a fresh incremental view of
+//! each cycle's graph inside [`rms_core::opt::drive`], the best-iterate
+//! loop of the paper's algorithms. The **rebuild round**
+//! ([`rewrite_round`]) rebuilds the whole graph per round; it is kept
+//! only as the reference oracle of differential tests.
 //!
-//! The cycle scripts live in [`rms_core::opt`] so that `rms-core` remains
-//! the single home of algorithm definitions; this crate supplies the
-//! database round, and `rms-flow` wires it into the pipeline (CLI:
-//! `rms run --opt cut` / `--opt cut-rram`).
+//! `rms-flow` wires the scripts into the pipeline (CLI: `rms run --opt
+//! cut` / `--opt cut-rram`).
 //!
 //! # Example
 //!
@@ -68,7 +68,7 @@ pub use fraig::{fraig_pass, prove_signals, FraigOptions, FraigOutcome, FraigStat
 pub use incremental::{cut_script_inplace, round_windowed, WINDOW_NODES};
 pub use resub::{resub_pass, ResubOptions, ResubStats};
 pub use rewrite::{
-    optimize_cut, optimize_cut_rram, optimize_cut_rram_stats, optimize_cut_stats,
-    optimize_cut_stats_engine, rewrite_round, Engine, RoundStats,
+    optimize_cut, optimize_cut_rram, optimize_cut_rram_stats, optimize_cut_stats, rewrite_round,
+    RoundStats,
 };
 pub use sweep::{optimize_sweep_stats, SweepPasses};

@@ -1,6 +1,8 @@
-//! The cut-rewriting driver: Algorithm 5 and the hybrid cut+RRAM script.
+//! The cut-rewriting drivers (Algorithm 5 and the hybrid cut+RRAM
+//! script) and the rebuild round, the reference oracle of the in-place
+//! round.
 //!
-//! One **rewrite round** walks the graph in topological order rebuilding
+//! One **rebuild round** walks the graph in topological order rebuilding
 //! it into a fresh, structurally hashed [`Mig`]. For every majority node
 //! it considers each enumerated cut, canonicalizes the cut function
 //! ([`crate::npn`]), and compares the database implementation
@@ -14,36 +16,20 @@
 //! candidates simply stay unreferenced and vanish in the final
 //! [`Mig::compact`].
 //!
-//! This rebuild round is the reference oracle of the in-place engine
-//! ([`crate::incremental`], the default [`Engine::Incremental`]) and the
-//! only round of the hybrid cut+RRAM script. The cycle scripts themselves
-//! ([`rms_core::opt::cut_script`] and [`rms_core::opt::cut_rram_script`])
-//! live in `rms-core`; this module plugs the database round into them and
-//! exposes the user-facing [`optimize_cut`] / [`optimize_cut_rram`]
-//! drivers.
+//! This rebuild round is the reference oracle of the in-place round
+//! ([`crate::incremental::round_windowed`]): `tests/incremental.rs` and
+//! the database builder's tests compare against it, and no product path
+//! runs it. The module also exposes the user-facing drivers
+//! [`optimize_cut`] (Algorithm 5) and [`optimize_cut_rram`] (the hybrid
+//! cut+RRAM script), both on the in-place round.
 
 use crate::cuts;
 use crate::database::database;
-use crate::incremental::cut_script_inplace;
+use crate::incremental::{cut_script_inplace, resolve_jobs, round_windowed};
 use crate::npn;
-use rms_core::opt::{cut_rram_script, cut_script, OptOptions, OptStats};
-use rms_core::{Mig, MigNode, MigSignal, Realization};
-
-/// The reference-oracle selector of [`optimize_cut_stats_engine`]: a
-/// library-level switch for differential tests. No user
-/// surface exposes it; Algorithm 5 always runs the in-place round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The in-place round (default): every round evaluates fixed-size
-    /// windows of the persistent graph and splices accepted rewrites
-    /// into it ([`crate::incremental::round_windowed`]).
-    #[default]
-    Incremental,
-    /// The rebuild round: every round re-enumerates all cuts and
-    /// rebuilds the graph into a fresh [`Mig`] ([`rewrite_round`]). Kept
-    /// as the reference oracle of `tests/incremental.rs`.
-    Rebuild,
-}
+use rms_core::opt::{drive, optimize_rram, OptOptions, OptStats};
+use rms_core::rewrite::{eliminate, inverter_propagation, push_up, reshape, InverterCases};
+use rms_core::{IncrementalMig, Mig, MigNode, MigSignal, Realization, RramCost};
 
 /// Counters of one rewrite round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -211,33 +197,15 @@ pub(crate) fn rewrite_round_with(
     (out.compact(), stats)
 }
 
-/// Algorithm 5 — cut-based rewriting with the node-count objective,
-/// on the default in-place incremental engine.
+/// Algorithm 5 — cut-based rewriting with the node-count objective
+/// ([`cut_script_inplace`]).
 pub fn optimize_cut(mig: &Mig, opts: &OptOptions) -> Mig {
     optimize_cut_stats(mig, opts).0
 }
 
 /// [`optimize_cut`] with run statistics.
 pub fn optimize_cut_stats(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
-    optimize_cut_stats_engine(mig, opts, Engine::default())
-}
-
-/// [`optimize_cut_stats`] on an explicit engine.
-///
-/// [`Engine::Rebuild`] is the pre-incremental driver
-/// ([`rms_core::opt::cut_script`] over [`rewrite_round`]) kept as the
-/// reference oracle and the measured perf baseline.
-pub fn optimize_cut_stats_engine(mig: &Mig, opts: &OptOptions, engine: Engine) -> (Mig, OptStats) {
-    match engine {
-        Engine::Incremental => cut_script_inplace(mig, opts),
-        Engine::Rebuild => {
-            let mut round = |m: &Mig, zero_gain: bool| {
-                let (out, st) = rewrite_round(m, zero_gain);
-                (out, st.rewrites)
-            };
-            cut_script(mig, opts, &mut round)
-        }
-    }
+    cut_script_inplace(mig, opts)
 }
 
 /// The hybrid script: cut rewriting interleaved with the paper's Alg. 3
@@ -248,16 +216,57 @@ pub fn optimize_cut_rram(mig: &Mig, realization: Realization, opts: &OptOptions)
 }
 
 /// [`optimize_cut_rram`] with run statistics.
+///
+/// Per cycle: one in-place rewrite round ([`round_windowed`], zero-gain
+/// replacements on odd cycles) on a fresh [`IncrementalMig`] of the
+/// current graph, then the Alg. 3 passes (push-up; Ω.I(1–3); push-up;
+/// reshape↓; eliminate). [`drive`] keeps the best iterate by `R·S`, and
+/// a final push-up polishes it. The plain Alg. 3 result is a candidate
+/// too, so the returned graph **never scores worse than
+/// [`optimize_rram`]**. A last fraig + resub stage is kept only when it
+/// lowers `R·S`.
 pub fn optimize_cut_rram_stats(
     mig: &Mig,
     realization: Realization,
     opts: &OptOptions,
 ) -> (Mig, OptStats) {
-    let mut round = |m: &Mig, zero_gain: bool| {
-        let (out, st) = rewrite_round(m, zero_gain);
-        (out, st.rewrites)
+    let score = |m: &Mig| {
+        let c = RramCost::of(m, realization);
+        (c.rrams.saturating_mul(c.steps), c.steps)
     };
-    let (best, mut stats) = cut_rram_script(mig, realization, opts, &mut round);
+    let db = database();
+    let jobs = resolve_jobs(opts);
+    let base = optimize_rram(mig, realization, opts);
+    let mut rewrites = 0u64;
+    let (hybrid, cycles, cancelled) = drive(mig, opts, score, |m, c| {
+        let mut g = IncrementalMig::from_mig(m);
+        rewrites += round_windowed(&mut g, db, c % 2 == 1, jobs, &opts.cancel).rewrites;
+        let m = push_up(&g.to_mig());
+        let m = inverter_propagation(&m, InverterCases::ALL, false);
+        let m = push_up(&m);
+        let m = reshape(&m, true);
+        eliminate(&m)
+    });
+    let polished = push_up(&hybrid);
+    let mut best = base;
+    let mut from_hybrid = false;
+    for cand in [hybrid, polished] {
+        if score(&cand) < score(&best) {
+            best = cand;
+            from_hybrid = true;
+        }
+    }
+    let mut stats = OptStats {
+        cycles,
+        passes: cycles as u64 * 6 + 1,
+        // When the plain Alg. 3 result wins, the returned graph contains
+        // no cut rewrites: do not attribute the hybrid loop's work to it.
+        rewrites: if from_hybrid { rewrites } else { 0 },
+        gates_before: mig.num_gates() as u64,
+        gates_after: best.num_gates() as u64,
+        cancelled,
+        ..OptStats::default()
+    };
     if opts.effort == 0 {
         return (best, stats);
     }

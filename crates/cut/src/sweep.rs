@@ -14,9 +14,7 @@
 //! fraig pass only commits SAT-proved merges (each removes at least one
 //! gate), accepted resubstitutions strictly shrink the MFFC, and
 //! `eliminate` is non-increasing, so every iterate is at most the cut
-//! result's size. Results are bit-identical across thread counts and
-//! engines — the post passes are in-place only, so the flow runs them on
-//! the in-place cut script whichever engine was requested.
+//! result's size. Results are bit-identical across thread counts.
 
 use crate::fraig::{fraig_pass, FraigOptions};
 use crate::incremental::cut_script_inplace;
@@ -163,7 +161,7 @@ pub(crate) fn rram_polish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rewrite::{optimize_cut_stats_engine, Engine};
+    use crate::rewrite::optimize_cut_stats;
     use rms_logic::bench_suite;
     use rms_logic::sim::check_equivalence;
 
@@ -178,7 +176,7 @@ mod tests {
         let opts = OptOptions::with_effort(6);
         for name in SAMPLES {
             let m = bench_mig(name);
-            let (cut, _) = optimize_cut_stats_engine(&m, &opts, Engine::Incremental);
+            let (cut, _) = optimize_cut_stats(&m, &opts);
             for passes in [SweepPasses::FRAIG, SweepPasses::RESUB, SweepPasses::BOTH] {
                 let (out, stats) = optimize_sweep_stats(&m, &opts, passes);
                 assert!(

@@ -64,9 +64,10 @@ pub mod verify;
 pub use error::FlowError;
 pub use input::InputFormat;
 pub use pipeline::{
-    optimize_cost, run_algorithm, run_algorithm_engine, FlowOutput, FlowReport, Frontend, Pipeline,
-    StageTimings, DEFAULT_VERIFY_SEED,
+    optimize_cost, run_algorithm, FlowOutput, FlowReport, Frontend, Pipeline, StageTimings,
+    DEFAULT_VERIFY_SEED,
 };
+#[doc(hidden)]
+pub use pipeline::{run_algorithm_engine, Engine};
 pub use report::{escape_json, render_json, render_text, REPORT_SCHEMA};
-pub use rms_cut::Engine;
 pub use verify::{check_netlists, format_assignment, VerifyMode, VerifyOutcome};

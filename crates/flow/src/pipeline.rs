@@ -32,9 +32,12 @@ use crate::verify::{self, format_assignment};
 pub use crate::verify::{VerifyMode, VerifyOutcome};
 use rms_aig::Aig;
 use rms_core::cost::{MigStats, Realization, RramCost};
-use rms_core::opt::{Algorithm, OptOptions, OptStats};
+use rms_core::opt::{
+    optimize_area_stats, optimize_depth_stats, optimize_rram_stats, optimize_steps_stats,
+    Algorithm, OptOptions, OptStats,
+};
 use rms_core::Mig;
-use rms_cut::Engine;
+use rms_cut::SweepPasses;
 use rms_logic::netlist::Netlist;
 use rms_logic::synth;
 use rms_logic::tt::MAX_VARS;
@@ -475,45 +478,49 @@ fn seed_mig(netlist: &Netlist, frontend: Frontend) -> Result<Mig, FlowError> {
     }
 }
 
-/// Runs an optimization algorithm with the full engine set: the paper's
-/// Algs. 1–4 from `rms-core`, plus the cut-rewriting variants backed by
-/// the `rms-cut` NPN database ([`Algorithm::Cut`] / [`Algorithm::CutRram`],
-/// which plain [`Algorithm::run`] can only approximate).
+/// Runs an optimization algorithm: the one dispatcher over
+/// [`Algorithm`]. The paper's Algs. 1–4 come from `rms-core`; the
+/// cut-rewriting modes come from `rms-cut`.
 pub fn run_algorithm(
     mig: &Mig,
     algorithm: Algorithm,
     realization: Realization,
     options: &OptOptions,
 ) -> (Mig, OptStats) {
-    run_algorithm_engine(mig, algorithm, realization, options, Engine::default())
+    match algorithm {
+        Algorithm::Area => optimize_area_stats(mig, options),
+        Algorithm::Depth => optimize_depth_stats(mig, options),
+        Algorithm::RramCosts => optimize_rram_stats(mig, realization, options),
+        Algorithm::Steps => optimize_steps_stats(mig, realization, options),
+        Algorithm::Cut => rms_cut::optimize_cut_stats(mig, options),
+        Algorithm::CutRram => rms_cut::optimize_cut_rram_stats(mig, realization, options),
+        Algorithm::Sweep => rms_cut::optimize_sweep_stats(mig, options, SweepPasses::FRAIG),
+        Algorithm::Resub => rms_cut::optimize_sweep_stats(mig, options, SweepPasses::RESUB),
+        Algorithm::SweepResub => rms_cut::optimize_sweep_stats(mig, options, SweepPasses::BOTH),
+    }
 }
 
-/// [`run_algorithm`] with an explicit [`Engine`], the reference-oracle
-/// selector used by differential tests. Only
-/// [`Algorithm::Cut`] dispatches on it: the paper's Algs. 1–4 have no cut
-/// round, [`Algorithm::CutRram`]'s hybrid round exists only on the
-/// rebuild driver, and the sweep scripts only in place.
+/// A former optimizer selector, kept with one variant only for its one
+/// remaining caller, the `perfbench/` package. It selects nothing.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// The in-place cut round, which every script runs.
+    #[default]
+    Incremental,
+}
+
+/// [`run_algorithm`] under its former name, kept only for its one
+/// remaining caller, the `perfbench/` package; `engine` is ignored.
+#[doc(hidden)]
 pub fn run_algorithm_engine(
     mig: &Mig,
     algorithm: Algorithm,
     realization: Realization,
     options: &OptOptions,
-    engine: Engine,
+    _engine: Engine,
 ) -> (Mig, OptStats) {
-    match algorithm {
-        Algorithm::Cut => rms_cut::optimize_cut_stats_engine(mig, options, engine),
-        Algorithm::CutRram => rms_cut::optimize_cut_rram_stats(mig, realization, options),
-        Algorithm::Sweep => {
-            rms_cut::optimize_sweep_stats(mig, options, rms_cut::SweepPasses::FRAIG)
-        }
-        Algorithm::Resub => {
-            rms_cut::optimize_sweep_stats(mig, options, rms_cut::SweepPasses::RESUB)
-        }
-        Algorithm::SweepResub => {
-            rms_cut::optimize_sweep_stats(mig, options, rms_cut::SweepPasses::BOTH)
-        }
-        other => other.run_stats(mig, realization, options),
-    }
+    run_algorithm(mig, algorithm, realization, options)
 }
 
 /// Runs one optimizer configuration and returns the optimized graph with
@@ -550,22 +557,6 @@ mod tests {
 111 1
 .end
 ";
-
-    #[test]
-    fn sweep_modes_run_in_place_under_every_engine() {
-        let opts = OptOptions::with_effort(6);
-        for name in ["rd53_f2", "9sym_d"] {
-            let mig = Mig::from_netlist(&input::load_bench(name).unwrap());
-            let run = |engine| {
-                run_algorithm_engine(&mig, Algorithm::SweepResub, Realization::Maj, &opts, engine).0
-            };
-            assert_eq!(
-                run(Engine::Incremental).to_netlist(),
-                run(Engine::Rebuild).to_netlist(),
-                "{name}: rebuild request diverged"
-            );
-        }
-    }
 
     #[test]
     fn full_run_verifies_exhaustively() {
@@ -706,7 +697,7 @@ mod tests {
         let opts = OptOptions::with_effort(6);
         let (out, cost) = optimize_cost(&mig, Algorithm::Steps, Realization::Maj, &opts);
         assert_eq!(cost, RramCost::of(&out, Realization::Maj));
-        let direct = Algorithm::Steps.run(&mig, Realization::Maj, &opts);
+        let (direct, _) = run_algorithm(&mig, Algorithm::Steps, Realization::Maj, &opts);
         assert_eq!(RramCost::of(&direct, Realization::Maj), cost);
     }
 }

@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --release --example adder_inmemory`.
 
+use rram_mig::flow::run_algorithm;
 use rram_mig::logic::netlist::{Netlist, NetlistBuilder};
 use rram_mig::mig::cost::{Realization, RramCost};
 use rram_mig::mig::opt::{Algorithm, OptOptions};
@@ -50,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "algorithm", "IMP (R/S)", "MAJ (R/S)"
     );
     for alg in Algorithm::ALL {
-        let imp = alg.run(&mig, Realization::Imp, &opts);
-        let maj = alg.run(&mig, Realization::Maj, &opts);
+        let (imp, _) = run_algorithm(&mig, alg, Realization::Imp, &opts);
+        let (maj, _) = run_algorithm(&mig, alg, Realization::Maj, &opts);
         let ci = RramCost::of(&imp, Realization::Imp);
         let cm = RramCost::of(&maj, Realization::Maj);
         println!(
@@ -63,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Execute the step-optimized MAJ circuit on real additions.
-    let best = Algorithm::Steps.run(&mig, Realization::Maj, &opts);
+    let (best, _) = run_algorithm(&mig, Algorithm::Steps, Realization::Maj, &opts);
     let circuit = compile(&best, Realization::Maj);
     println!(
         "\nexecuting the step-optimized MAJ circuit ({} steps, {} devices):",

@@ -2,6 +2,7 @@
 //! equal what the cycle-accurate machine actually measures, for every
 //! benchmark, every optimization algorithm, and both realizations.
 
+use rram_mig::flow::run_algorithm;
 use rram_mig::logic::bench_suite;
 use rram_mig::mig::cost::{LevelProfile, Realization, RramCost};
 use rram_mig::mig::opt::{Algorithm, OptOptions};
@@ -45,7 +46,7 @@ fn formulas_match_machine_after_optimization() {
         let mig = Mig::from_netlist(&bench_suite::build(name).expect("known benchmark"));
         for alg in Algorithm::ALL {
             for real in Realization::ALL {
-                let opt = alg.run(&mig, real, &opts);
+                let (opt, _) = run_algorithm(&mig, alg, real, &opts);
                 let cost = RramCost::of(&opt, real);
                 let circuit = compile(&opt, real);
                 assert_eq!(

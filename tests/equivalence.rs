@@ -14,7 +14,7 @@
 
 use rram_mig::aig::Aig;
 use rram_mig::bdd::build as bdd_build;
-use rram_mig::flow::{check_netlists, Pipeline, VerifyMode, VerifyOutcome};
+use rram_mig::flow::{check_netlists, run_algorithm, Pipeline, VerifyMode, VerifyOutcome};
 use rram_mig::logic::bench_suite;
 use rram_mig::logic::random::random_netlist;
 use rram_mig::logic::sim::{check_equivalence, random_patterns};
@@ -59,7 +59,7 @@ fn optimizers_preserve_functions_exhaustively() {
         assert_eq!(mig.truth_tables(), reference, "{name}: initial MIG");
         for alg in Algorithm::ALL {
             for real in Realization::ALL {
-                let opt = alg.run(&mig, real, &opts);
+                let (opt, _) = run_algorithm(&mig, alg, real, &opts);
                 assert_eq!(opt.truth_tables(), reference, "{name}: {alg} under {real}");
             }
         }
@@ -75,7 +75,7 @@ fn compiled_programs_match_optimized_migs() {
         let mig = Mig::from_netlist(nl);
         for alg in [Algorithm::RramCosts, Algorithm::Steps] {
             for real in Realization::ALL {
-                let opt = alg.run(&mig, real, &opts);
+                let (opt, _) = run_algorithm(&mig, alg, real, &opts);
                 let circuit = compile(&opt, real);
                 let got = Machine::truth_tables(&circuit.program).expect("valid program");
                 assert_eq!(got, reference, "{name}: machine after {alg}/{real}");
@@ -90,7 +90,7 @@ fn large_benchmarks_survive_the_flow_sampled() {
     for name in SAMPLED {
         let nl = bench_suite::build(name).expect("known benchmark");
         let mig = Mig::from_netlist(&nl);
-        let opt = Algorithm::Steps.run(&mig, Realization::Maj, &opts);
+        let (opt, _) = run_algorithm(&mig, Algorithm::Steps, Realization::Maj, &opts);
         let res = check_equivalence(&nl, &opt.to_netlist());
         assert!(res.holds(), "{name}: optimized MIG vs netlist: {res:?}");
 
@@ -157,20 +157,6 @@ fn baseline_rram_programs_compute_the_right_functions() {
 // Differential SAT harness
 // ---------------------------------------------------------------------------
 
-/// The eight optimization algorithms of the differential sweep: the
-/// paper's Algs. 1–4, the cut-rewriting engine, and the three SAT-backed
-/// sweep modes (fraig, resub, and their combination).
-const DIFF_ALGORITHMS: [Algorithm; 8] = [
-    Algorithm::Area,
-    Algorithm::Depth,
-    Algorithm::RramCosts,
-    Algorithm::Steps,
-    Algorithm::Cut,
-    Algorithm::Sweep,
-    Algorithm::Resub,
-    Algorithm::SweepResub,
-];
-
 /// Everything one differential seed produces; compared across worker
 /// counts, so it must be fully deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,10 +182,10 @@ fn diff_netlist(seed: u64) -> rram_mig::logic::Netlist {
 
 fn diff_row(seed: u64) -> DiffRow {
     let nl = diff_netlist(seed);
-    let mut gates = Vec::with_capacity(DIFF_ALGORITHMS.len());
-    let mut proofs = Vec::with_capacity(DIFF_ALGORITHMS.len());
-    let mut optimized = Vec::with_capacity(DIFF_ALGORITHMS.len());
-    for alg in DIFF_ALGORITHMS {
+    let mut gates = Vec::with_capacity(Algorithm::ALL_MODES.len());
+    let mut proofs = Vec::with_capacity(Algorithm::ALL_MODES.len());
+    let mut optimized = Vec::with_capacity(Algorithm::ALL_MODES.len());
+    for alg in Algorithm::ALL_MODES {
         let out = Pipeline::new(nl.clone())
             .algorithm(alg)
             .effort(4)
@@ -231,8 +217,8 @@ fn diff_row(seed: u64) -> DiffRow {
     assert!(
         outcome.is_equivalent(),
         "seed {seed}: {} vs {}: {outcome:?}",
-        DIFF_ALGORITHMS[i],
-        DIFF_ALGORITHMS[j]
+        Algorithm::ALL_MODES[i],
+        Algorithm::ALL_MODES[j]
     );
     // One full pipeline run per seed with SAT-proved program verification
     // (netlist vs array and netlist vs PLiM miters).
@@ -258,7 +244,7 @@ fn diff_row(seed: u64) -> DiffRow {
 }
 
 #[test]
-fn differential_eight_algorithms_sat_proved_on_50_random_netlists() {
+fn differential_every_algorithm_sat_proved_on_50_random_netlists() {
     let seeds: Vec<u64> = (0..50).collect();
     // Sequential reference, then the thread pool — the sweep must be
     // bit-identical under `--jobs` parallelism.
@@ -266,8 +252,8 @@ fn differential_eight_algorithms_sat_proved_on_50_random_netlists() {
     let parallel = par_map_threads(&seeds, 4, |&seed| diff_row(seed));
     assert_eq!(sequential, parallel, "parallel sweep must be bit-identical");
     for row in &sequential {
-        assert_eq!(row.gates.len(), DIFF_ALGORITHMS.len());
-        assert_eq!(row.proofs.len(), DIFF_ALGORITHMS.len());
+        assert_eq!(row.gates.len(), Algorithm::ALL_MODES.len());
+        assert_eq!(row.proofs.len(), Algorithm::ALL_MODES.len());
     }
     // The sweep must include real solver work, not just folded miters.
     let total_decisions: u64 = sequential

@@ -8,18 +8,20 @@
 //!
 //! Pin tests fix exact quality counts, so a quality change fails here
 //! instead of drifting. In every run: the `Algorithm::Cut` gate count of
-//! the small suite at effort 40, and the candidate, accepted and refuted
-//! counts of one resubstitution pass on two Table II circuits. Under
+//! the small suite at effort 40, the `Algorithm::CutRram` gates, R and S
+//! of the small suite under both realizations at effort 40, and the
+//! candidate, accepted and refuted counts of one resubstitution pass on
+//! two Table II circuits. Under
 //! `--include-ignored`: the cut gate count of the generated large suite
 //! at effort 2, and the Table II gate counts under rram, cut and
 //! sweep-resub at effort 40 (run them in release:
 //! `cargo test --release --test incremental -- --include-ignored`).
 
-use rms_core::cost::Realization;
+use rms_core::cost::{Realization, RramCost};
 use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::{CancelToken, IncrementalMig, Mig};
 use rms_cut::{database, resub_pass, rewrite_round, round_windowed, ResubOptions, WINDOW_NODES};
-use rms_flow::{run_algorithm, run_algorithm_engine, Engine, InputFormat, Pipeline, VerifyMode};
+use rms_flow::{run_algorithm, InputFormat, Pipeline, VerifyMode};
 use rms_logic::random::random_netlist;
 use rms_logic::{bench_suite, blif, large_suite};
 
@@ -70,42 +72,12 @@ fn incremental_engine_is_deterministic_across_runs() {
     for seed in [3u64, 7] {
         let nl = random_netlist("inc_det", seed, 7, 3, 40);
         let mig = Mig::from_netlist(&nl);
-        let (a, sa) = run_algorithm_engine(
-            &mig,
-            Algorithm::Cut,
-            Realization::Maj,
-            &opts,
-            Engine::Incremental,
-        );
-        let (b, sb) = run_algorithm_engine(
-            &mig,
-            Algorithm::Cut,
-            Realization::Maj,
-            &opts,
-            Engine::Incremental,
-        );
+        let (a, sa) = run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &opts);
+        let (b, sb) = run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &opts);
         assert_bit_identical(&a, &b, &format!("seed {seed}"));
         assert!(sa.peak_nodes > 0, "seed {seed}: peak nodes untracked");
         assert_eq!(sa, sb, "seed {seed}: stats diverged");
     }
-}
-
-#[test]
-fn rebuild_engine_stays_available_as_baseline() {
-    // The rebuild round remains selectable (it is the reference oracle
-    // of the differential tests above) and functionally correct.
-    let opts = OptOptions::with_effort(4);
-    let nl = random_netlist("inc_base", 11, 6, 2, 24);
-    let mig = Mig::from_netlist(&nl);
-    let (out, _) = run_algorithm_engine(
-        &mig,
-        Algorithm::Cut,
-        Realization::Maj,
-        &opts,
-        Engine::Rebuild,
-    );
-    assert_eq!(out.truth_tables(), nl.truth_tables());
-    assert!(out.num_gates() <= mig.compact().num_gates());
 }
 
 /// Runs the cut script at a given worker count.
@@ -194,6 +166,39 @@ const SMALL_SUITE_CUT_GATES: [(&str, usize); 25] = [
     ("xor5_d", 6),
 ];
 
+/// `(gates, R, S)` of one optimized circuit.
+type Costs = (usize, u64, u64);
+
+/// `Algorithm::CutRram` results of the small suite at effort 40 and
+/// `jobs` 1, in suite order: [`Costs`] under MAJ, then under IMP.
+const SMALL_SUITE_CUT_RRAM: [(&str, [Costs; 2]); 25] = [
+    ("9sym_d", [(44, 15, 88), (44, 21, 249)]),
+    ("con1_f1", [(4, 5, 17), (4, 7, 45)]),
+    ("con2_f2", [(34, 15, 65), (27, 23, 163)]),
+    ("exam1_d", [(1, 5, 4), (1, 7, 11)]),
+    ("exam3_d", [(5, 12, 10), (5, 18, 31)]),
+    ("max46_d", [(72, 64, 61), (72, 96, 173)]),
+    ("newill_d", [(9, 12, 24), (9, 18, 73)]),
+    ("newtag_d", [(12, 16, 22), (12, 24, 64)]),
+    ("rd53_f1", [(6, 6, 22), (6, 8, 64)]),
+    ("rd53_f2", [(7, 8, 21), (7, 12, 63)]),
+    ("rd53_f3", [(5, 5, 17), (5, 7, 52)]),
+    ("rd73_f1", [(9, 6, 33), (9, 8, 96)]),
+    ("rd73_f2", [(10, 5, 36), (10, 7, 106)]),
+    ("rd73_f3", [(21, 15, 46), (21, 21, 130)]),
+    ("rd84_f1", [(12, 5, 44), (12, 7, 128)]),
+    ("rd84_f2", [(22, 11, 60), (22, 15, 172)]),
+    ("rd84_f3", [(32, 14, 67), (32, 20, 193)]),
+    ("rd84_f4", [(22, 11, 57), (22, 15, 162)]),
+    ("sao2_f1", [(5, 5, 21), (5, 7, 56)]),
+    ("sao2_f2", [(17, 19, 22), (17, 27, 64)]),
+    ("sao2_f3", [(11, 20, 17), (11, 30, 52)]),
+    ("sao2_f4", [(5, 4, 15), (5, 6, 50)]),
+    ("sym10_d", [(53, 20, 77), (53, 28, 217)]),
+    ("t481_d", [(91, 36, 78), (88, 48, 209)]),
+    ("xor5_d", [(6, 6, 22), (6, 8, 64)]),
+];
+
 /// `Algorithm::Cut` gate counts of the generated large suite at effort
 /// 2, in suite order.
 const LARGE_SUITE_CUT_GATES: [(&str, usize); 6] = [
@@ -255,6 +260,33 @@ fn cut_gates_are_pinned_on_the_small_suite() {
         let out = run_windowed(&Mig::from_netlist(&nl), 40, 1);
         assert_eq!(out.num_gates(), gates, "{name}: cut gate count");
         assert_eq!(out.truth_tables(), nl.truth_tables(), "{name}: function");
+    }
+}
+
+#[test]
+fn cut_rram_costs_are_pinned_on_the_small_suite() {
+    let names: Vec<&str> = bench_suite::SMALL_SUITE.iter().map(|i| i.name).collect();
+    let pinned: Vec<&str> = SMALL_SUITE_CUT_RRAM.iter().map(|&(n, _)| n).collect();
+    assert_eq!(names, pinned, "pin table out of step with the small suite");
+    let mut opts = OptOptions::with_effort(40);
+    opts.jobs = 1;
+    for (name, pins) in SMALL_SUITE_CUT_RRAM {
+        let nl = bench_suite::build(name).unwrap();
+        let mig = Mig::from_netlist(&nl);
+        for (real, want) in [Realization::Maj, Realization::Imp].into_iter().zip(pins) {
+            let (out, _) = run_algorithm(&mig, Algorithm::CutRram, real, &opts);
+            let cost = RramCost::of(&out, real);
+            assert_eq!(
+                (out.num_gates(), cost.rrams, cost.steps),
+                want,
+                "{name} / {real}: cut-rram (gates, R, S)"
+            );
+            assert_eq!(
+                out.truth_tables(),
+                nl.truth_tables(),
+                "{name} / {real}: function"
+            );
+        }
     }
 }
 

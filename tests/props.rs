@@ -9,6 +9,7 @@
 
 use rram_mig::aig::Aig;
 use rram_mig::bdd::build as bdd_build;
+use rram_mig::flow::run_algorithm;
 use rram_mig::logic::netlist::{Netlist, NetlistBuilder, Wire};
 use rram_mig::logic::rng::SplitMix64;
 use rram_mig::mig::cost::{Realization, RramCost};
@@ -112,7 +113,7 @@ fn optimization_algorithms_preserve_function() {
         let mig = Mig::from_netlist(nl);
         let opts = OptOptions::with_effort(4);
         for alg in Algorithm::ALL {
-            let out = alg.run(&mig, Realization::Maj, &opts);
+            let (out, _) = run_algorithm(&mig, alg, Realization::Maj, &opts);
             assert_eq!(out.truth_tables(), reference, "{alg}");
         }
     });
