@@ -579,6 +579,12 @@ impl IncrementalMig {
     /// deferred derived structures (reference counts, fanout lists,
     /// levels, simulation signatures) over the live graph.
     ///
+    /// One depth-first walk from the outputs ([`IncrementalMig::topo_order`])
+    /// serves both: its gates, the constant and the inputs are the live
+    /// set, and its order is the bottom-up order of the level and
+    /// signature sweep. Fanout lists are still rebuilt in index order,
+    /// which is the order their readers see.
+    ///
     /// `map[i]` is the image signal of round-start node `i`; nodes
     /// created during the round (indices `>= map.len()`) map to
     /// themselves.
@@ -589,29 +595,19 @@ impl IncrementalMig {
                 self.outputs[i].1 = map[s.node()].complement_if(s.is_complemented());
             }
         }
-        // Liveness from the outputs over the current structure.
+        let order = self.topo_order();
         let mut alive = vec![false; self.nodes.len()];
         alive[..=self.num_inputs].fill(true);
-        let mut stack: Vec<usize> = self.outputs.iter().map(|(_, s)| s.node()).collect();
-        while let Some(i) = stack.pop() {
-            if alive[i] {
-                continue;
-            }
-            alive[i] = true;
-            if let MigNode::Maj(kids) = self.nodes[i] {
-                stack.extend(kids.iter().map(|k| k.node()));
-            }
+        for &i in &order {
+            alive[i as usize] = true;
         }
         // Kill the unreachable, rebuild refs and fanouts for the rest.
-        self.live_gates = 0;
+        self.live_gates = order.len();
         for (i, &is_alive) in alive.iter().enumerate() {
             self.fanouts[i].clear();
             self.refs[i] = 0;
             if is_alive {
                 self.dead[i] = false;
-                if matches!(self.nodes[i], MigNode::Maj(_)) {
-                    self.live_gates += 1;
-                }
             } else if !self.dead[i] {
                 self.dead[i] = true;
                 if let MigNode::Maj(kids) = self.nodes[i] {
@@ -636,7 +632,7 @@ impl IncrementalMig {
             self.refs[o.node()] += 1;
         }
         // Levels and signatures, bottom-up over the live graph.
-        for &idx in &self.topo_order() {
+        for &idx in &order {
             let idx = idx as usize;
             if let MigNode::Maj(kids) = self.nodes[idx] {
                 self.levels[idx] = 1 + kids.iter().map(|s| self.levels[s.node()]).max().unwrap();

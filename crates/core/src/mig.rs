@@ -9,6 +9,14 @@
 //! - `M(x, x, z) = x`
 //! - `M(x, x̄, z) = z`
 //!
+//! [`Mig::maj`] is the only way to add a gate, so every graph is strashed
+//! and Ω.M-normal by construction: each gate's children are sorted and
+//! name three distinct nodes, and no two gates share a child triple.
+//! [`Mig::compact`] relies on this to drop dead nodes with a plain copy.
+//! The structural-hash table itself is built lazily: a compacted graph
+//! starts without one, and the first [`Mig::maj`] indexes the nodes it
+//! has not seen yet.
+//!
 //! Complement placement is **not** canonicalized by the constructor: the
 //! RRAM cost metrics of Table I charge for complemented edges per level, and
 //! the inverter-propagation passes in [`crate::rewrite`] explicitly optimize
@@ -92,24 +100,44 @@ pub struct Mig {
     nodes: Vec<MigNode>,
     levels: Vec<u32>,
     outputs: Vec<(String, MigSignal)>,
+    /// Child triple → index of every gate in `nodes[..hashed]`.
     strash: FxHashMap<[MigSignal; 3], u32>,
+    /// Length of the node prefix indexed in `strash`; [`Mig::maj`]
+    /// catches up before its lookup.
+    hashed: usize,
 }
 
 impl Mig {
     /// Creates an empty graph with `num_inputs` primary inputs.
     pub fn with_inputs(name: impl Into<String>, num_inputs: usize) -> Self {
-        let mut nodes = Vec::with_capacity(num_inputs + 1);
+        Self::with_capacity(name, num_inputs, num_inputs + 1)
+    }
+
+    /// [`Mig::with_inputs`] with room for `capacity` nodes (constant,
+    /// inputs and gates) before the node arrays or the structural-hash
+    /// table reallocate.
+    pub(crate) fn with_capacity(
+        name: impl Into<String>,
+        num_inputs: usize,
+        capacity: usize,
+    ) -> Self {
+        let mut nodes = Vec::with_capacity(capacity.max(num_inputs + 1));
         nodes.push(MigNode::Const0);
         for i in 0..num_inputs {
             nodes.push(MigNode::Input(i as u32));
         }
+        let mut levels = Vec::with_capacity(nodes.capacity());
+        levels.resize(nodes.len(), 0);
+        let mut strash = FxHashMap::default();
+        strash.reserve(capacity.saturating_sub(nodes.len()));
         Mig {
             name: name.into(),
             num_inputs,
-            levels: vec![0; nodes.len()],
+            hashed: nodes.len(),
+            levels,
             nodes,
             outputs: Vec::new(),
-            strash: FxHashMap::default(),
+            strash,
         }
     }
 
@@ -253,6 +281,7 @@ impl Mig {
             Ok(kids) => kids,
             Err(sig) => return sig,
         };
+        self.index_strash();
         if let Some(&idx) = self.strash.get(&kids) {
             return MigSignal::new(idx as usize, false);
         }
@@ -265,7 +294,23 @@ impl Mig {
             .expect("three children");
         self.levels.push(lvl);
         self.strash.insert(kids, idx as u32);
+        self.hashed = self.nodes.len();
         MigSignal::new(idx, false)
+    }
+
+    /// Adds the gates not yet in the structural-hash table (all of them
+    /// after a [`Mig::compact`]).
+    fn index_strash(&mut self) {
+        if self.hashed == self.nodes.len() {
+            return;
+        }
+        self.strash.reserve(self.nodes.len() - self.hashed);
+        for (idx, node) in self.nodes.iter().enumerate().skip(self.hashed) {
+            if let MigNode::Maj(kids) = node {
+                self.strash.insert(*kids, idx as u32);
+            }
+        }
+        self.hashed = self.nodes.len();
     }
 
     /// `a AND b`, expressed as `M(a, b, 0)`.
@@ -324,14 +369,57 @@ impl Mig {
         lists
     }
 
-    /// Rebuilds the graph keeping only nodes reachable from the outputs.
+    /// The graph restricted to the nodes reachable from the outputs (plus
+    /// the constant and every input), in the same order.
     ///
-    /// Structural hashing and Ω.M are re-applied, so the result can be
-    /// smaller even without dead nodes.
+    /// Nothing else changes. Every graph is strashed and Ω.M-normal by
+    /// construction (see the module docs), so dead nodes are all there
+    /// is to remove: the live nodes are copied with their levels, and
+    /// renumbering them monotonically keeps every child triple sorted and
+    /// distinct. The result starts without a structural-hash table; the
+    /// first [`Mig::maj`] on it builds one.
     pub fn compact(&self) -> Mig {
-        let mut out = Mig::with_inputs(self.name.clone(), self.num_inputs);
-        let mut map: Vec<MigSignal> = Vec::with_capacity(self.nodes.len());
-        // Reachability from outputs.
+        let alive = self.reachable();
+        let first_gate = self.num_inputs + 1;
+        let live = first_gate + alive[first_gate..].iter().filter(|&&a| a).count();
+        let mut nodes = Vec::with_capacity(live);
+        let mut levels = Vec::with_capacity(live);
+        // Old index → new index of every live node.
+        let mut map: Vec<u32> = vec![0; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate() {
+            if i >= first_gate && !alive[i] {
+                continue;
+            }
+            map[i] = nodes.len() as u32;
+            nodes.push(match *node {
+                MigNode::Maj(kids) => MigNode::Maj(
+                    kids.map(|s| MigSignal::new(map[s.node()] as usize, s.is_complemented())),
+                ),
+                leaf => leaf,
+            });
+            levels.push(self.levels[i]);
+        }
+        let outputs = self
+            .outputs
+            .iter()
+            .map(|(name, s)| {
+                let m = MigSignal::new(map[s.node()] as usize, s.is_complemented());
+                (name.clone(), m)
+            })
+            .collect();
+        Mig {
+            name: self.name.clone(),
+            num_inputs: self.num_inputs,
+            hashed: first_gate,
+            nodes,
+            levels,
+            outputs,
+            strash: FxHashMap::default(),
+        }
+    }
+
+    /// Marks the nodes reachable from the outputs.
+    fn reachable(&self) -> Vec<bool> {
         let mut alive = vec![false; self.nodes.len()];
         let mut stack: Vec<usize> = self.outputs.iter().map(|(_, s)| s.node()).collect();
         while let Some(i) = stack.pop() {
@@ -343,29 +431,7 @@ impl Mig {
                 stack.extend(kids.iter().map(|k| k.node()));
             }
         }
-        for (i, node) in self.nodes.iter().enumerate() {
-            let mapped = match node {
-                MigNode::Const0 => MigSignal::FALSE,
-                MigNode::Input(k) => out.input(*k as usize),
-                MigNode::Maj(kids) => {
-                    if alive[i] {
-                        let k: Vec<MigSignal> = kids
-                            .iter()
-                            .map(|s| map[s.node()].complement_if(s.is_complemented()))
-                            .collect();
-                        out.maj(k[0], k[1], k[2])
-                    } else {
-                        MigSignal::FALSE // placeholder; never referenced
-                    }
-                }
-            };
-            map.push(mapped);
-        }
-        for (name, s) in &self.outputs {
-            let m = map[s.node()].complement_if(s.is_complemented());
-            out.add_output(name.clone(), m);
-        }
-        out
+        alive
     }
 
     /// Bit-parallel simulation: one input word per primary input, one
@@ -656,6 +722,106 @@ mod tests {
         let before = m.truth_tables();
         let after = small.truth_tables();
         assert_eq!(before[0], after[0]);
+    }
+
+    /// The compaction before the linear copy: every live node rebuilt
+    /// through [`Mig::maj`], re-applying structural hashing and Ω.M.
+    fn compact_by_rebuild(mig: &Mig) -> Mig {
+        let mut out = Mig::with_inputs(mig.name.clone(), mig.num_inputs);
+        let alive = mig.reachable();
+        let mut map: Vec<MigSignal> = Vec::with_capacity(mig.nodes.len());
+        for (i, node) in mig.nodes.iter().enumerate() {
+            let mapped = match node {
+                MigNode::Const0 => MigSignal::FALSE,
+                MigNode::Input(k) => out.input(*k as usize),
+                MigNode::Maj(kids) if alive[i] => {
+                    let k = kids.map(|s| map[s.node()].complement_if(s.is_complemented()));
+                    out.maj(k[0], k[1], k[2])
+                }
+                MigNode::Maj(_) => MigSignal::FALSE, // never referenced
+            };
+            map.push(mapped);
+        }
+        for (name, s) in &mig.outputs {
+            out.add_output(
+                name.clone(),
+                map[s.node()].complement_if(s.is_complemented()),
+            );
+        }
+        out
+    }
+
+    /// Checks `mig.compact()` node for node (nodes, levels, outputs)
+    /// against [`compact_by_rebuild`], then that `maj` on the compacted
+    /// graph re-finds every gate. Returns how many dead nodes it dropped.
+    fn check_compaction(mig: &Mig, what: &str) -> usize {
+        let fast = mig.compact();
+        let oracle = compact_by_rebuild(mig);
+        assert_eq!(fast.num_inputs, oracle.num_inputs, "{what}: inputs");
+        assert_eq!(fast.nodes, oracle.nodes, "{what}: nodes");
+        assert_eq!(fast.levels, oracle.levels, "{what}: levels");
+        assert_eq!(fast.outputs, oracle.outputs, "{what}: outputs");
+        let mut g = fast.clone();
+        for i in 0..fast.len() {
+            if let MigNode::Maj(k) = fast.node(i) {
+                let found = g.maj(k[0], k[1], k[2]);
+                assert_eq!(
+                    found,
+                    MigSignal::new(i, false),
+                    "{what}: gate {i} not re-found"
+                );
+            }
+        }
+        assert_eq!(g.len(), fast.len(), "{what}: maj added a node");
+        mig.len() - fast.len()
+    }
+
+    #[test]
+    fn compact_copies_what_the_rebuild_builds() {
+        use crate::rewrite::{
+            eliminate_uncompacted, inverter_propagation_uncompacted, push_up_uncompacted,
+            relevance_uncompacted, reshape_uncompacted, InverterCases,
+        };
+        let mut dropped = 0;
+        let benches = bench_suite::LARGE_SUITE
+            .iter()
+            .chain(bench_suite::SMALL_SUITE)
+            .map(|info| (info.name.to_string(), bench_suite::build_info(info)));
+        let random = (0..50u64).map(|seed| {
+            let nl = rms_logic::random::random_netlist(
+                "compact",
+                seed,
+                6 + seed as usize % 10,
+                3,
+                40 + 4 * seed as usize,
+            );
+            (format!("random seed {seed}"), nl)
+        });
+        for (name, nl) in benches.chain(random) {
+            let mig = Mig::from_netlist(&nl);
+            dropped += check_compaction(&mig, &name);
+            // Pass outputs before their compaction hold the garbage of
+            // rejected speculative candidates.
+            let m = mig.compact();
+            let passes = [
+                ("eliminate", eliminate_uncompacted(&m)),
+                ("reshape", reshape_uncompacted(&m, true)),
+                ("push-up", push_up_uncompacted(&m)),
+                ("relevance", relevance_uncompacted(&m)),
+                (
+                    "inverters",
+                    inverter_propagation_uncompacted(&m, InverterCases::ALL, false),
+                ),
+                (
+                    "guarded inverters",
+                    inverter_propagation_uncompacted(&m, InverterCases::BASE, true),
+                ),
+            ];
+            for (pass, raw) in passes {
+                dropped += check_compaction(&raw, &format!("{name} / {pass}"));
+            }
+        }
+        assert!(dropped > 0, "no dead node to drop");
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!   nodes with multiple complemented fanins.
 //!
 //! Passes end with a reachability compaction, so intermediate garbage
-//! created by speculative rewrites never survives.
+//! created by speculative rewrites never survives. The output graph is
+//! built through [`Mig::maj`] and therefore already strashed and
+//! Ω.M-normal, so the compaction only copies the live nodes; the
+//! structural hashing happens once, while the pass rebuilds the graph
+//! (see [`Mig::compact`]).
 //!
 //! # Inverter-propagation case taxonomy
 //!
@@ -72,14 +76,28 @@ struct NodeCtx {
     old_fanout: [u32; 3],
 }
 
+/// Output room of a pass that replaces each node by about one node (all
+/// but push-up): summed over the Alg. 3 runs of the Table II suite, the
+/// uncompacted outputs of eliminate, reshape and inverter propagation
+/// hold 1.13× their input's nodes.
+fn room_for_one_to_one(mig: &Mig) -> usize {
+    mig.len() + mig.len() / 4
+}
+
 /// Rebuilds `mig` bottom-up, calling `hook` for every majority node.
 ///
 /// The hook receives the new graph (for matching and node creation) and the
 /// node context; it returns the signal that replaces the node. The default
-/// behaviour is `out.maj(kids)`.
-fn transform(mig: &Mig, mut hook: impl FnMut(&mut Mig, &NodeCtx) -> MigSignal) -> Mig {
+/// behaviour is `out.maj(kids)`. The result still holds the garbage of
+/// rejected candidates; each pass compacts it. The new graph's arrays and
+/// structural-hash table are sized for `capacity` nodes up front.
+fn transform(
+    mig: &Mig,
+    capacity: usize,
+    mut hook: impl FnMut(&mut Mig, &NodeCtx) -> MigSignal,
+) -> Mig {
     let fanout = mig.fanout_counts();
-    let mut out = Mig::with_inputs(mig.name().to_string(), mig.num_inputs());
+    let mut out = Mig::with_capacity(mig.name().to_string(), mig.num_inputs(), capacity);
     let mut map: Vec<MigSignal> = Vec::with_capacity(mig.len());
     for idx in 0..mig.len() {
         let sig = match mig.node(idx) {
@@ -101,7 +119,7 @@ fn transform(mig: &Mig, mut hook: impl FnMut(&mut Mig, &NodeCtx) -> MigSignal) -
         let m = map[s.node()].complement_if(s.is_complemented());
         out.add_output(name.clone(), m);
     }
-    out.compact()
+    out
 }
 
 /// Removes one occurrence of `x` from a 3-child set, returning the two
@@ -159,7 +177,12 @@ pub(crate) fn shared_pair(
 /// `M(M(x,y,u), M(x,y,v), z) = M(x,y,M(u,v,z))`, firing only when both
 /// inner nodes are single-fanout (so the rewrite strictly removes a node).
 pub fn eliminate(mig: &Mig) -> Mig {
-    transform(mig, |out, ctx| {
+    eliminate_uncompacted(mig).compact()
+}
+
+/// [`eliminate`] before its pass-final compaction.
+pub(crate) fn eliminate_uncompacted(mig: &Mig) -> Mig {
+    transform(mig, room_for_one_to_one(mig), |out, ctx| {
         for (i, j) in [(0usize, 1usize), (0, 2), (1, 2)] {
             let (a, b) = (ctx.kids[i], ctx.kids[j]);
             if ctx.old_fanout[i] != 1 || ctx.old_fanout[j] != 1 {
@@ -186,7 +209,12 @@ pub fn eliminate(mig: &Mig) -> Mig {
 /// elimination opportunities. `deeper` selects the direction variables are
 /// pushed (Alg. 1 alternates it between cycles).
 pub fn reshape(mig: &Mig, deeper: bool) -> Mig {
-    transform(mig, |out, ctx| {
+    reshape_uncompacted(mig, deeper).compact()
+}
+
+/// [`reshape`] before its pass-final compaction.
+pub(crate) fn reshape_uncompacted(mig: &Mig, deeper: bool) -> Mig {
+    transform(mig, room_for_one_to_one(mig), |out, ctx| {
         // Ω.A: M(x, u, M(y, u, z)) = M(z, u, M(y, u, x)).
         for g_pos in 0..3 {
             let g = ctx.kids[g_pos];
@@ -238,7 +266,15 @@ pub fn reshape(mig: &Mig, deeper: bool) -> Mig {
 /// axioms in the paper's order and applies the first that strictly reduces
 /// the node's level (pulling the critical variable towards the outputs).
 pub fn push_up(mig: &Mig) -> Mig {
-    transform(mig, |out, ctx| {
+    push_up_uncompacted(mig).compact()
+}
+
+/// [`push_up`] before its pass-final compaction.
+pub(crate) fn push_up_uncompacted(mig: &Mig) -> Mig {
+    // Rejected speculative candidates stay until the compaction: summed
+    // over the Alg. 3 runs of the Table II suite, the uncompacted output
+    // holds 3.0× the input's nodes.
+    transform(mig, 3 * mig.len(), |out, ctx| {
         let lv = |out: &Mig, s: MigSignal| out.signal_level(s);
         let levels = ctx.kids.map(|s| lv(out, s));
         let max_lv = *levels.iter().max().expect("three children");
@@ -270,10 +306,10 @@ pub fn push_up(mig: &Mig) -> Mig {
             {
                 let ilv = inner.map(|s| lv(out, s));
                 let imax = *ilv.iter().max().expect("three children");
-                let icrit: Vec<usize> = (0..3).filter(|&i| ilv[i] == imax).collect();
-                if icrit.len() == 1 {
-                    let z = inner[icrit[0]];
-                    let (u, v) = (inner[(icrit[0] + 1) % 3], inner[(icrit[0] + 2) % 3]);
+                let z_pos = ilv.iter().position(|&l| l == imax).expect("a maximum");
+                if ilv.iter().filter(|&&l| l == imax).count() == 1 {
+                    let z = inner[z_pos];
+                    let (u, v) = (inner[(z_pos + 1) % 3], inner[(z_pos + 2) % 3]);
                     let (x, y) = (others[0], others[1]);
                     let left = out.maj(x, y, u);
                     let right = out.maj(x, y, v);
@@ -329,7 +365,12 @@ pub fn push_up(mig: &Mig) -> Mig {
 /// occurrence is an immediate child of `z`) when `y` is no deeper than `x`,
 /// which shortens the reconvergent path or exposes Ω.M simplifications.
 pub fn relevance(mig: &Mig) -> Mig {
-    transform(mig, |out, ctx| {
+    relevance_uncompacted(mig).compact()
+}
+
+/// [`relevance`] before its pass-final compaction.
+pub(crate) fn relevance_uncompacted(mig: &Mig) -> Mig {
+    transform(mig, room_for_one_to_one(mig), |out, ctx| {
         for z_pos in 0..3 {
             let z = ctx.kids[z_pos];
             if ctx.old_fanout[z_pos] != 1 {
@@ -366,12 +407,21 @@ pub fn relevance(mig: &Mig) -> Mig {
 /// already has complemented edges. Unguarded application "ensures maximum
 /// coverage" (Alg. 4's wording) at the risk of tainting clean levels.
 pub fn inverter_propagation(mig: &Mig, cases: InverterCases, guarded: bool) -> Mig {
+    inverter_propagation_uncompacted(mig, cases, guarded).compact()
+}
+
+/// [`inverter_propagation`] before its pass-final compaction.
+pub(crate) fn inverter_propagation_uncompacted(
+    mig: &Mig,
+    cases: InverterCases,
+    guarded: bool,
+) -> Mig {
     let fire_allowed = if guarded {
         Some(guard_vector(mig, cases))
     } else {
         None
     };
-    transform(mig, |out, ctx| {
+    transform(mig, room_for_one_to_one(mig), |out, ctx| {
         let fire = eligible(&ctx.kids, cases)
             && fire_allowed
                 .as_ref()

@@ -16,7 +16,8 @@
 //! (bit `leaf % 64` per leaf) rules out pairs and triples whose union
 //! must exceed [`MAX_CUT_INPUTS`] leaves, as in ABC's priority cuts; the
 //! prefilter only skips merges that would fail, so the cut sets are
-//! unchanged.
+//! unchanged. The merge itself only records leaf unions; truth tables
+//! are computed for the cuts that survive the per-node bound.
 //!
 //! The representation is allocation-free on the hot path: a [`Cut`] is a
 //! `Copy` value holding its leaves inline, and a node's cut set is a
@@ -135,30 +136,43 @@ impl CutList {
     }
 }
 
+/// Keep mask, and mask of the bits that move up, of the swap of
+/// variables `i` and `i + 1` of a 4-variable table.
+const SWAP_MASKS: [(u16, u16); 3] = [(0x9999, 0x2222), (0xC3C3, 0x0C0C), (0xF00F, 0x00F0)];
+
+/// `tt` with variables `i` and `i + 1` exchanged: minterms where the
+/// two differ move by `1 << i` places.
+fn swap_adjacent(tt: u16, i: usize) -> u16 {
+    let (keep, up) = SWAP_MASKS[i];
+    let shift = 1 << i;
+    (tt & keep) | ((tt & up) << shift) | ((tt >> shift) & up)
+}
+
 /// Re-expresses `tt` (over leaf list `from`) over the superset leaf list
-/// `to`. Both lists are sorted; every element of `from` occurs in `to`.
+/// `to`. Both lists are sorted; every element of `from` occurs in `to`;
+/// variables `from.len()..4` of `tt` are irrelevant (the [`Cut::tt`]
+/// invariant), and so are variables `to.len()..4` of the result.
+///
+/// Leaf `j` of `from` sits at some position `p >= j` of `to`. Moving the
+/// leaves to their positions from the last one down, every variable a
+/// leaf passes on its way up is irrelevant, so it moves by adjacent
+/// swaps alone.
 fn expand(tt: u16, from: &[u32], to: &[u32]) -> u16 {
     if from.len() == to.len() {
         return tt;
     }
-    // Position of each `from` leaf within `to`.
-    let mut pos = [0usize; MAX_CUT_INPUTS];
-    for (j, leaf) in from.iter().enumerate() {
-        pos[j] = to.binary_search(leaf).expect("from ⊆ to");
-    }
-    let mut r = 0u16;
-    for m in 0..16usize {
-        let mut cm = 0usize;
-        for (j, &p) in pos.iter().enumerate().take(from.len()) {
-            if (m >> p) & 1 == 1 {
-                cm |= 1 << j;
-            }
+    let mut t = tt;
+    let mut p = to.len();
+    for (j, leaf) in from.iter().enumerate().rev() {
+        p -= 1;
+        while to[p] != *leaf {
+            p -= 1;
         }
-        if (tt >> cm) & 1 == 1 {
-            r |= 1 << m;
+        for i in j..p {
+            t = swap_adjacent(t, i);
         }
     }
-    r
+    t
 }
 
 /// Sorted union of up to three sorted leaf slices into an inline array;
@@ -196,38 +210,72 @@ fn too_many_leaves(sig: u64) -> bool {
     sig.count_ones() as usize > MAX_CUT_INPUTS
 }
 
-/// Merges one child-cut triple into `scratch` unless its leaf union is
-/// infeasible or already present.
-fn merge_into(scratch: &mut Vec<Cut>, kids: [MigSignal; 3], a: &Cut, b: &Cut, c: &Cut) {
-    let Some((leaves, n)) = merge_leaves(a.leaves(), b.leaves(), c.leaves()) else {
-        return;
-    };
-    let leaves = &leaves[..n];
-    if scratch.iter().any(|m| m.leaves() == leaves) {
-        return;
-    }
-    let mut tts = [0u16; 3];
-    for (slot, (cut, sig)) in tts
-        .iter_mut()
-        .zip([(a, kids[0]), (b, kids[1]), (c, kids[2])])
-    {
-        let t = expand(cut.tt, cut.leaves(), leaves);
-        *slot = if sig.is_complemented() { !t } else { t };
-    }
-    let tt = (tts[0] & tts[1]) | (tts[0] & tts[2]) | (tts[1] & tts[2]);
-    scratch.push(Cut::new(leaves, tt));
+/// A leaf union found by the merge, with the positions of the child cuts
+/// that first produced it. Its truth table is computed only if it
+/// survives [`finish_list`]'s truncation: a node's function over a leaf
+/// set does not depend on which child cuts produced the set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Merged {
+    leaves: [u32; MAX_CUT_INPUTS],
+    len: u8,
+    from: [u8; 3],
 }
 
-/// Orders the merged cuts, keeps the best `max_cuts - 1` and appends the
-/// trivial cut of `node`.
-fn finish_list(node: usize, max_cuts: usize, scratch: &mut Vec<Cut>) -> CutList {
+/// Records the leaf union of child cuts `c0[i]`, `c1[j]` and `c2[k]` in
+/// `scratch` unless it is infeasible or already present.
+fn merge_into(scratch: &mut Vec<Merged>, c: [&[Cut]; 3], [i, j, k]: [usize; 3]) {
+    let Some((leaves, n)) = merge_leaves(c[0][i].leaves(), c[1][j].leaves(), c[2][k].leaves())
+    else {
+        return;
+    };
+    // Both leaf arrays are zero beyond their lengths.
+    if scratch
+        .iter()
+        .any(|m| m.len as usize == n && m.leaves == leaves)
+    {
+        return;
+    }
+    scratch.push(Merged {
+        leaves,
+        len: n as u8,
+        from: [i as u8, j as u8, k as u8],
+    });
+}
+
+/// The function of a majority node with children `kids` over `leaves`,
+/// from the child cuts `cuts` whose leaves are subsets of `leaves`.
+fn maj_tt(kids: [MigSignal; 3], cuts: [&Cut; 3], leaves: &[u32]) -> u16 {
+    let [a, b, c] = [0, 1, 2].map(|x| {
+        let t = expand(cuts[x].tt, cuts[x].leaves(), leaves);
+        if kids[x].is_complemented() {
+            !t
+        } else {
+            t
+        }
+    });
+    (a & b) | (a & c) | (b & c)
+}
+
+/// Orders the merged leaf unions, keeps the best `max_cuts - 1`, computes
+/// their truth tables from the child cuts `c` and appends the trivial cut
+/// of `node`.
+fn finish_list(
+    node: usize,
+    kids: [MigSignal; 3],
+    c: [&[Cut]; 3],
+    max_cuts: usize,
+    scratch: &mut Vec<Merged>,
+) -> CutList {
     scratch.sort_by_key(|x| (x.len, x.leaves));
     scratch.truncate(max_cuts.saturating_sub(1).min(MAX_CUTS_PER_NODE - 1));
     // The trivial cut last: parents can always merge through the node
     // itself, and the rewriter skips it cheaply.
     let mut list = CutList::default();
-    for &c in scratch.iter() {
-        list.push(c);
+    for m in scratch.iter() {
+        let leaves = &m.leaves[..m.len as usize];
+        let [i, j, k] = m.from.map(usize::from);
+        let tt = maj_tt(kids, [&c[0][i], &c[1][j], &c[2][k]], leaves);
+        list.push(Cut::new(leaves, tt));
     }
     list.push(Cut::new(&[node as u32], VAR_TT[0]));
     list
@@ -240,7 +288,10 @@ fn finish_list(node: usize, max_cuts: usize, scratch: &mut Vec<Cut>) -> CutList 
 /// Pairs and triples of child cuts whose leaf signatures already cover
 /// more than [`MAX_CUT_INPUTS`] bits are skipped before the sorted
 /// merge: their union is too large, so [`merge_leaves`] would reject
-/// them anyway, and the cut list is unchanged.
+/// them anyway. The merge records leaf unions only; truth tables are
+/// computed for the at most `max_cuts - 1` unions that survive the
+/// `(len, leaves)` ordering, which yields the same cut list as computing
+/// one per union.
 pub(crate) fn compute_maj_cuts(
     node: usize,
     kids: [MigSignal; 3],
@@ -248,30 +299,31 @@ pub(crate) fn compute_maj_cuts(
     c1: &[Cut],
     c2: &[Cut],
     max_cuts: usize,
-    scratch: &mut Vec<Cut>,
+    scratch: &mut Vec<Merged>,
 ) -> CutList {
     debug_assert!(c0.len().max(c1.len()).max(c2.len()) <= MAX_CUTS_PER_NODE);
+    let c = [c0, c1, c2];
     let mut sigs = [[0u64; MAX_CUTS_PER_NODE]; 3];
-    for (row, cuts) in sigs.iter_mut().zip([c0, c1, c2]) {
+    for (row, cuts) in sigs.iter_mut().zip(c) {
         for (s, cut) in row.iter_mut().zip(cuts) {
             *s = leaf_signature(cut);
         }
     }
     scratch.clear();
-    for (a, &sa) in c0.iter().zip(&sigs[0]) {
-        for (b, &sb) in c1.iter().zip(&sigs[1]) {
+    for (i, &sa) in sigs[0][..c0.len()].iter().enumerate() {
+        for (j, &sb) in sigs[1][..c1.len()].iter().enumerate() {
             let sab = sa | sb;
             if too_many_leaves(sab) {
                 continue;
             }
-            for (c, &sc) in c2.iter().zip(&sigs[2]) {
+            for (k, &sc) in sigs[2][..c2.len()].iter().enumerate() {
                 if !too_many_leaves(sab | sc) {
-                    merge_into(scratch, kids, a, b, c);
+                    merge_into(scratch, c, [i, j, k]);
                 }
             }
         }
     }
-    finish_list(node, max_cuts, scratch)
+    finish_list(node, kids, c, max_cuts, scratch)
 }
 
 /// The cut set of an input or constant node.
@@ -300,7 +352,8 @@ pub fn enumerate(mig: &Mig, max_cuts: usize) -> Vec<CutList> {
 }
 
 /// The signature of [`compute_maj_cuts`].
-type MergeFn = fn(usize, [MigSignal; 3], &[Cut], &[Cut], &[Cut], usize, &mut Vec<Cut>) -> CutList;
+type MergeFn =
+    fn(usize, [MigSignal; 3], &[Cut], &[Cut], &[Cut], usize, &mut Vec<Merged>) -> CutList;
 
 /// [`enumerate`] over a given majority-node merge step.
 fn enumerate_with(mig: &Mig, max_cuts: usize, merge: MergeFn) -> Vec<CutList> {
@@ -309,7 +362,7 @@ fn enumerate_with(mig: &Mig, max_cuts: usize, merge: MergeFn) -> Vec<CutList> {
         "max_cuts {max_cuts} exceeds the inline capacity {MAX_CUTS_PER_NODE}"
     );
     let mut sets: Vec<CutList> = Vec::with_capacity(mig.len());
-    let mut scratch: Vec<Cut> = Vec::new();
+    let mut scratch: Vec<Merged> = Vec::new();
     for idx in 0..mig.len() {
         let cuts = match mig.node(idx) {
             MigNode::Const0 => leaf_cuts(idx, true),
@@ -344,8 +397,32 @@ mod tests {
     use rms_logic::random::random_netlist;
     use std::collections::HashMap;
 
-    /// [`compute_maj_cuts`] without the signature prefilter: every child
-    /// cut triple goes through the sorted merge.
+    /// [`expand`] by minterm enumeration: bit `m` of the result reads
+    /// the minterm of `tt` that `m` projects to.
+    fn expand_by_minterms(tt: u16, from: &[u32], to: &[u32]) -> u16 {
+        let pos: Vec<usize> = from
+            .iter()
+            .map(|l| to.binary_search(l).expect("from ⊆ to"))
+            .collect();
+        let mut r = 0u16;
+        for m in 0..16usize {
+            let mut cm = 0usize;
+            for (j, &p) in pos.iter().enumerate() {
+                if (m >> p) & 1 == 1 {
+                    cm |= 1 << j;
+                }
+            }
+            if (tt >> cm) & 1 == 1 {
+                r |= 1 << m;
+            }
+        }
+        r
+    }
+
+    /// [`compute_maj_cuts`] as it was before the prefilter and the
+    /// deferred truth tables: every child cut triple goes through the
+    /// sorted merge, and every new leaf union gets its truth table from
+    /// [`expand_by_minterms`] at once.
     fn compute_maj_cuts_unfiltered(
         node: usize,
         kids: [MigSignal; 3],
@@ -353,23 +430,74 @@ mod tests {
         c1: &[Cut],
         c2: &[Cut],
         max_cuts: usize,
-        scratch: &mut Vec<Cut>,
+        _: &mut Vec<Merged>,
     ) -> CutList {
-        scratch.clear();
+        let mut eager: Vec<Cut> = Vec::new();
         for a in c0 {
             for b in c1 {
                 for c in c2 {
-                    merge_into(scratch, kids, a, b, c);
+                    let Some((leaves, n)) = merge_leaves(a.leaves(), b.leaves(), c.leaves()) else {
+                        continue;
+                    };
+                    let leaves = &leaves[..n];
+                    if eager.iter().any(|m| m.leaves() == leaves) {
+                        continue;
+                    }
+                    let [ta, tb, tc] =
+                        [(a, kids[0]), (b, kids[1]), (c, kids[2])].map(|(cut, sig)| {
+                            let t = expand_by_minterms(cut.tt, cut.leaves(), leaves);
+                            if sig.is_complemented() {
+                                !t
+                            } else {
+                                t
+                            }
+                        });
+                    eager.push(Cut::new(leaves, (ta & tb) | (ta & tc) | (tb & tc)));
                 }
             }
         }
-        finish_list(node, max_cuts, scratch)
+        eager.sort_by_key(|x| (x.len, x.leaves));
+        eager.truncate(max_cuts.saturating_sub(1).min(MAX_CUTS_PER_NODE - 1));
+        let mut list = CutList::default();
+        for &c in &eager {
+            list.push(c);
+        }
+        list.push(Cut::new(&[node as u32], VAR_TT[0]));
+        list
+    }
+
+    #[test]
+    fn swap_expand_matches_the_minterm_loop_on_every_table() {
+        // Every placement of a sorted `from` inside a sorted `to` of up to
+        // four leaves, for every table brought to the cut invariant
+        // (variables `from.len()..4` irrelevant).
+        for n in 0..=MAX_CUT_INPUTS {
+            let to: Vec<u32> = (0..n as u32).map(|l| 10 * l + 3).collect();
+            for subset in 0..1u32 << n {
+                let from: Vec<u32> = (0..n)
+                    .filter(|&p| (subset >> p) & 1 == 1)
+                    .map(|p| to[p])
+                    .collect();
+                let k = from.len();
+                for raw in 0..=u16::MAX {
+                    // Repeat the low 2^k bits across the table.
+                    let tt = (0..16).fold(0u16, |t, m| t | ((raw >> (m % (1 << k))) & 1) << m);
+                    let want = expand_by_minterms(tt, &from, &to);
+                    assert_eq!(
+                        expand(tt, &from, &to),
+                        want,
+                        "tt {tt:#06x}, from {from:?}, to {to:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn signature_prefilter_keeps_every_cut_list() {
         // Graphs of several hundred nodes, so leaf indices collide mod 64
-        // and signatures undercount unions.
+        // and signatures undercount unions. The reference also computes
+        // every truth table eagerly, so this checks the deferred ones.
         for seed in 0..6u64 {
             let nl = random_netlist("cut_sig", seed, 12, 4, 400);
             let mig = Mig::from_netlist(&nl).compact();

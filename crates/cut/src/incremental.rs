@@ -247,7 +247,7 @@ fn eval_window(
         local[idx as usize] = p as u32;
     }
     let mut lists: Vec<CutList> = Vec::with_capacity(window.len());
-    let mut scratch: Vec<Cut> = Vec::new();
+    let mut scratch = Vec::new();
     let mut refs = RefOverlay::new(g.len());
     let mut out = WindowEval {
         cands: vec![None; window.len()],

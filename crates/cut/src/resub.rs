@@ -20,7 +20,8 @@
 //! * **1-resub** — replace `n` with a single new majority over three
 //!   divisors (the constant divisor makes this cover AND/OR shapes),
 //!   accepted only when the freed MFFC strictly outweighs the one added
-//!   node.
+//!   node. Divisors as boundary leaves can only shrink the MFFC, so a
+//!   node whose whole MFFC is a single gate skips the search outright.
 //!
 //! Candidates must pass the simulation filter on every lane (lane 0 is
 //! the engine's signature cache, so this subsumes the incremental
@@ -176,6 +177,12 @@ fn lanes_match(sim: &[Vec<u64>], sig: usize, phase: bool, target: &[u64]) -> boo
 
 /// Runs one windowed resubstitution pass over `g`.
 pub fn resub_pass(g: &mut IncrementalMig, opts: &ResubOptions) -> ResubStats {
+    run_pass(g, opts, true)
+}
+
+/// [`resub_pass`]; without `mffc_bound` the 1-resub search also runs on
+/// nodes whose MFFC cannot pay for a new gate (the test reference).
+fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> ResubStats {
     let mut stats = ResubStats::default();
     if g.num_gates() == 0 {
         return stats;
@@ -230,13 +237,20 @@ pub fn resub_pass(g: &mut IncrementalMig, opts: &ResubOptions) -> ResubStats {
         }
 
         // 1-resub: one new majority over three divisors. Needs the MFFC
-        // to free at least two nodes so the net gain is >= 1. Liveness
-        // cannot change before a commit, and a commit ends the search.
-        let live: Vec<usize> = divisors
-            .iter()
-            .copied()
-            .filter(|&d| !g.is_dead(d))
-            .collect();
+        // to free at least two nodes so the net gain is >= 1. Divisors as
+        // boundary leaves can only shrink the MFFC, so when the whole MFFC
+        // of `n` frees fewer than two nodes every match would fail the
+        // gain check: search no divisors at all. Liveness cannot change
+        // before a commit, and a commit ends the search.
+        let live: Vec<usize> = if mffc_bound && g.mffc_size(n, &[]) < 2 {
+            Vec::new()
+        } else {
+            divisors
+                .iter()
+                .copied()
+                .filter(|&d| !g.is_dead(d))
+                .collect()
+        };
         let rows: Vec<&[u64]> = live.iter().map(|&d| sim[d].as_slice()).collect();
         let accepted = search_triples(&rows, &target, |m| {
             let [pa, pb, pc] = m.phases();
@@ -538,6 +552,47 @@ mod tests {
             let res = check_equivalence(&before.to_netlist(), &g.to_mig().to_netlist());
             assert!(res.holds(), "{name}: {res:?} ({stats:?})");
         }
+    }
+
+    #[test]
+    fn mffc_bound_keeps_every_decision() {
+        // With and without the MFFC bound on the 1-resub search: the same
+        // counters and the same graph, node for node, on the raw and the
+        // cut-optimized graphs of the small suite, apex4 and t481.
+        let names = bench_suite::SMALL_SUITE
+            .iter()
+            .map(|i| i.name)
+            .chain(["apex4", "t481"]);
+        let opts = ResubOptions::default();
+        let mut accepted = 0;
+        for name in names {
+            let raw = Mig::from_netlist(&bench_suite::build(name).unwrap()).compact();
+            let (cut, _) =
+                crate::optimize_cut_stats(&raw, &rms_core::opt::OptOptions::with_effort(2));
+            for (what, mig) in [("raw", raw), ("cut", cut.compact())] {
+                let mut bounded = IncrementalMig::from_mig(&mig);
+                let mut plain = IncrementalMig::from_mig(&mig);
+                let sb = run_pass(&mut bounded, &opts, true);
+                let sp = run_pass(&mut plain, &opts, false);
+                assert_eq!(sb, sp, "{name} / {what}: stats");
+                assert_eq!(bounded.len(), plain.len(), "{name} / {what}: node counts");
+                for i in 0..bounded.len() {
+                    assert_eq!(bounded.node(i), plain.node(i), "{name} / {what}: node {i}");
+                    assert_eq!(
+                        bounded.is_dead(i),
+                        plain.is_dead(i),
+                        "{name} / {what}: node {i}"
+                    );
+                }
+                assert_eq!(
+                    bounded.outputs(),
+                    plain.outputs(),
+                    "{name} / {what}: outputs"
+                );
+                accepted += sb.accepted;
+            }
+        }
+        assert!(accepted > 0, "no substitution to compare");
     }
 
     #[test]

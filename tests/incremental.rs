@@ -9,7 +9,9 @@
 //! Pin tests fix exact quality counts, so a quality change fails here
 //! instead of drifting. In every run: the `Algorithm::Cut` gate count of
 //! the small suite at effort 40, the `Algorithm::CutRram` gates, R and S
-//! of the small suite under both realizations at effort 40, and the
+//! of the small suite under both realizations at effort 40, the gates,
+//! depth, R and S of the paper's Algs. 1–4 on the small suite under both
+//! realizations at effort 40, and the
 //! candidate, accepted and refuted counts of one resubstitution pass on
 //! two Table II circuits. Under
 //! `--include-ignored`: the cut gate count of the generated large suite
@@ -250,6 +252,240 @@ const TABLE2_ALGS: [Algorithm; 3] = [Algorithm::RramCosts, Algorithm::Cut, Algor
 /// `resub_pass` over the effort-40 cut result.
 const RESUB_COUNTS: [(&str, [u64; 3]); 2] = [("apex4", [496, 82, 414]), ("t481", [62, 6, 56])];
 
+/// `(gates, depth, R, S)` of one optimized circuit.
+type PaperCosts = (usize, u32, u64, u64);
+
+/// Results of the paper's Algs. 1–4 ([`Algorithm::ALL`]) on the small
+/// suite at effort 40 and `jobs` 1, in suite order: per algorithm,
+/// [`PaperCosts`] under MAJ, then under IMP.
+const SMALL_SUITE_PAPER: [(&str, [[PaperCosts; 2]; 4]); 25] = [
+    (
+        "9sym_d",
+        [
+            [(88, 24, 26, 91), (88, 24, 38, 259)],
+            [(86, 23, 26, 87), (86, 23, 38, 248)],
+            [(86, 23, 26, 88), (86, 23, 38, 249)],
+            [(86, 23, 26, 87), (86, 23, 38, 248)],
+        ],
+    ),
+    (
+        "con1_f1",
+        [
+            [(4, 4, 5, 17), (4, 4, 7, 45)],
+            [(5, 3, 16, 12), (5, 3, 22, 33)],
+            [(5, 3, 16, 12), (5, 3, 22, 33)],
+            [(5, 3, 16, 12), (5, 3, 22, 33)],
+        ],
+    ),
+    (
+        "con2_f2",
+        [
+            [(63, 31, 18, 118), (63, 31, 26, 335)],
+            [(65, 18, 33, 68), (65, 18, 49, 194)],
+            [(66, 20, 24, 76), (66, 20, 34, 216)],
+            [(65, 18, 34, 68), (65, 18, 50, 194)],
+        ],
+    ),
+    (
+        "exam1_d",
+        [
+            [(1, 1, 5, 4), (1, 1, 7, 11)],
+            [(1, 1, 5, 4), (1, 1, 7, 11)],
+            [(1, 1, 5, 4), (1, 1, 7, 11)],
+            [(1, 1, 5, 4), (1, 1, 7, 11)],
+        ],
+    ),
+    (
+        "exam3_d",
+        [
+            [(7, 4, 16, 13), (7, 4, 24, 41)],
+            [(7, 3, 16, 10), (7, 3, 24, 31)],
+            [(7, 3, 16, 10), (7, 3, 24, 31)],
+            [(7, 3, 16, 10), (7, 3, 24, 31)],
+        ],
+    ),
+    (
+        "max46_d",
+        [
+            [(94, 25, 68, 89), (94, 25, 102, 264)],
+            [(103, 20, 68, 70), (103, 20, 102, 210)],
+            [(101, 21, 68, 73), (101, 21, 102, 220)],
+            [(103, 20, 68, 70), (103, 20, 102, 210)],
+        ],
+    ),
+    (
+        "newill_d",
+        [
+            [(12, 7, 16, 24), (12, 7, 24, 73)],
+            [(12, 7, 16, 24), (12, 7, 24, 73)],
+            [(12, 7, 16, 24), (12, 7, 24, 73)],
+            [(12, 7, 16, 24), (12, 7, 24, 73)],
+        ],
+    ),
+    (
+        "newtag_d",
+        [
+            [(15, 5, 32, 19), (15, 5, 48, 54)],
+            [(15, 4, 32, 14), (15, 4, 48, 42)],
+            [(15, 5, 40, 17), (15, 5, 56, 52)],
+            [(15, 4, 32, 14), (15, 4, 48, 42)],
+        ],
+    ),
+    (
+        "rd53_f1",
+        [
+            [(12, 8, 8, 28), (12, 8, 12, 84)],
+            [(12, 8, 8, 28), (12, 8, 12, 84)],
+            [(12, 8, 8, 28), (12, 8, 12, 84)],
+            [(12, 8, 8, 28), (12, 8, 12, 84)],
+        ],
+    ),
+    (
+        "rd53_f2",
+        [
+            [(19, 9, 13, 33), (19, 9, 19, 96)],
+            [(21, 9, 16, 32), (21, 9, 24, 95)],
+            [(21, 9, 16, 32), (20, 9, 19, 96)],
+            [(21, 9, 16, 32), (21, 9, 24, 95)],
+        ],
+    ),
+    (
+        "rd53_f3",
+        [
+            [(23, 10, 17, 37), (23, 10, 25, 107)],
+            [(27, 10, 21, 35), (27, 10, 31, 105)],
+            [(27, 10, 21, 35), (27, 10, 31, 105)],
+            [(24, 10, 17, 35), (24, 10, 25, 105)],
+        ],
+    ),
+    (
+        "rd73_f1",
+        [
+            [(18, 12, 8, 42), (18, 12, 12, 126)],
+            [(18, 12, 8, 42), (18, 12, 12, 126)],
+            [(18, 12, 8, 42), (18, 12, 12, 126)],
+            [(18, 12, 8, 42), (18, 12, 12, 126)],
+        ],
+    ),
+    (
+        "rd73_f2",
+        [
+            [(31, 13, 13, 49), (31, 13, 19, 140)],
+            [(33, 13, 16, 48), (33, 13, 24, 139)],
+            [(33, 13, 16, 48), (33, 13, 24, 139)],
+            [(33, 13, 16, 48), (33, 13, 24, 139)],
+        ],
+    ),
+    (
+        "rd73_f3",
+        [
+            [(41, 14, 21, 53), (41, 14, 31, 151)],
+            [(45, 14, 21, 52), (45, 14, 31, 150)],
+            [(43, 14, 21, 52), (43, 14, 31, 150)],
+            [(42, 14, 21, 52), (42, 14, 31, 150)],
+        ],
+    ),
+    (
+        "rd84_f1",
+        [
+            [(21, 14, 8, 49), (21, 14, 12, 147)],
+            [(21, 14, 8, 49), (21, 14, 12, 147)],
+            [(21, 14, 8, 49), (21, 14, 12, 147)],
+            [(21, 14, 8, 49), (21, 14, 12, 147)],
+        ],
+    ),
+    (
+        "rd84_f2",
+        [
+            [(37, 15, 13, 57), (37, 15, 19, 162)],
+            [(39, 15, 16, 56), (39, 15, 24, 161)],
+            [(39, 15, 16, 56), (39, 15, 24, 161)],
+            [(39, 15, 16, 56), (39, 15, 24, 161)],
+        ],
+    ),
+    (
+        "rd84_f3",
+        [
+            [(50, 16, 21, 61), (50, 16, 31, 173)],
+            [(54, 16, 21, 60), (54, 16, 31, 172)],
+            [(52, 16, 21, 60), (52, 16, 31, 172)],
+            [(51, 16, 21, 60), (51, 16, 31, 172)],
+        ],
+    ),
+    (
+        "rd84_f4",
+        [
+            [(60, 17, 26, 65), (60, 17, 38, 184)],
+            [(58, 17, 27, 64), (58, 17, 39, 183)],
+            [(66, 17, 29, 64), (66, 17, 43, 183)],
+            [(58, 17, 26, 64), (58, 17, 38, 183)],
+        ],
+    ),
+    (
+        "sao2_f1",
+        [
+            [(5, 5, 5, 21), (5, 5, 7, 56)],
+            [(7, 3, 27, 11), (7, 3, 37, 32)],
+            [(7, 3, 27, 11), (7, 3, 37, 32)],
+            [(7, 3, 27, 11), (7, 3, 37, 32)],
+        ],
+    ),
+    (
+        "sao2_f2",
+        [
+            [(19, 6, 40, 23), (19, 6, 60, 65)],
+            [(19, 5, 40, 18), (19, 5, 60, 53)],
+            [(21, 6, 50, 20), (21, 6, 70, 62)],
+            [(19, 5, 40, 17), (19, 5, 60, 52)],
+        ],
+    ),
+    (
+        "sao2_f3",
+        [
+            [(17, 9, 20, 31), (17, 9, 30, 94)],
+            [(17, 9, 20, 31), (17, 9, 30, 94)],
+            [(17, 9, 20, 31), (17, 9, 30, 94)],
+            [(17, 9, 20, 31), (17, 9, 30, 94)],
+        ],
+    ),
+    (
+        "sao2_f4",
+        [
+            [(5, 5, 4, 15), (5, 5, 6, 50)],
+            [(7, 3, 20, 9), (7, 3, 30, 30)],
+            [(7, 3, 20, 9), (7, 3, 30, 30)],
+            [(7, 3, 20, 9), (7, 3, 30, 30)],
+        ],
+    ),
+    (
+        "sym10_d",
+        [
+            [(100, 26, 26, 99), (100, 26, 38, 281)],
+            [(98, 25, 26, 95), (98, 25, 38, 270)],
+            [(98, 25, 26, 96), (98, 25, 38, 271)],
+            [(98, 25, 26, 95), (98, 25, 38, 270)],
+        ],
+    ),
+    (
+        "t481_d",
+        [
+            [(147, 20, 52, 78), (147, 20, 76, 218)],
+            [(143, 20, 52, 77), (143, 20, 76, 217)],
+            [(159, 20, 58, 77), (159, 20, 86, 217)],
+            [(143, 20, 52, 77), (143, 20, 76, 217)],
+        ],
+    ),
+    (
+        "xor5_d",
+        [
+            [(12, 8, 8, 28), (12, 8, 12, 84)],
+            [(12, 8, 8, 28), (12, 8, 12, 84)],
+            [(12, 8, 8, 28), (12, 8, 12, 84)],
+            [(12, 8, 8, 28), (12, 8, 12, 84)],
+        ],
+    ),
+];
+
 #[test]
 fn cut_gates_are_pinned_on_the_small_suite() {
     let names: Vec<&str> = bench_suite::SMALL_SUITE.iter().map(|i| i.name).collect();
@@ -286,6 +522,40 @@ fn cut_rram_costs_are_pinned_on_the_small_suite() {
                 nl.truth_tables(),
                 "{name} / {real}: function"
             );
+        }
+    }
+}
+
+#[test]
+fn paper_algorithms_are_pinned_on_the_small_suite() {
+    let names: Vec<&str> = bench_suite::SMALL_SUITE.iter().map(|i| i.name).collect();
+    let pinned: Vec<&str> = SMALL_SUITE_PAPER.iter().map(|&(n, _)| n).collect();
+    assert_eq!(names, pinned, "pin table out of step with the small suite");
+    let mut opts = OptOptions::with_effort(40);
+    opts.jobs = 1;
+    for (name, pins) in SMALL_SUITE_PAPER {
+        let nl = bench_suite::build(name).unwrap();
+        let mig = Mig::from_netlist(&nl);
+        for (alg, alg_pins) in Algorithm::ALL.into_iter().zip(pins) {
+            for (real, want) in [Realization::Maj, Realization::Imp]
+                .into_iter()
+                .zip(alg_pins)
+            {
+                let (out, _) = run_algorithm(&mig, alg, real, &opts);
+                let cost = RramCost::of(&out, real);
+                assert_eq!(
+                    (out.num_gates(), out.depth(), cost.rrams, cost.steps),
+                    want,
+                    "{name} / {} / {real}: (gates, depth, R, S)",
+                    alg.token()
+                );
+                assert_eq!(
+                    out.truth_tables(),
+                    nl.truth_tables(),
+                    "{name} / {} / {real}: function",
+                    alg.token()
+                );
+            }
         }
     }
 }
