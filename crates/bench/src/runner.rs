@@ -240,7 +240,8 @@ pub struct AlgsMeasured {
 
 /// Runs every algorithm (including the cut engine) on one benchmark
 /// under the MAJ realization, verifying each result against the source
-/// netlist (exhaustively below the width cutoff, by SAT proof above).
+/// netlist with [`rms_flow::check_netlists`] (exhaustively below the
+/// width cutoff, by SAT proof above).
 pub fn run_algs_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> AlgsMeasured {
     let nl = bench_suite::build_info(info);
     let mig = Mig::from_netlist(&nl);
@@ -254,11 +255,6 @@ pub fn run_algs_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> AlgsMeas
     // ("ERROR <alg>" — e.g. an arity mismatch from a buggy exporter), so
     // a red column points at the right subsystem.
     let mut trouble: Option<String> = None;
-    // Below the cutoff the reference truth tables are computed once per
-    // row, not once per algorithm (the optimized graphs share the input
-    // order of their source, so a direct table compare is exact).
-    let reference =
-        (nl.num_inputs() <= rms_flow::verify::EXHAUSTIVE_VERIFY_VARS).then(|| nl.truth_tables());
     for (i, alg) in Algorithm::ALL_WITH_CUT.into_iter().enumerate() {
         let (out, stats) = rms_flow::run_algorithm(&mig, alg, Realization::Maj, opts);
         gates[i] = out.num_gates() as u64;
@@ -267,12 +263,6 @@ pub fn run_algs_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> AlgsMeas
             cut_rewrites = stats.rewrites;
         }
         if trouble.is_none() {
-            if let Some(reference) = &reference {
-                if out.truth_tables() != *reference {
-                    trouble = Some(format!("FAILED {alg}"));
-                }
-                continue;
-            }
             match rms_flow::check_netlists(
                 &nl,
                 &out.to_netlist(),
@@ -381,29 +371,19 @@ pub fn run_sweep_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> SweepMe
     let mig = Mig::from_netlist(&nl);
     let (cut, _) = rms_flow::run_algorithm(&mig, Algorithm::Cut, Realization::Maj, opts);
     let (sweep, stats) = rms_cut::optimize_sweep_stats(&mig, opts, rms_cut::SweepPasses::BOTH);
-    let verified = if nl.num_inputs() <= rms_flow::verify::EXHAUSTIVE_VERIFY_VARS {
-        if sweep.truth_tables() == nl.truth_tables() {
-            "exhaustive".to_string()
-        } else {
-            "FAILED".to_string()
+    let verified = match rms_flow::check_netlists(
+        &nl,
+        &sweep.to_netlist(),
+        rms_flow::VerifyMode::Auto,
+        rms_flow::DEFAULT_VERIFY_SEED,
+    ) {
+        Ok(rms_flow::VerifyOutcome::Proved { conflicts, .. }) => {
+            format!("SAT ({conflicts} conflicts)")
         }
-    } else {
-        match rms_flow::check_netlists(
-            &nl,
-            &sweep.to_netlist(),
-            rms_flow::VerifyMode::Auto,
-            rms_flow::DEFAULT_VERIFY_SEED,
-        ) {
-            Ok(rms_flow::VerifyOutcome::Proved { conflicts, .. }) => {
-                format!("SAT ({conflicts} conflicts)")
-            }
-            Ok(rms_flow::VerifyOutcome::Sampled { .. }) => {
-                "sampled (SAT budget exceeded)".to_string()
-            }
-            Ok(outcome) if outcome.passed() => "exhaustive".to_string(),
-            Ok(_) => "FAILED".to_string(),
-            Err(e) => format!("ERROR: {e}"),
-        }
+        Ok(rms_flow::VerifyOutcome::Sampled { .. }) => "sampled (SAT budget exceeded)".to_string(),
+        Ok(outcome) if outcome.passed() => "exhaustive".to_string(),
+        Ok(_) => "FAILED".to_string(),
+        Err(e) => format!("ERROR: {e}"),
     };
     SweepMeasured {
         info,
@@ -526,6 +506,13 @@ mod tests {
         }
         // The cut engine never loses to plain area optimization here.
         assert!(row.gates[4] <= row.gates[0], "{row:?}");
+        assert_eq!(row.verified, "exhaustive");
+        // Above the width cutoff every algorithm's result is SAT-proved.
+        let wide = run_algs_row(
+            rms_logic::bench_suite::info("t481_d").unwrap(),
+            &OptOptions::with_effort(4),
+        );
+        assert!(wide.verified.starts_with("SAT ("), "{}", wide.verified);
     }
 
     #[test]

@@ -29,8 +29,6 @@ use crate::rewrite::{eliminate, inverter_propagation, push_up, relevance, reshap
 pub struct OptOptions {
     /// Maximum number of cycles (`effort` in the paper; 40 in Sec. IV-A).
     pub effort: usize,
-    /// Stop early when a whole cycle leaves the graph unchanged.
-    pub early_exit: bool,
     /// Worker threads for the windowed round of the in-place cut engine
     /// (`0` = auto: [`crate::par::num_threads`]). Applies to every
     /// graph; one of at most one window runs inline. Results are
@@ -46,7 +44,6 @@ impl Default for OptOptions {
     fn default() -> Self {
         OptOptions {
             effort: 40,
-            early_exit: true,
             jobs: 0,
             cancel: CancelToken::default(),
         }
@@ -82,7 +79,8 @@ fn fingerprint(mig: &Mig) -> (usize, u32, u64, u64) {
 /// Statistics of one optimization run, consumed by the pipeline reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptStats {
-    /// Optimization cycles actually executed (`<= effort` with early exit).
+    /// Optimization cycles actually executed (`<= effort`: the loop stops
+    /// at a fixpoint).
     pub cycles: usize,
     /// Rewrite passes executed, including the final polish pass.
     pub passes: u64,
@@ -117,11 +115,11 @@ pub struct OptStats {
 /// compacted input, and returns the iterate with the smallest `score`,
 /// the number of cycles run, and whether the run was cancelled.
 ///
-/// With [`OptOptions::early_exit`] the loop stops once a cycle leaves the
-/// graph's fingerprint unchanged. The cancel token is polled before and
-/// after every cycle. A cycle during which it tripped is never scored: a
-/// cycle whose rewrite round polls the token may have been truncated, and
-/// its result, though functionally correct, is not one a completed run
+/// The loop stops early once a cycle leaves the graph's fingerprint
+/// unchanged. The cancel token is polled before and after every cycle.
+/// A cycle during which it tripped is never scored: a cycle whose
+/// rewrite round polls the token may have been truncated, and its
+/// result, though functionally correct, is not one a completed run
 /// could produce. So a cancelled run still returns the best
 /// verified-complete iterate.
 pub fn drive<S: PartialOrd + Copy>(
@@ -151,7 +149,7 @@ pub fn drive<S: PartialOrd + Copy>(
             best = current.clone();
         }
         let new_fp = fingerprint(&current);
-        if opts.early_exit && new_fp == fp {
+        if new_fp == fp {
             break;
         }
         fp = new_fp;
@@ -508,12 +506,13 @@ mod tests {
 
     #[test]
     fn drive_never_scores_a_cycle_the_token_tripped_in() {
-        // The second cycle returns a smaller graph but trips the token on
-        // the way, as a rewrite round polling it mid-cycle would: its
-        // result must not become the best iterate.
+        // The first cycle adds a gate (a worse score, and a new
+        // fingerprint, so the loop goes on); the second returns a smaller
+        // graph but trips the token on the way, as a rewrite round
+        // polling it mid-cycle would: its result must not become the
+        // best iterate.
         let m = bench_mig("exam3_d");
         let opts = OptOptions {
-            early_exit: false,
             cancel: CancelToken::new(),
             ..OptOptions::with_effort(4)
         };
@@ -523,7 +522,12 @@ mod tests {
             |g| g.num_gates(),
             |g, c| {
                 if c == 0 {
-                    return g.clone();
+                    let mut grown = g.clone();
+                    let root = grown.outputs()[0].1;
+                    let (x, y) = (grown.input(0), grown.input(1));
+                    grown.maj(root, x, !y);
+                    assert_eq!(grown.num_gates(), g.num_gates() + 1);
+                    return grown;
                 }
                 opts.cancel.cancel();
                 Mig::with_inputs("truncated", g.num_inputs())

@@ -359,13 +359,12 @@ pub(crate) fn resolve_jobs(opts: &OptOptions) -> usize {
 }
 
 /// Cycles without a new best iterate after which [`cut_script_inplace`]
-/// stops (under [`OptOptions::early_exit`]). The reshape pass alternates
-/// its push direction every cycle, so the raw fingerprint oscillates
-/// with period 2 and the fixpoint check of the rebuild script almost
-/// never fires — that script always burns its whole effort budget
-/// ping-ponging between the same states. Stagnation of the *best
-/// iterate* is the meaningful convergence signal; on the bundled suite
-/// every best is found within 8 cycles.
+/// stops. The reshape pass alternates its push direction every cycle,
+/// so the raw fingerprint oscillates with period 2 and the fixpoint
+/// check of the rebuild script almost never fires — that script always
+/// burns its whole effort budget ping-ponging between the same states.
+/// Stagnation of the *best iterate* is the meaningful convergence
+/// signal; on the bundled suite every best is found within 8 cycles.
 pub const STAGNATION_WINDOW: usize = 8;
 
 /// Algorithm 5: per cycle eliminate; one rewrite round with zero-gain
@@ -412,7 +411,7 @@ pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
         } else {
             stale += 1;
         }
-        if opts.early_exit && (g.fingerprint() == before || stale >= STAGNATION_WINDOW) {
+        if g.fingerprint() == before || stale >= STAGNATION_WINDOW {
             break;
         }
     }

@@ -289,21 +289,10 @@ impl Pipeline {
         self
     }
 
-    /// Enables or disables machine-level verification (default: enabled
-    /// with the tiered [`VerifyMode::Auto`] policy).
-    pub fn verify(mut self, verify: bool) -> Self {
-        self.verify = if verify {
-            VerifyMode::Auto
-        } else {
-            VerifyMode::Off
-        };
-        self
-    }
-
-    /// Selects the verification policy: tiered (exhaustive below the
-    /// width cutoff, SAT proof above, sampling if a proof exhausts its
-    /// conflict budget), forced SAT proof, sampled (explicit opt-out of
-    /// formal checking), or off.
+    /// Selects the verification policy (default: [`VerifyMode::Auto`]):
+    /// tiered (exhaustive below the width cutoff, SAT proof above,
+    /// sampling if a proof exhausts its conflict budget), forced SAT
+    /// proof, sampled (explicit opt-out of formal checking), or off.
     pub fn verify_mode(mut self, mode: VerifyMode) -> Self {
         self.verify = mode;
         self

@@ -35,8 +35,17 @@
 //! exhaustive tier decodes the differing minterm, and the sampled tier
 //! extracts the differing bit lane.
 //!
-//! [`check_netlists`] applies the same policy to two standalone circuits
-//! (the `rms verify` subcommand and the differential test harness).
+//! The policy is written once, in the private `tiered`, which checks one
+//! reference netlist against sides of two kinds: a compiled program (the
+//! pipeline, through `verify_programs`) or a second netlist
+//! ([`check_netlists`]: `rms verify`, the bench sweeps and the
+//! differential test harness). Only the failure wording depends on the
+//! kind. Every side's miter is built in the same order — `Miter::new`,
+//! `set_cancel`, the reference's `add_netlist`, the side's
+//! `add_netlist`/`add_program`, `prove_limited` under
+//! [`SAT_CONFLICT_BUDGET`] — because the solver's conflict and decision
+//! counts depend on it: a fixed order keeps every reported proof count
+//! stable.
 
 use crate::error::FlowError;
 use rms_core::CancelToken;
@@ -45,9 +54,7 @@ use rms_logic::sim::random_patterns;
 use rms_logic::tt::MAX_VARS;
 use rms_rram::isa::Program;
 use rms_rram::machine::Machine;
-use rms_sat::{
-    check_netlist_vs_program_cancellable, check_netlists_limited, MiterError, MiterOutcome,
-};
+use rms_sat::{Miter, MiterOutcome};
 
 /// Inputs wider than this use the SAT tier rather than exhaustive
 /// simulation (under [`VerifyMode::Auto`]).
@@ -207,137 +214,11 @@ pub(crate) fn verify_programs(
     seed: u64,
     cancel: &CancelToken,
 ) -> Result<VerifyOutcome, FlowError> {
-    if mode == VerifyMode::Off {
-        return Ok(VerifyOutcome::Skipped);
-    }
-    let n = netlist.num_inputs();
-    if mode != VerifyMode::Sat && n <= EXHAUSTIVE_VERIFY_VARS.min(MAX_VARS) {
-        let reference = netlist.truth_tables();
-        for &(what, program) in programs {
-            let got = Machine::truth_tables(program)
-                .map_err(|e| FlowError::Verification(format!("{what}: invalid program: {e}")))?;
-            if got != reference {
-                let (o, m) = first_diff(&got, &reference);
-                return Ok(VerifyOutcome::Failed {
-                    what: format!("{what} program differs from the netlist on output {o}"),
-                    counterexample: minterm_bits(m, n),
-                });
-            }
-        }
-        return Ok(VerifyOutcome::Exhaustive);
-    }
-    if mode == VerifyMode::Sampled {
-        let patterns = random_patterns(n, VERIFY_SAMPLE_WORDS, seed);
-        if let Some(failed) = first_sim_mismatch(netlist, programs, &patterns, "sampled")? {
-            return Ok(failed);
-        }
-        return Ok(VerifyOutcome::Sampled {
-            words: VERIFY_SAMPLE_WORDS,
-        });
-    }
-    // Word-parallel spot-check in front of the SAT tier: a buggy
-    // program almost always differs on random words, which is far
-    // cheaper to find by simulation than by refutation.
-    let patterns = random_patterns(n, PRE_SAT_SPOT_WORDS, seed);
-    if let Some(failed) = first_sim_mismatch(netlist, programs, &patterns, "pre-SAT spot-check")? {
-        return Ok(failed);
-    }
-    // SAT tier: refute a miter per program, under a conflict budget.
-    let (mut conflicts, mut decisions) = (0u64, 0u64);
-    for &(what, program) in programs {
-        match check_netlist_vs_program_cancellable(
-            netlist,
-            program,
-            Some(SAT_CONFLICT_BUDGET),
-            cancel,
-        ) {
-            Ok(Some(MiterOutcome::Equivalent {
-                conflicts: c,
-                decisions: d,
-            })) => {
-                conflicts += c;
-                decisions += d;
-            }
-            Ok(Some(MiterOutcome::Counterexample { inputs })) => {
-                return Ok(VerifyOutcome::Failed {
-                    what: format!("{what} program differs from the netlist (SAT counterexample)"),
-                    counterexample: inputs,
-                });
-            }
-            Ok(None) if cancel.cancelled() => {
-                // `None` is also what a cancelled solver returns; the
-                // token tells the two apart.
-                return Err(FlowError::Timeout(format!(
-                    "{what}: verification abandoned at the request deadline"
-                )));
-            }
-            Ok(None) if mode == VerifyMode::Auto => {
-                // Budget exhausted on an adversarial instance: degrade
-                // to sampling rather than hang (an explicit
-                // `--verify sat` would error out instead).
-                return verify_programs(netlist, programs, VerifyMode::Sampled, seed, cancel);
-            }
-            Ok(None) => {
-                return Err(FlowError::Verification(format!(
-                    "{what}: SAT proof gave up after {SAT_CONFLICT_BUDGET} conflicts; \
-                     re-run with `--verify sampled` for a non-proof check"
-                )));
-            }
-            Err(e) => {
-                return Err(FlowError::Verification(format!("{what}: {e}")));
-            }
-        }
-    }
-    Ok(VerifyOutcome::Proved {
-        conflicts,
-        decisions,
-    })
-}
-
-/// Simulates every program on all `patterns`, validating each program
-/// once, and returns the first disagreement with the netlist in
-/// pattern-major, then program order, with its lowest differing lane as
-/// the counterexample. `tier` names the check in the failure message.
-fn first_sim_mismatch(
-    netlist: &Netlist,
-    programs: &[(&str, &Program)],
-    patterns: &[Vec<u64>],
-    tier: &str,
-) -> Result<Option<VerifyOutcome>, FlowError> {
-    let reference: Vec<Vec<u64>> = patterns.iter().map(|p| netlist.simulate_words(p)).collect();
-    let mut machine = Machine::new();
-    let mut results = Vec::with_capacity(programs.len());
-    let mut invalid = None;
-    for &(what, program) in programs {
-        match machine.run_batch(program, patterns) {
-            Ok(got) => results.push(got),
-            Err(e) => {
-                invalid = Some(FlowError::Verification(format!(
-                    "{what}: invalid program: {e}"
-                )));
-                break;
-            }
-        }
-    }
-    // An invalid program is reported at the first pattern word, unless a
-    // program before it already differs there.
-    let words = if invalid.is_some() {
-        patterns.len().min(1)
-    } else {
-        patterns.len()
-    };
-    for (w, want) in reference.iter().enumerate().take(words) {
-        for (&(what, _), got) in programs.iter().zip(&results) {
-            if got[w] != *want {
-                let (o, lane) = first_word_diff(&got[w], want);
-                return Ok(Some(VerifyOutcome::Failed {
-                    what: format!("{what} program differs from the netlist on output {o} ({tier})"),
-                    counterexample: lane_bits(&patterns[w], lane),
-                }));
-            }
-        }
-    }
-    invalid.map_or(Ok(None), Err)
+    let sides: Vec<(&str, Side)> = programs
+        .iter()
+        .map(|&(what, program)| (what, Side::Program(program)))
+        .collect();
+    tiered(netlist, &sides, mode, seed, cancel)
 }
 
 /// Checks two standalone circuits for functional equivalence under the
@@ -387,75 +268,211 @@ pub fn check_netlists(
             counterexample: Vec::new(),
         });
     }
-    let n = a.num_inputs();
+    tiered(
+        a,
+        &[("", Side::Netlist(b))],
+        mode,
+        seed,
+        &CancelToken::default(),
+    )
+}
+
+/// One circuit checked against the reference netlist.
+#[derive(Clone, Copy)]
+enum Side<'a> {
+    Netlist(&'a Netlist),
+    Program(&'a Program),
+}
+
+impl Side<'_> {
+    /// The subject of a mismatch report, which the tier and output
+    /// details are appended to.
+    fn differs(self, what: &str) -> String {
+        match self {
+            Side::Netlist(_) => "circuits differ".into(),
+            Side::Program(_) => format!("{what} program differs from the netlist"),
+        }
+    }
+
+    /// An error message about this side: a program's is prefixed with
+    /// its name.
+    fn error(self, what: &str, msg: impl std::fmt::Display) -> String {
+        match self {
+            Side::Netlist(_) => msg.to_string(),
+            Side::Program(_) => format!("{what}: {msg}"),
+        }
+    }
+}
+
+/// The tier policy, shared by every equivalence check: `Off` skips,
+/// exhaustive truth tables up to [`EXHAUSTIVE_VERIFY_VARS`] inputs
+/// (unless `Sat` is forced), random words under `Sampled`, otherwise a
+/// spot-check followed by one budgeted sweeping miter per side, which
+/// under `Auto` falls back to sampling when the budget runs out.
+///
+/// Each miter encodes the reference first and the side second, so the
+/// solver's conflict and decision counts depend only on the two
+/// circuits. Sides are checked in order; the first mismatch wins.
+fn tiered(
+    reference: &Netlist,
+    sides: &[(&str, Side)],
+    mode: VerifyMode,
+    seed: u64,
+    cancel: &CancelToken,
+) -> Result<VerifyOutcome, FlowError> {
+    if mode == VerifyMode::Off {
+        return Ok(VerifyOutcome::Skipped);
+    }
+    let n = reference.num_inputs();
     if mode != VerifyMode::Sat && n <= EXHAUSTIVE_VERIFY_VARS.min(MAX_VARS) {
-        let ta = a.truth_tables();
-        let tb = b.truth_tables();
-        if ta != tb {
-            let (o, m) = first_diff(&tb, &ta);
-            return Ok(VerifyOutcome::Failed {
-                what: format!("circuits differ on output {o}"),
-                counterexample: minterm_bits(m, n),
-            });
+        let want = reference.truth_tables();
+        for &(what, side) in sides {
+            let got = match side {
+                Side::Netlist(nl) => nl.truth_tables(),
+                Side::Program(program) => {
+                    Machine::truth_tables(program).map_err(|e| invalid_program(what, e))?
+                }
+            };
+            if got != want {
+                let (o, m) = first_diff(&got, &want);
+                return Ok(VerifyOutcome::Failed {
+                    what: format!("{} on output {o}", side.differs(what)),
+                    counterexample: minterm_bits(m, n),
+                });
+            }
         }
         return Ok(VerifyOutcome::Exhaustive);
     }
     if mode == VerifyMode::Sampled {
-        for pattern in random_patterns(n, VERIFY_SAMPLE_WORDS, seed) {
-            let wa = a.simulate_words(&pattern);
-            let wb = b.simulate_words(&pattern);
-            if wa != wb {
-                let (o, lane) = first_word_diff(&wb, &wa);
+        let patterns = random_patterns(n, VERIFY_SAMPLE_WORDS, seed);
+        return Ok(
+            first_sim_mismatch(reference, sides, &patterns, "sampled")?.unwrap_or(
+                VerifyOutcome::Sampled {
+                    words: VERIFY_SAMPLE_WORDS,
+                },
+            ),
+        );
+    }
+    // Word-parallel spot-check in front of the SAT tier: a buggy side
+    // almost always differs on random words, which is far cheaper to
+    // find by simulation than by refutation. Agreement proves nothing
+    // and falls through to the miter.
+    let patterns = random_patterns(n, PRE_SAT_SPOT_WORDS, seed);
+    if let Some(failed) = first_sim_mismatch(reference, sides, &patterns, "pre-SAT spot-check")? {
+        return Ok(failed);
+    }
+    // SAT tier: refute a miter per side, under a conflict budget.
+    let (mut conflicts, mut decisions) = (0u64, 0u64);
+    for &(what, side) in sides {
+        let mut miter = Miter::new(n);
+        miter.set_cancel(cancel.clone());
+        let proof = miter.add_netlist(reference).and_then(|want| {
+            let got = match side {
+                Side::Netlist(nl) => miter.add_netlist(nl)?,
+                Side::Program(program) => miter.add_program(program)?,
+            };
+            miter.prove_limited(&want, &got, Some(SAT_CONFLICT_BUDGET))
+        });
+        match proof {
+            Ok(Some(MiterOutcome::Equivalent {
+                conflicts: c,
+                decisions: d,
+            })) => {
+                conflicts += c;
+                decisions += d;
+            }
+            Ok(Some(MiterOutcome::Counterexample { inputs })) => {
                 return Ok(VerifyOutcome::Failed {
-                    what: format!("circuits differ on output {o} (sampled)"),
-                    counterexample: lane_bits(&pattern, lane),
+                    what: format!("{} (SAT counterexample)", side.differs(what)),
+                    counterexample: inputs,
                 });
             }
+            Ok(None) if cancel.cancelled() => {
+                // `None` is also what a cancelled solver returns; the
+                // token tells the two apart.
+                return Err(FlowError::Timeout(
+                    side.error(what, "verification abandoned at the request deadline"),
+                ));
+            }
+            Ok(None) if mode == VerifyMode::Auto => {
+                // Budget exhausted on an adversarial instance: degrade
+                // to sampling rather than hang (an explicit
+                // `--verify sat` would error out instead).
+                return tiered(reference, sides, VerifyMode::Sampled, seed, cancel);
+            }
+            Ok(None) => {
+                return Err(FlowError::Verification(side.error(
+                    what,
+                    format!(
+                        "SAT proof gave up after {SAT_CONFLICT_BUDGET} conflicts; \
+                         re-run with `--verify sampled` for a non-proof check"
+                    ),
+                )));
+            }
+            Err(e) => return Err(FlowError::Verification(side.error(what, e))),
         }
-        return Ok(VerifyOutcome::Sampled {
-            words: VERIFY_SAMPLE_WORDS,
-        });
     }
-    // Word-parallel spot-check in front of the SAT tier (fail fast on
-    // random-word disagreement; agreement proves nothing and falls
-    // through to the miter).
-    for pattern in random_patterns(n, PRE_SAT_SPOT_WORDS, seed) {
-        let wa = a.simulate_words(&pattern);
-        let wb = b.simulate_words(&pattern);
-        if wa != wb {
-            let (o, lane) = first_word_diff(&wb, &wa);
-            return Ok(VerifyOutcome::Failed {
-                what: format!("circuits differ on output {o} (pre-SAT spot-check)"),
-                counterexample: lane_bits(&pattern, lane),
-            });
+    Ok(VerifyOutcome::Proved {
+        conflicts,
+        decisions,
+    })
+}
+
+/// The hard error for a program that fails structural validation.
+fn invalid_program(what: &str, e: rms_rram::isa::ProgramError) -> FlowError {
+    FlowError::Verification(format!("{what}: invalid program: {e}"))
+}
+
+/// Simulates every side on all `patterns` (each program validated once)
+/// and returns the first disagreement with the reference in
+/// pattern-major, then side order, with its lowest differing lane as
+/// the counterexample. `tier` names the check in the failure message.
+fn first_sim_mismatch(
+    reference: &Netlist,
+    sides: &[(&str, Side)],
+    patterns: &[Vec<u64>],
+    tier: &str,
+) -> Result<Option<VerifyOutcome>, FlowError> {
+    let want: Vec<Vec<u64>> = patterns
+        .iter()
+        .map(|p| reference.simulate_words(p))
+        .collect();
+    let mut machine = Machine::new();
+    let mut results = Vec::with_capacity(sides.len());
+    let mut invalid = None;
+    for &(what, side) in sides {
+        match side {
+            Side::Netlist(nl) => {
+                results.push(patterns.iter().map(|p| nl.simulate_words(p)).collect())
+            }
+            Side::Program(program) => match machine.run_batch(program, patterns) {
+                Ok(got) => results.push(got),
+                Err(e) => {
+                    invalid = Some(invalid_program(what, e));
+                    break;
+                }
+            },
         }
     }
-    match check_netlists_limited(a, b, Some(SAT_CONFLICT_BUDGET)) {
-        Ok(Some(MiterOutcome::Equivalent {
-            conflicts,
-            decisions,
-        })) => Ok(VerifyOutcome::Proved {
-            conflicts,
-            decisions,
-        }),
-        Ok(Some(MiterOutcome::Counterexample { inputs })) => Ok(VerifyOutcome::Failed {
-            what: "circuits differ (SAT counterexample)".into(),
-            counterexample: inputs,
-        }),
-        Ok(None) if mode == VerifyMode::Auto => {
-            // Budget exhausted: degrade to sampling rather than hang.
-            check_netlists(a, b, VerifyMode::Sampled, seed)
+    // An invalid program is reported at the first pattern word, unless a
+    // side before it already differs there.
+    let words = if invalid.is_some() {
+        patterns.len().min(1)
+    } else {
+        patterns.len()
+    };
+    for (w, want) in want.iter().enumerate().take(words) {
+        for (&(what, side), got) in sides.iter().zip(&results) {
+            if got[w] != *want {
+                let (o, lane) = first_word_diff(&got[w], want);
+                return Ok(Some(VerifyOutcome::Failed {
+                    what: format!("{} on output {o} ({tier})", side.differs(what)),
+                    counterexample: lane_bits(&patterns[w], lane),
+                }));
+            }
         }
-        Ok(None) => Err(FlowError::Verification(format!(
-            "SAT proof gave up after {SAT_CONFLICT_BUDGET} conflicts; \
-             re-run with `--verify sampled` for a non-proof check"
-        ))),
-        Err(MiterError::OutputCountMismatch { a, b }) => Ok(VerifyOutcome::Failed {
-            what: format!("output counts differ: {a} vs {b}"),
-            counterexample: Vec::new(),
-        }),
-        Err(e) => Err(FlowError::Verification(e.to_string())),
     }
+    invalid.map_or(Ok(None), Err)
 }
 
 /// When both circuits declare the same input-name set in a different
@@ -802,6 +819,111 @@ mod tests {
             failures > 0 && errors > 0,
             "{failures} failures, {errors} errors"
         );
+    }
+
+    /// `f = x0 & … & x(n-1)` (1 on one minterm) and `g = x(n-1)`.
+    fn rare_and(n: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("spec");
+        let xs: Vec<Wire> = (0..n).map(|i| b.input(format!("x{i}"))).collect();
+        let f = xs[1..].iter().fold(xs[0], |acc, &x| b.and(acc, x));
+        b.output("f", f);
+        b.output("g", xs[n - 1]);
+        b.build()
+    }
+
+    /// [`rare_and`] with `f` short of its last input (`rare`) or with
+    /// `g` inverted (`loud`).
+    fn bad_netlist(n: usize, loud: bool) -> Netlist {
+        let mut b = NetlistBuilder::new("bad");
+        let xs: Vec<Wire> = (0..n).map(|i| b.input(format!("x{i}"))).collect();
+        let last = if loud { n } else { n - 1 };
+        let f = xs[1..last].iter().fold(xs[0], |acc, &x| b.and(acc, x));
+        b.output("f", f);
+        b.output(
+            "g",
+            if loud {
+                xs[n - 1].complement()
+            } else {
+                xs[n - 1]
+            },
+        );
+        b.build()
+    }
+
+    /// A one-step program for [`rare_and`] that holds `f` at 0 (`rare`)
+    /// or also inverts `g` (`loud`).
+    fn bad_program(n: usize, loud: bool) -> Program {
+        use rms_rram::isa::{MicroOp, Operand, RegId};
+        let src = Operand::Input(n - 1);
+        let op = if loud {
+            MicroOp::Imp {
+                p: src,
+                q: RegId(1),
+            }
+        } else {
+            MicroOp::Load { dst: RegId(1), src }
+        };
+        Program {
+            num_inputs: n,
+            num_regs: 2,
+            steps: vec![vec![op]],
+            outputs: vec![("f".into(), RegId(0)), ("g".into(), RegId(1))],
+            model_rrams: 0,
+        }
+    }
+
+    #[test]
+    fn failure_wording_is_pinned_per_tier() {
+        let cancel = CancelToken::default();
+        let cases = [
+            // (inputs, loud bug, mode, wording after the subject)
+            (4, false, VerifyMode::Auto, " on output 0"),
+            (16, true, VerifyMode::Sampled, " on output 1 (sampled)"),
+            (
+                16,
+                true,
+                VerifyMode::Auto,
+                " on output 1 (pre-SAT spot-check)",
+            ),
+            (16, false, VerifyMode::Auto, " (SAT counterexample)"),
+            (16, false, VerifyMode::Sat, " (SAT counterexample)"),
+        ];
+        for (n, loud, mode, tier) in cases {
+            let spec = rare_and(n);
+            let bad = bad_netlist(n, loud);
+            let program = bad_program(n, loud);
+            for side in ["netlist", "program"] {
+                let (outcome, want) = if side == "netlist" {
+                    let got = check_netlists(&spec, &bad, mode, 7).unwrap();
+                    (got, format!("circuits differ{tier}"))
+                } else {
+                    let got =
+                        verify_programs(&spec, &[("array", &program)], mode, 7, &cancel).unwrap();
+                    (got, format!("array program differs from the netlist{tier}"))
+                };
+                let VerifyOutcome::Failed {
+                    what,
+                    counterexample,
+                } = outcome
+                else {
+                    panic!("{n} inputs, {mode}, {side}: {outcome:?}");
+                };
+                assert_eq!(what, want, "{n} inputs, {mode}, {side}");
+                // The counterexample really tells the two apart.
+                let m = counterexample
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (i, &v)| acc | ((v as u64) << i));
+                let got = if side == "netlist" {
+                    bad.evaluate(m)
+                } else {
+                    let words: Vec<u64> = counterexample.iter().map(|&v| v as u64).collect();
+                    let lanes = Machine::new().run_words(&program, &words).unwrap();
+                    lanes.iter().map(|w| w & 1 == 1).collect()
+                };
+                assert_ne!(spec.evaluate(m), got, "{what}: {m:#x}");
+            }
+        }
     }
 
     #[test]

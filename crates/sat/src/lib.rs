@@ -25,10 +25,11 @@
 //!    output miter only has to bridge what genuinely differs.
 //!
 //! `rms-flow` builds its tiered verification policy (exhaustive / SAT
-//! proof / opt-out sampling) on [`check_netlists`] and
-//! [`check_netlist_vs_program`]; the differential test harness uses the
-//! same entry points to prove all optimization algorithms agree on
-//! random netlists. See `ARCHITECTURE.md` for the policy and encoding
+//! proof / opt-out sampling) directly on [`Miter`], one budgeted miter
+//! per checked circuit; the unbudgeted [`check_netlists`] and
+//! [`check_netlist_vs_program`] are the test oracles (the differential
+//! harness uses them to prove all optimization algorithms agree on
+//! random netlists). See `ARCHITECTURE.md` for the policy and encoding
 //! details.
 //!
 //! # Example
@@ -64,9 +65,8 @@ pub mod tseitin;
 
 pub use lit::{Lit, Var};
 pub use miter::{
-    check_netlist_vs_program, check_netlist_vs_program_cancellable,
-    check_netlist_vs_program_limited, check_netlists, check_netlists_cancellable,
-    check_netlists_limited, Miter, MiterError, MiterOutcome,
+    check_netlist_vs_program, check_netlist_vs_program_cancellable, check_netlists, Miter,
+    MiterError, MiterOutcome,
 };
 pub use solver::{SatResult, Solver, SolverStats};
 pub use tseitin::Encoder;

@@ -356,42 +356,10 @@ fn wire_lit(vals: &[Lit], w: Wire) -> Lit {
 ///
 /// Returns [`MiterError`] on input/output arity mismatches.
 pub fn check_netlists(a: &Netlist, b: &Netlist) -> Result<MiterOutcome, MiterError> {
-    Ok(check_netlists_limited(a, b, None)?.expect("unlimited proof always answers"))
-}
-
-/// Budgeted form of [`check_netlists`]: `Ok(None)` when `max_conflicts`
-/// ran out without an answer.
-///
-/// # Errors
-///
-/// Returns [`MiterError`] on input/output arity mismatches.
-pub fn check_netlists_limited(
-    a: &Netlist,
-    b: &Netlist,
-    max_conflicts: Option<u64>,
-) -> Result<Option<MiterOutcome>, MiterError> {
-    check_netlists_cancellable(a, b, max_conflicts, &rms_core::CancelToken::default())
-}
-
-/// [`check_netlists_limited`] with a cancellation token: a cancelled
-/// token yields `Ok(None)` at the next solver restart boundary (check
-/// the token afterwards to distinguish cancellation from budget
-/// exhaustion).
-///
-/// # Errors
-///
-/// Returns [`MiterError`] on input/output arity mismatches.
-pub fn check_netlists_cancellable(
-    a: &Netlist,
-    b: &Netlist,
-    max_conflicts: Option<u64>,
-    cancel: &rms_core::CancelToken,
-) -> Result<Option<MiterOutcome>, MiterError> {
     let mut miter = Miter::new(a.num_inputs());
-    miter.set_cancel(cancel.clone());
     let oa = miter.add_netlist(a)?;
     let ob = miter.add_netlist(b)?;
-    miter.prove_limited(&oa, &ob, max_conflicts)
+    miter.prove(&oa, &ob)
 }
 
 /// Proves a compiled RRAM program equivalent to its specification
@@ -404,31 +372,15 @@ pub fn check_netlist_vs_program(
     nl: &Netlist,
     program: &Program,
 ) -> Result<MiterOutcome, MiterError> {
-    Ok(check_netlist_vs_program_limited(nl, program, None)?
-        .expect("unlimited proof always answers"))
-}
-
-/// Budgeted form of [`check_netlist_vs_program`]: `Ok(None)` when
-/// `max_conflicts` ran out without an answer.
-///
-/// # Errors
-///
-/// Returns [`MiterError`] on arity mismatches or an invalid program.
-pub fn check_netlist_vs_program_limited(
-    nl: &Netlist,
-    program: &Program,
-    max_conflicts: Option<u64>,
-) -> Result<Option<MiterOutcome>, MiterError> {
-    check_netlist_vs_program_cancellable(
-        nl,
-        program,
-        max_conflicts,
-        &rms_core::CancelToken::default(),
+    Ok(
+        check_netlist_vs_program_cancellable(nl, program, None, &rms_core::CancelToken::default())?
+            .expect("unlimited proof always answers"),
     )
 }
 
-/// [`check_netlist_vs_program_limited`] with a cancellation token (same
-/// contract as [`check_netlists_cancellable`]).
+/// Budgeted, cancellable form of [`check_netlist_vs_program`]:
+/// `Ok(None)` when `max_conflicts` ran out without an answer, or when
+/// `cancel` tripped (check the token afterwards to tell the two apart).
 ///
 /// # Errors
 ///

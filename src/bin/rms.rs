@@ -170,7 +170,6 @@ SERVE:
                           (POST /synth, GET /stats, GET /health), e.g.
                           --http 127.0.0.1:8117
     --cache-mb N          result-cache LRU budget in MiB     (default: 64)
-    --cache-bytes N       exact budget in bytes (overrides --cache-mb)
     --max-body-mb N       HTTP request-body cap in MiB       (default: 64;
                           oversized requests get 413 Payload Too Large; also
                           caps stdio request lines)
@@ -687,10 +686,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "--cache-mb" => {
                 let v = value("--cache-mb")?;
                 config.cache_bytes = num("--cache-mb", &v)? << 20;
-            }
-            "--cache-bytes" => {
-                let v = value("--cache-bytes")?;
-                config.cache_bytes = num("--cache-bytes", &v)?;
             }
             "--cache-dir" => {
                 config.cache_dir = Some(std::path::PathBuf::from(value("--cache-dir")?));

@@ -189,7 +189,7 @@ fn diff_row(seed: u64) -> DiffRow {
         let out = Pipeline::new(nl.clone())
             .algorithm(alg)
             .effort(4)
-            .verify(false)
+            .verify_mode(VerifyMode::Off)
             .run()
             .unwrap_or_else(|e| panic!("seed {seed}, {alg}: {e}"));
         gates.push(out.mig.num_gates() as u64);
@@ -334,10 +334,7 @@ fn above_cutoff_benchmarks_are_proved_not_sampled() {
 use rram_mig::logic::rng::SplitMix64;
 use rram_mig::logic::{Netlist, NetlistBuilder, Wire};
 use rram_mig::rram::isa::Program;
-use rram_mig::sat::{
-    check_netlist_vs_program, check_netlist_vs_program_cancellable,
-    check_netlist_vs_program_limited, MiterOutcome,
-};
+use rram_mig::sat::{check_netlist_vs_program, check_netlist_vs_program_cancellable, MiterOutcome};
 
 /// Minterm index of an input assignment (bit `i` = input `i`).
 fn minterm_of(inputs: &[bool]) -> u64 {
@@ -599,14 +596,26 @@ fn sweeping_miter_budget_bounds_the_whole_proof() {
     // budget at or above it reproduces the unbudgeted proof exactly.
     for b in [0, 1, 7, total / 4, total / 2, total - 1] {
         assert_eq!(
-            check_netlist_vs_program_limited(&nl, &program, Some(b)).unwrap(),
+            check_netlist_vs_program_cancellable(
+                &nl,
+                &program,
+                Some(b),
+                &rram_mig::mig::CancelToken::default()
+            )
+            .unwrap(),
             None,
             "budget {b} of {total}"
         );
     }
     for b in [total, total + 1, 10 * total] {
         assert_eq!(
-            check_netlist_vs_program_limited(&nl, &program, Some(b)).unwrap(),
+            check_netlist_vs_program_cancellable(
+                &nl,
+                &program,
+                Some(b),
+                &rram_mig::mig::CancelToken::default()
+            )
+            .unwrap(),
             Some(full.clone()),
             "budget {b} of {total}"
         );
@@ -623,4 +632,45 @@ fn sweeping_miter_stops_on_a_cancelled_token() {
         None
     );
     assert!(token.cancelled());
+}
+
+#[test]
+fn pipeline_proof_counts_are_the_sum_of_its_program_miters() {
+    // The pipeline's SAT tier is one budgeted miter per program, the
+    // reference encoded first: its reported effort is exactly what the
+    // standalone checks spend on the array and PLiM programs.
+    for name in ["t481_d", "cm150a"] {
+        let out = Pipeline::from_bench(name)
+            .unwrap()
+            .effort(4)
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (mut conflicts, mut decisions) = (0, 0);
+        for program in [&out.array.program, &out.plim.program] {
+            let proof = check_netlist_vs_program_cancellable(
+                &out.netlist,
+                program,
+                Some(rram_mig::flow::verify::SAT_CONFLICT_BUDGET),
+                &rram_mig::mig::CancelToken::default(),
+            )
+            .unwrap();
+            let Some(MiterOutcome::Equivalent {
+                conflicts: c,
+                decisions: d,
+            }) = proof
+            else {
+                panic!("{name}: {proof:?}");
+            };
+            conflicts += c;
+            decisions += d;
+        }
+        assert_eq!(
+            out.report.verify,
+            VerifyOutcome::Proved {
+                conflicts,
+                decisions
+            },
+            "{name}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //! runners must reproduce the sequential runners bit for bit.
 
 use rms_bench::runner;
-use rram_mig::flow::{InputFormat, Pipeline, VerifyOutcome};
+use rram_mig::flow::{InputFormat, Pipeline, VerifyMode, VerifyOutcome};
 use rram_mig::logic::sim::random_patterns;
 use rram_mig::mig::cost::{Realization, RramCost};
 use rram_mig::mig::opt::{Algorithm, OptOptions};
@@ -95,7 +95,7 @@ fn machine_matches_logic_sim_on_random_vectors() {
         .algorithm(Algorithm::RramCosts)
         .realization(Realization::Maj)
         .effort(10)
-        .verify(false) // this test *is* the verification
+        .verify_mode(VerifyMode::Off) // this test *is* the verification
         .run()
         .unwrap();
     let mut machine = Machine::new();

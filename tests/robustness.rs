@@ -51,6 +51,12 @@ fn usage_error_exits_2() {
         let out = rms().arg("bench").args(removed).output().unwrap();
         assert_eq!(exit_code(&out), 2, "{removed:?}: {out:?}");
     }
+    // `rms serve` has one cache-budget flag, `--cache-mb`.
+    let out = rms()
+        .args(["serve", "--cache-bytes", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 2, "--cache-bytes: {out:?}");
 }
 
 #[test]
