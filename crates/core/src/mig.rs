@@ -69,7 +69,7 @@ pub trait MajBuilder {
 }
 
 /// A node of the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigNode {
     /// The constant-false node (always node 0).
     Const0,
@@ -250,6 +250,27 @@ impl Mig {
     pub fn add_output(&mut self, name: impl Into<String>, sig: MigSignal) {
         assert!(sig.node() < self.nodes.len(), "dangling output signal");
         self.outputs.push((name.into(), sig));
+    }
+
+    /// A hash of the graph's structure: its nodes, in order, and its
+    /// output signals. Graphs that are [`Mig::same_structure`] hash
+    /// equal; the converse needs the comparison.
+    pub(crate) fn structural_hash(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = crate::hash::FxHasher::default();
+        self.nodes.hash(&mut h);
+        for (_, s) in &self.outputs {
+            s.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Whether two graphs are equal node for node: same name, same
+    /// nodes in the same order, same outputs. Levels and the
+    /// structural-hash table are derived from the nodes, so a pass that
+    /// reads the graph cannot tell two such graphs apart.
+    pub(crate) fn same_structure(&self, other: &Mig) -> bool {
+        self.name == other.name && self.nodes == other.nodes && self.outputs == other.outputs
     }
 
     /// Replaces output `idx`'s signal (used by rewrite passes).

@@ -1,10 +1,14 @@
 //! The four MIG optimization algorithms of the paper (Algs. 1–4).
 //!
-//! All four share the same outer shape: a fixed number of cycles (`effort`,
-//! 40 in the paper's experiments) over a sequence of rewrite passes. The
-//! iterate whose cost metric is best is returned, so a cycle that worsens
-//! the graph (reshaping is deliberately non-monotonic) cannot degrade the
-//! final result.
+//! All four share the same outer shape: up to `effort` cycles (40 in the
+//! paper's experiments) of a sequence of rewrite passes. The iterate whose
+//! cost metric is best is returned, so a cycle that worsens the graph
+//! (reshaping is deliberately non-monotonic) cannot degrade the final
+//! result. The loop has two early exits: a cycle that leaves the coarse
+//! fingerprint `(gates, depth, complemented edges, tainted levels)`
+//! unchanged, and an iterate that repeats an earlier one node for node at
+//! the same cycle parity, from which point every later cycle would only
+//! replay graphs already scored.
 //!
 //! | Algorithm | Paper | Objective | Passes per cycle |
 //! |---|---|---|---|
@@ -21,6 +25,7 @@
 
 use crate::cancel::CancelToken;
 use crate::cost::{Realization, RramCost};
+use crate::hash::FxHashMap;
 use crate::mig::Mig;
 use crate::rewrite::{eliminate, inverter_propagation, push_up, relevance, reshape, InverterCases};
 
@@ -65,7 +70,8 @@ impl OptOptions {
     }
 }
 
-/// Fingerprint used for the early-exit fixpoint check.
+/// Fingerprint of [`drive`]'s first early exit: a cycle that leaves it
+/// unchanged ends the loop.
 fn fingerprint(mig: &Mig) -> (usize, u32, u64, u64) {
     let s = crate::cost::MigStats::of(mig);
     (
@@ -79,8 +85,9 @@ fn fingerprint(mig: &Mig) -> (usize, u32, u64, u64) {
 /// Statistics of one optimization run, consumed by the pipeline reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptStats {
-    /// Optimization cycles actually executed (`<= effort`: the loop stops
-    /// at a fixpoint).
+    /// Optimization cycles actually executed (`<= effort`: [`drive`]
+    /// stops early on an unchanged fingerprint or on an exact revisit of
+    /// an earlier iterate).
     pub cycles: usize,
     /// Rewrite passes executed, including the final polish pass.
     pub passes: u64,
@@ -115,13 +122,30 @@ pub struct OptStats {
 /// compacted input, and returns the iterate with the smallest `score`,
 /// the number of cycles run, and whether the run was cancelled.
 ///
-/// The loop stops early once a cycle leaves the graph's fingerprint
-/// unchanged. The cancel token is polled before and after every cycle.
-/// A cycle during which it tripped is never scored: a cycle whose
-/// rewrite round polls the token may have been truncated, and its
-/// result, though functionally correct, is not one a completed run
-/// could produce. So a cancelled run still returns the best
-/// verified-complete iterate.
+/// **Contract:** `cycle`'s result must be a pure function of the graph
+/// it is given and of the parity of the cycle index (`c % 2`); it may
+/// depend on the index in no other way. Alg. 1 picks the reshape
+/// direction from the parity, Algs. 2–4 ignore the index, and the
+/// cut-rram hybrid allows zero-gain rewrites on odd cycles.
+///
+/// The loop has two early exits:
+///
+/// - a cycle leaves the graph's fingerprint `(gates, depth, complemented
+///   edges, tainted levels)` unchanged;
+/// - an iterate equals an earlier one node for node at the same cycle
+///   parity. By the contract, every later cycle would then replay
+///   iterates that were already scored, and the best only changes on a
+///   strict improvement, so the returned graph is the one the full
+///   budget would return. A structural-hash match arms one snapshot of
+///   the iterate; the loop stops only when the iterate one period later
+///   equals that snapshot exactly, so a hash collision never stops it.
+///   This costs one graph and one hash-map entry per cycle.
+///
+/// The cancel token is polled before and after every cycle. A cycle
+/// during which it tripped is never scored: a cycle whose rewrite round
+/// polls the token may have been truncated, and its result, though
+/// functionally correct, is not one a completed run could produce. So a
+/// cancelled run still returns the best verified-complete iterate.
 pub fn drive<S: PartialOrd + Copy>(
     mig: &Mig,
     opts: &OptOptions,
@@ -134,6 +158,9 @@ pub fn drive<S: PartialOrd + Copy>(
     let mut cycles = 0;
     // One fingerprint per cycle, carried over — not two.
     let mut fp = fingerprint(&current);
+    // Iterate 0, the compacted input, is only recorded.
+    let mut orbit = Orbit::default();
+    orbit.closes(&current, current.structural_hash(), 0);
     for c in 0..opts.effort {
         if opts.cancel.cancelled() {
             return (best, cycles, true);
@@ -149,12 +176,49 @@ pub fn drive<S: PartialOrd + Copy>(
             best = current.clone();
         }
         let new_fp = fingerprint(&current);
-        if new_fp == fp {
+        if new_fp == fp || orbit.closes(&current, current.structural_hash(), cycles) {
             break;
         }
         fp = new_fp;
     }
     (best, cycles, false)
+}
+
+/// The exact-revisit exit of [`drive`]: iterate `i` is the graph after
+/// `i` cycles, and the next cycle sees the parity `i % 2`. Once iterate
+/// `i` equals iterate `k < i` with `i ≡ k (mod 2)`, the iterates from
+/// `i` on repeat those from `k` on.
+#[derive(Default)]
+struct Orbit {
+    /// (structural hash, parity) of every iterate seen → the latest
+    /// iterate index with that key.
+    seen: FxHashMap<(u64, bool), usize>,
+    /// An iterate whose key matched an earlier one's, and the index at
+    /// which it recurs if the match was exact.
+    armed: Option<(Mig, usize)>,
+}
+
+impl Orbit {
+    /// Records iterate `i` with structural hash `hash`; true when it
+    /// equals the armed snapshot node for node, that is, when the
+    /// iterates have entered a cycle that was already scored in full.
+    fn closes(&mut self, g: &Mig, hash: u64, i: usize) -> bool {
+        if let Some((snapshot, due)) = &self.armed {
+            if i == *due {
+                if g.same_structure(snapshot) {
+                    return true;
+                }
+                // A hash collision, not a revisit: drop the snapshot.
+                self.armed = None;
+            }
+        }
+        if let Some(k) = self.seen.insert((hash, i % 2 == 1), i) {
+            if self.armed.is_none() {
+                self.armed = Some((g.clone(), 2 * i - k));
+            }
+        }
+        false
+    }
 }
 
 /// Assembles an [`OptStats`] from a finished run of [`drive`] with
@@ -186,19 +250,20 @@ pub fn optimize_area(mig: &Mig, opts: &OptOptions) -> Mig {
 
 /// [`optimize_area`] with run statistics.
 pub fn optimize_area_stats(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
-    let (out, cycles, cancelled) = drive(
-        mig,
-        opts,
-        |m| (m.num_gates(), m.depth()),
-        |m, c| {
-            let m = eliminate(m);
-            let m = reshape(&m, c % 2 == 0);
-            eliminate(&m)
-        },
-    );
+    let (out, cycles, cancelled) = drive(mig, opts, area_score, area_cycle);
     let out = eliminate(&out);
     let stats = stats_of(mig, &out, cycles, 3, cancelled);
     (out, stats)
+}
+
+fn area_score(m: &Mig) -> (usize, u32) {
+    (m.num_gates(), m.depth())
+}
+
+fn area_cycle(m: &Mig, c: usize) -> Mig {
+    let m = eliminate(m);
+    let m = reshape(&m, c.is_multiple_of(2));
+    eliminate(&m)
 }
 
 /// Alg. 2 — conventional MIG depth optimization (level-count objective).
@@ -211,19 +276,20 @@ pub fn optimize_depth(mig: &Mig, opts: &OptOptions) -> Mig {
 
 /// [`optimize_depth`] with run statistics.
 pub fn optimize_depth_stats(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
-    let (out, cycles, cancelled) = drive(
-        mig,
-        opts,
-        |m| (m.depth(), m.num_gates()),
-        |m, _| {
-            let m = push_up(m);
-            let m = relevance(&m);
-            push_up(&m)
-        },
-    );
+    let (out, cycles, cancelled) = drive(mig, opts, depth_score, depth_cycle);
     let out = push_up(&out);
     let stats = stats_of(mig, &out, cycles, 3, cancelled);
     (out, stats)
+}
+
+fn depth_score(m: &Mig) -> (u32, usize) {
+    (m.depth(), m.num_gates())
+}
+
+fn depth_cycle(m: &Mig, _: usize) -> Mig {
+    let m = push_up(m);
+    let m = relevance(&m);
+    push_up(&m)
 }
 
 /// Alg. 3 — the paper's multi-objective optimization for RRAM costs.
@@ -245,24 +311,25 @@ pub fn optimize_rram_stats(
     realization: Realization,
     opts: &OptOptions,
 ) -> (Mig, OptStats) {
-    let (out, cycles, cancelled) = drive(
-        mig,
-        opts,
-        |m| {
-            let c = RramCost::of(m, realization);
-            (c.rrams.saturating_mul(c.steps), c.steps)
-        },
-        |m, _| {
-            let m = push_up(m);
-            let m = inverter_propagation(&m, InverterCases::ALL, false);
-            let m = push_up(&m);
-            let m = reshape(&m, true);
-            eliminate(&m)
-        },
-    );
+    let (out, cycles, cancelled) = drive(mig, opts, rram_score(realization), rram_cycle);
     let out = push_up(&out);
     let stats = stats_of(mig, &out, cycles, 5, cancelled);
     (out, stats)
+}
+
+fn rram_score(realization: Realization) -> impl Fn(&Mig) -> (u64, u64) {
+    move |m| {
+        let c = RramCost::of(m, realization);
+        (c.rrams.saturating_mul(c.steps), c.steps)
+    }
+}
+
+fn rram_cycle(m: &Mig, _: usize) -> Mig {
+    let m = push_up(m);
+    let m = inverter_propagation(&m, InverterCases::ALL, false);
+    let m = push_up(&m);
+    let m = reshape(&m, true);
+    eliminate(&m)
 }
 
 /// Alg. 4 — the paper's step optimization.
@@ -281,23 +348,24 @@ pub fn optimize_steps_stats(
     realization: Realization,
     opts: &OptOptions,
 ) -> (Mig, OptStats) {
-    let (out, cycles, cancelled) = drive(
-        mig,
-        opts,
-        |m| {
-            let c = RramCost::of(m, realization);
-            (c.steps, c.rrams)
-        },
-        |m, _| {
-            let m = push_up(m);
-            let m = inverter_propagation(&m, InverterCases::BASE, true);
-            let m = inverter_propagation(&m, InverterCases::ALL, true);
-            push_up(&m)
-        },
-    );
+    let (out, cycles, cancelled) = drive(mig, opts, steps_score(realization), steps_cycle);
     let out = push_up(&out);
     let stats = stats_of(mig, &out, cycles, 4, cancelled);
     (out, stats)
+}
+
+fn steps_score(realization: Realization) -> impl Fn(&Mig) -> (u64, u64) {
+    move |m| {
+        let c = RramCost::of(m, realization);
+        (c.steps, c.rrams)
+    }
+}
+
+fn steps_cycle(m: &Mig, _: usize) -> Mig {
+    let m = push_up(m);
+    let m = inverter_propagation(&m, InverterCases::BASE, true);
+    let m = inverter_propagation(&m, InverterCases::ALL, true);
+    push_up(&m)
 }
 
 /// Which optimization algorithm to run (used by the harness binaries).
@@ -537,6 +605,168 @@ mod tests {
         assert_eq!(cycles, 2);
         assert_eq!(out.num_gates(), m.compact().num_gates());
         assert!(out.num_gates() > 0);
+    }
+
+    /// The loop of [`drive`] before the exact-revisit exit: stops only
+    /// on an unchanged fingerprint or at `effort`. The differentials
+    /// below hold every algorithm's output to it, node for node.
+    fn drive_unbounded<S: PartialOrd + Copy>(
+        mig: &Mig,
+        opts: &OptOptions,
+        score: impl Fn(&Mig) -> S,
+        mut cycle: impl FnMut(&Mig, usize) -> Mig,
+    ) -> (Mig, usize) {
+        let mut current = mig.compact();
+        let mut best = current.clone();
+        let mut best_score = score(&best);
+        let mut cycles = 0;
+        let mut fp = fingerprint(&current);
+        for c in 0..opts.effort {
+            current = cycle(&current, c);
+            cycles = c + 1;
+            let s = score(&current);
+            if s < best_score {
+                best_score = s;
+                best = current.clone();
+            }
+            let new_fp = fingerprint(&current);
+            if new_fp == fp {
+                break;
+            }
+            fp = new_fp;
+        }
+        (best, cycles)
+    }
+
+    /// Algs. 1–4 (3 and 4 under MAJ and IMP) at effort 40 against the
+    /// same scripts on [`drive_unbounded`]; returns the cycles run by
+    /// each loop, summed.
+    fn assert_matches_unbounded(names: &[&str]) -> (usize, usize) {
+        let opts = OptOptions::with_effort(40);
+        let (mut bounded, mut unbounded) = (0, 0);
+        for name in names {
+            let m = bench_mig(name);
+            let mut runs: Vec<(String, (Mig, OptStats), Mig, usize)> = Vec::new();
+            let (o, c) = drive_unbounded(&m, &opts, area_score, area_cycle);
+            runs.push((
+                "area".into(),
+                optimize_area_stats(&m, &opts),
+                eliminate(&o),
+                c,
+            ));
+            let (o, c) = drive_unbounded(&m, &opts, depth_score, depth_cycle);
+            runs.push((
+                "depth".into(),
+                optimize_depth_stats(&m, &opts),
+                push_up(&o),
+                c,
+            ));
+            for real in Realization::ALL {
+                let (o, c) = drive_unbounded(&m, &opts, rram_score(real), rram_cycle);
+                let new = optimize_rram_stats(&m, real, &opts);
+                runs.push((format!("rram/{real}"), new, push_up(&o), c));
+                let (o, c) = drive_unbounded(&m, &opts, steps_score(real), steps_cycle);
+                let new = optimize_steps_stats(&m, real, &opts);
+                runs.push((format!("steps/{real}"), new, push_up(&o), c));
+            }
+            for (alg, (new, stats), old, old_cycles) in runs {
+                assert!(new.same_structure(&old), "{name}/{alg}: graphs differ");
+                assert!(stats.cycles <= old_cycles, "{name}/{alg}");
+                bounded += stats.cycles;
+                unbounded += old_cycles;
+            }
+        }
+        (bounded, unbounded)
+    }
+
+    #[test]
+    fn algorithms_match_the_unbounded_loop_on_the_small_suite() {
+        let names: Vec<&str> = bench_suite::SMALL_SUITE.iter().map(|i| i.name).collect();
+        let (bounded, unbounded) = assert_matches_unbounded(&names);
+        assert!(bounded < unbounded, "{bounded} vs {unbounded} cycles");
+    }
+
+    #[test]
+    #[ignore = "about 20 s unoptimized; run in release with --ignored"]
+    fn algorithms_match_the_unbounded_loop_on_table2() {
+        let names: Vec<&str> = bench_suite::LARGE_SUITE.iter().map(|i| i.name).collect();
+        let (bounded, unbounded) = assert_matches_unbounded(&names);
+        assert!(bounded < unbounded, "{bounded} vs {unbounded} cycles");
+    }
+
+    /// A chain of `n` majority gates over three inputs: one graph per
+    /// `n`, node for node, and consecutive `n` never share a fingerprint.
+    fn chain(n: usize) -> Mig {
+        let mut m = Mig::with_inputs("chain", 3);
+        let (b, c) = (m.input(1), m.input(2));
+        let mut g = m.input(0);
+        for _ in 0..n {
+            g = m.maj(g, b, c);
+        }
+        m.add_output("f", g);
+        assert_eq!(m.num_gates(), n);
+        m
+    }
+
+    #[test]
+    fn drive_stops_a_parity_dependent_orbit_within_two_periods() {
+        // Gate counts 10 → 9 → 7 → 6 → 4 → 3 walk a tail whose step
+        // depends on the parity (−1 on even cycles, −2 on odd ones), then
+        // 3 → 1 → 2 → 3 loops with period λ = 3 from iterate μ = 5 on.
+        // Iterate 8 revisits iterate 5 at the opposite parity, which
+        // proves nothing; iterate 11 is the first same-parity revisit.
+        let step = |g: &Mig, c: usize| {
+            let n = g.num_gates();
+            chain(if n >= 4 { n - 1 - c % 2 } else { n % 3 + 1 })
+        };
+        let score = |g: &Mig| g.num_gates().abs_diff(2);
+        let opts = OptOptions::with_effort(40);
+        let (out, cycles, cancelled) = drive(&chain(10), &opts, score, step);
+        let (mu, lambda) = (5, 3);
+        assert!(!cancelled);
+        assert!(cycles <= mu + 2 * 6, "{cycles} cycles, λ = {lambda}");
+        assert!(cycles >= mu + 6, "stopped before any same-parity revisit");
+        let (full, full_cycles) = drive_unbounded(&chain(10), &opts, score, step);
+        assert_eq!(full_cycles, 40);
+        assert!(out.same_structure(&full));
+        assert_eq!(out.num_gates(), 2);
+    }
+
+    #[test]
+    fn drive_runs_on_past_an_opposite_parity_revisit() {
+        // 1 → 2 → 3 → 1: iterate 3 equals iterate 0, but at the other
+        // parity, where the step leaves the loop (1 → 4 on odd cycles)
+        // and climbs to the best iterate at the end of the budget.
+        let step = |g: &Mig, c: usize| {
+            chain(match (g.num_gates(), c % 2) {
+                (1, 0) => 2,
+                (2, _) => 3,
+                (3, _) => 1,
+                (n, _) => n.max(3) + 1,
+            })
+        };
+        let score = |g: &Mig| std::cmp::Reverse(g.num_gates());
+        let opts = OptOptions::with_effort(8);
+        let (out, cycles, _) = drive(&chain(1), &opts, score, step);
+        assert_eq!(cycles, 8);
+        assert_eq!(out.num_gates(), 8);
+        let (full, _) = drive_unbounded(&chain(1), &opts, score, step);
+        assert!(out.same_structure(&full));
+    }
+
+    #[test]
+    fn orbit_never_closes_on_a_hash_collision() {
+        // Every iterate reports the same hash: each match arms a snapshot
+        // that the exact comparison then rejects.
+        let mut orbit = Orbit::default();
+        for i in 0..30 {
+            assert!(!orbit.closes(&chain(i + 1), 42, i), "iterate {i}");
+        }
+        // A true period-2 orbit under the same colliding hash closes one
+        // period after its first same-parity match.
+        let mut orbit = Orbit::default();
+        let closed = (0..10).find(|&i| orbit.closes(&chain(1 + i % 2), 42, i));
+        assert_eq!(closed, Some(4));
     }
 
     #[test]

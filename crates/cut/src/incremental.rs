@@ -358,13 +358,12 @@ pub(crate) fn resolve_jobs(opts: &OptOptions) -> usize {
     }
 }
 
-/// Cycles without a new best iterate after which [`cut_script_inplace`]
-/// stops. The reshape pass alternates its push direction every cycle,
-/// so the raw fingerprint oscillates with period 2 and the fixpoint
-/// check of the rebuild script almost never fires — that script always
-/// burns its whole effort budget ping-ponging between the same states.
-/// Stagnation of the *best iterate* is the meaningful convergence
-/// signal; on the bundled suite every best is found within 8 cycles.
+/// Consecutive cycles without a new best iterate after which
+/// [`cut_script_inplace`] stops. It bounds the gap between two
+/// improvements of the best `(gates, depth)`, not the cycle of the last
+/// one: on Table II the last best comes at cycle 34 (apex4), 22 (misex3,
+/// seq) and 20 (apex1). The reshape pass alternates its push direction
+/// every cycle, so an unchanged fingerprint alone rarely ends the loop.
 pub const STAGNATION_WINDOW: usize = 8;
 
 /// Algorithm 5: per cycle eliminate; one rewrite round with zero-gain
@@ -372,8 +371,8 @@ pub const STAGNATION_WINDOW: usize = 8;
 /// eliminate; the best iterate by `(gates, depth)` is returned after a
 /// final eliminate. Every pass splices one persistent graph, with
 /// [`round_windowed`] as its rewrite round, and the cycle loop stops
-/// after [`STAGNATION_WINDOW`] cycles without improvement instead of
-/// burning the full effort budget.
+/// early when a cycle leaves the fingerprint unchanged or after
+/// [`STAGNATION_WINDOW`] consecutive cycles without improvement.
 pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
     let db = database();
     let compacted = mig.compact();

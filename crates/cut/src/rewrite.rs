@@ -230,6 +230,27 @@ pub fn optimize_cut_rram_stats(
     realization: Realization,
     opts: &OptOptions,
 ) -> (Mig, OptStats) {
+    cut_rram_on(|m, o, s, c| drive(m, o, s, c), mig, realization, opts)
+}
+
+/// A best-iterate loop with the signature of [`drive`] at the hybrid's
+/// score type.
+type Loop = fn(
+    &Mig,
+    &OptOptions,
+    &dyn Fn(&Mig) -> (u64, u64),
+    &mut dyn FnMut(&Mig, usize) -> Mig,
+) -> (Mig, usize, bool);
+
+/// [`optimize_cut_rram_stats`] with its cycle loop run by `run`:
+/// [`drive`] in the product, and in the tests also the loop without its
+/// exact-revisit exit, as the oracle.
+fn cut_rram_on(
+    run: Loop,
+    mig: &Mig,
+    realization: Realization,
+    opts: &OptOptions,
+) -> (Mig, OptStats) {
     let score = |m: &Mig| {
         let c = RramCost::of(m, realization);
         (c.rrams.saturating_mul(c.steps), c.steps)
@@ -238,7 +259,7 @@ pub fn optimize_cut_rram_stats(
     let jobs = resolve_jobs(opts);
     let base = optimize_rram(mig, realization, opts);
     let mut rewrites = 0u64;
-    let (hybrid, cycles, cancelled) = drive(mig, opts, score, |m, c| {
+    let (hybrid, cycles, cancelled) = run(mig, opts, &score, &mut |m, c| {
         let mut g = IncrementalMig::from_mig(m);
         rewrites += round_windowed(&mut g, db, c % 2 == 1, jobs, &opts.cancel).rewrites;
         let m = push_up(&g.to_mig());
@@ -381,6 +402,85 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// [`drive`]'s loop without its exact-revisit exit, as in
+    /// `rms_core::opt`'s tests: stops only when a cycle leaves the
+    /// fingerprint unchanged, or at `effort`.
+    fn drive_unbounded(
+        mig: &Mig,
+        opts: &OptOptions,
+        score: &dyn Fn(&Mig) -> (u64, u64),
+        cycle: &mut dyn FnMut(&Mig, usize) -> Mig,
+    ) -> (Mig, usize, bool) {
+        let fingerprint = |m: &Mig| {
+            let s = rms_core::cost::MigStats::of(m);
+            (
+                m.num_gates(),
+                m.depth(),
+                s.complemented_edges,
+                s.levels_with_compl,
+            )
+        };
+        let mut current = mig.compact();
+        let mut best = current.clone();
+        let mut best_score = score(&best);
+        let mut cycles = 0;
+        let mut fp = fingerprint(&current);
+        for c in 0..opts.effort {
+            current = cycle(&current, c);
+            cycles = c + 1;
+            let s = score(&current);
+            if s < best_score {
+                best_score = s;
+                best = current.clone();
+            }
+            let new_fp = fingerprint(&current);
+            if new_fp == fp {
+                break;
+            }
+            fp = new_fp;
+        }
+        (best, cycles, false)
+    }
+
+    /// The cut-rram hybrid under MAJ and IMP at effort 40 against the
+    /// same script on [`drive_unbounded`], node for node. The plain
+    /// Alg. 3 candidate runs on [`drive`] in both; `rms_core::opt`'s
+    /// differential holds it to the unbounded loop.
+    fn assert_cut_rram_matches_unbounded(names: &[&str]) {
+        let opts = OptOptions {
+            jobs: 1,
+            ..OptOptions::with_effort(40)
+        };
+        for name in names {
+            let m = bench_mig(name);
+            for real in Realization::ALL {
+                let (new, stats) = optimize_cut_rram_stats(&m, real, &opts);
+                let (old, old_stats) = cut_rram_on(drive_unbounded, &m, real, &opts);
+                let what = format!("{name}/{real}");
+                assert_eq!(new.name(), old.name(), "{what}");
+                assert_eq!(new.len(), old.len(), "{what}: node counts");
+                for i in 0..new.len() {
+                    assert_eq!(new.node(i), old.node(i), "{what}: node {i}");
+                }
+                assert_eq!(new.outputs(), old.outputs(), "{what}: outputs");
+                assert!(stats.cycles <= old_stats.cycles, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn cut_rram_matches_the_unbounded_loop_on_the_small_suite() {
+        let names: Vec<&str> = bench_suite::SMALL_SUITE.iter().map(|i| i.name).collect();
+        assert_cut_rram_matches_unbounded(&names);
+    }
+
+    #[test]
+    #[ignore = "about 5 s in release; run with --ignored"]
+    fn cut_rram_matches_the_unbounded_loop_on_table2() {
+        let names: Vec<&str> = bench_suite::LARGE_SUITE.iter().map(|i| i.name).collect();
+        assert_cut_rram_matches_unbounded(&names);
     }
 
     #[test]
