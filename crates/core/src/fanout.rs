@@ -48,6 +48,7 @@
 //! ```
 
 use crate::mig::{normalize_maj, MajBuilder, Mig, MigNode};
+use crate::rewrite::{eliminate_rule, reshape_rule};
 use crate::signal::MigSignal;
 use rms_logic::rng::SplitMix64;
 
@@ -238,25 +239,9 @@ impl IncrementalMig {
         }
     }
 
-    /// Views `sig` as a majority gate (complements pushed through), as
-    /// [`Mig::children_through`].
-    pub fn children_through(&self, sig: MigSignal) -> Option<[MigSignal; 3]> {
-        let c = self.maj_children(sig.node())?;
-        Some(if sig.is_complemented() {
-            [!c[0], !c[1], !c[2]]
-        } else {
-            c
-        })
-    }
-
     /// Level of node `idx` (longest path from the inputs).
     pub fn level(&self, idx: usize) -> u32 {
         self.levels[idx]
-    }
-
-    /// Level of the node a signal points to.
-    pub fn signal_level(&self, sig: MigSignal) -> u32 {
-        self.levels[sig.node()]
     }
 
     /// Reference count of node `idx` (edges from live gates + outputs).
@@ -925,6 +910,19 @@ impl MajBuilder for IncrementalMig {
         }
         MigSignal::new(self.push_node(kids), false)
     }
+
+    fn children_through(&self, sig: MigSignal) -> Option<[MigSignal; 3]> {
+        let c = self.maj_children(sig.node())?;
+        Some(if sig.is_complemented() {
+            [!c[0], !c[1], !c[2]]
+        } else {
+            c
+        })
+    }
+
+    fn signal_level(&self, sig: MigSignal) -> u32 {
+        self.levels[sig.node()]
+    }
 }
 
 /// Whether `cand` is (structurally) the node's own default image — the
@@ -939,20 +937,25 @@ fn rebuilds_default(g: &IncrementalMig, conv: [MigSignal; 3], cand: MigSignal) -
     }
 }
 
-/// The in-place *eliminate* pass (`Ω.M; Ω.D R→L`): merges sibling
-/// majority nodes that share two children when both are single-fanout.
-/// Decision-identical to the rebuilding [`crate::rewrite::eliminate`]
-/// (fanout counts are taken on the pass-start graph, patterns are
-/// matched on image structures), but runs the mapped-round protocol on
-/// the persistent graph: one topological sweep of
-/// [`IncrementalMig::rechild_to`] plus a single linear repair in
-/// [`IncrementalMig::finish_mapped_round`] — no per-rewrite fanout
-/// walks, which on deep graphs turn the spliced form of this pass
-/// quadratic. Returns the number of merges fired.
-pub fn eliminate_inplace(g: &mut IncrementalMig) -> usize {
+/// Runs an Ω rule of [`crate::rewrite`] over the graph in place, on the
+/// mapped-round protocol: one topological sweep that offers every node,
+/// over its image children, to `rule`, then a single linear repair in
+/// [`IncrementalMig::finish_mapped_round`] — no per-rewrite fanout walks,
+/// which on deep graphs turn a spliced pass quadratic. As in the rebuild
+/// driver, single fanout is judged on the pass-start graph and patterns
+/// are matched on image structures; levels read by the rule are image
+/// levels, which [`IncrementalMig::rechild_to`] keeps current. A node
+/// the rule leaves alone, or whose candidate only rebuilds its default
+/// image, gets its default image, without a second try at another
+/// pattern (the rebuild driver keeps such a candidate). Returns the
+/// number of rewrites fired.
+fn rewrite_mapped(
+    g: &mut IncrementalMig,
+    rule: impl Fn(&mut IncrementalMig, [MigSignal; 3], [bool; 3]) -> Option<MigSignal>,
+) -> usize {
     let order = g.topo_order();
     // Pass-start reference counts (gate edges + outputs), the analogue
-    // of the rebuild pass's `fanout_counts` snapshot of its source.
+    // of the rebuild driver's `fanout_counts` snapshot of its source.
     let old_refs = g.refs.clone();
     g.begin_mapped_round();
     let mut map: Vec<MigSignal> = (0..g.len()).map(|i| MigSignal::new(i, false)).collect();
@@ -963,140 +966,53 @@ pub fn eliminate_inplace(g: &mut IncrementalMig) -> usize {
             continue;
         };
         let conv = kids.map(|k| map[k.node()].complement_if(k.is_complemented()));
-        let mut image = None;
-        for (i, j) in [(0usize, 1usize), (0, 2), (1, 2)] {
-            let (a, b) = (conv[i], conv[j]);
-            if old_refs[kids[i].node()] != 1 || old_refs[kids[j].node()] != 1 {
-                continue;
+        let len_before = g.len();
+        // A fired rule supersedes the node without entering its default
+        // structure into the strash, as the rebuild driver never builds
+        // the default structure of a node its rule rewrote.
+        map[idx] = match rule(g, conv, kids.map(|k| old_refs[k.node()] == 1)) {
+            Some(cand) if !rebuilds_default(g, conv, cand) => {
+                fired += 1;
+                cand
             }
-            let (Some(ca), Some(cb)) = (g.children_through(a), g.children_through(b)) else {
-                continue;
-            };
-            // Shared pair (x, y); leftovers u (from a), v (from b).
-            if let Some((x, y, u, v)) = crate::rewrite::shared_pair(ca, cb) {
-                let k = 3 - i - j;
-                let z = conv[k];
-                let len_before = g.len();
-                let inner = g.maj(u, v, z);
-                let top = g.maj(x, y, inner);
-                if rebuilds_default(g, conv, top) {
+            fallback => {
+                if fallback.is_some() {
                     g.undo_tail(len_before); // rebuilt itself: no-op
-                } else {
-                    fired += 1;
-                    image = Some(top);
                 }
-                break;
+                match g.rechild_to(idx, conv) {
+                    Rechild::Superseded(s) => s,
+                    _ => MigSignal::new(idx, false),
+                }
             }
-        }
-        // The default image: the node over its mapped children. A fired
-        // pattern supersedes the node without entering it into the
-        // strash — exactly as the rebuild pass never constructs the
-        // default structure of a node its hook rewrote.
-        map[idx] = match image {
-            Some(s) => s,
-            None => match g.rechild_to(idx, conv) {
-                Rechild::Superseded(s) => s,
-                _ => MigSignal::new(idx, false),
-            },
         };
     }
     g.finish_mapped_round(&map);
     fired
 }
 
-/// The in-place *reshape* pass (`Ω.A; Ψ.C`): moves variables between
-/// adjacent levels. `deeper` selects the push direction, as
-/// [`crate::rewrite::reshape`], whose decision procedure this pass
-/// mirrors on the mapped-round protocol (see [`eliminate_inplace`] for
-/// the protocol rationale); level comparisons read image levels, which
-/// [`IncrementalMig::rechild_to`] keeps current during the sweep.
-/// Returns the number of rewrites fired.
+/// The in-place *eliminate* pass (`Ω.M; Ω.D R→L`): the rule of the
+/// rebuilding [`crate::rewrite::eliminate`],
+/// [`crate::rewrite::eliminate_rule`], run on the mapped-round protocol —
+/// one topological sweep of [`IncrementalMig::rechild_to`] plus a single
+/// linear repair in [`IncrementalMig::finish_mapped_round`]. The two
+/// drivers number nodes differently, so equal decisions are measured,
+/// not guaranteed: on every bundled benchmark, raw and after one
+/// push-up, both reach the same fingerprint. Returns the number of
+/// merges fired.
+pub fn eliminate_inplace(g: &mut IncrementalMig) -> usize {
+    rewrite_mapped(g, eliminate_rule)
+}
+
+/// The in-place *reshape* pass (`Ω.A; Ψ.C`): the rule of the rebuilding
+/// [`crate::rewrite::reshape`], [`crate::rewrite::reshape_rule`], run on
+/// the mapped-round protocol of [`eliminate_inplace`]. Same rule, not
+/// always the same decisions: the rule reads an inner node's children
+/// in index order, and this graph keeps its numbering through the pass
+/// where the rebuild renumbers, so the two can swap a different
+/// leftover (they differ on 25 of 300 input/direction pairs of the
+/// bundled benchmarks). Returns the number of rewrites fired.
 pub fn reshape_inplace(g: &mut IncrementalMig, deeper: bool) -> usize {
-    let order = g.topo_order();
-    let old_refs = g.refs.clone();
-    g.begin_mapped_round();
-    let mut map: Vec<MigSignal> = (0..g.len()).map(|i| MigSignal::new(i, false)).collect();
-    let mut fired = 0usize;
-    for &idx in &order {
-        let idx = idx as usize;
-        let MigNode::Maj(kids) = g.nodes[idx] else {
-            continue;
-        };
-        let conv = kids.map(|k| map[k.node()].complement_if(k.is_complemented()));
-        let mut image = None;
-        // Once a pattern matched, the node is decided (the rebuild hook
-        // returns there) — later families are not tried even when the
-        // candidate turned out to rebuild the default image.
-        let mut decided = false;
-        // Ω.A: M(x, u, M(y, u, z)) = M(z, u, M(y, u, x)).
-        'assoc: for g_pos in 0..3 {
-            let gg = conv[g_pos];
-            if old_refs[kids[g_pos].node()] != 1 {
-                continue;
-            }
-            let Some(inner) = g.children_through(gg) else {
-                continue;
-            };
-            let others = [conv[(g_pos + 1) % 3], conv[(g_pos + 2) % 3]];
-            for (u, x) in [(others[0], others[1]), (others[1], others[0])] {
-                let Some([y, z]) = crate::rewrite::remove_child(inner, u) else {
-                    continue;
-                };
-                let (lx, lz) = (g.signal_level(x), g.signal_level(z));
-                let should = if deeper { lx > lz } else { lx < lz };
-                if should {
-                    decided = true;
-                    let len_before = g.len();
-                    let new_inner = g.maj(y, u, x);
-                    let cand = g.maj(z, u, new_inner);
-                    if rebuilds_default(g, conv, cand) {
-                        g.undo_tail(len_before);
-                    } else {
-                        fired += 1;
-                        image = Some(cand);
-                    }
-                    break 'assoc;
-                }
-            }
-        }
-        // Ψ.C: M(x, u, M(y, ū, z)) = M(x, u, M(y, x, z)).
-        if !decided {
-            'compl: for g_pos in 0..3 {
-                let gg = conv[g_pos];
-                if old_refs[kids[g_pos].node()] != 1 {
-                    continue;
-                }
-                let Some(inner) = g.children_through(gg) else {
-                    continue;
-                };
-                let others = [conv[(g_pos + 1) % 3], conv[(g_pos + 2) % 3]];
-                for (u, x) in [(others[0], others[1]), (others[1], others[0])] {
-                    let Some([r0, r1]) = crate::rewrite::remove_child(inner, !u) else {
-                        continue;
-                    };
-                    let len_before = g.len();
-                    let new_inner = g.maj(r0, r1, x);
-                    let cand = g.maj(x, u, new_inner);
-                    if rebuilds_default(g, conv, cand) {
-                        g.undo_tail(len_before);
-                    } else {
-                        fired += 1;
-                        image = Some(cand);
-                    }
-                    break 'compl;
-                }
-            }
-        }
-        map[idx] = match image {
-            Some(s) => s,
-            None => match g.rechild_to(idx, conv) {
-                Rechild::Superseded(s) => s,
-                _ => MigSignal::new(idx, false),
-            },
-        };
-    }
-    g.finish_mapped_round(&map);
-    fired
+    rewrite_mapped(g, |g, kids, single| reshape_rule(g, kids, single, deeper))
 }
 
 #[cfg(test)]
@@ -1203,25 +1119,36 @@ mod tests {
 
     #[test]
     fn eliminate_inplace_matches_rebuild_quality() {
-        for name in SAMPLES {
-            let m = bench_mig(name);
-            let rebuilt = rewrite::eliminate(&m);
-            let mut inc = IncrementalMig::from_mig(&m);
-            eliminate_inplace(&mut inc);
-            inc.assert_consistent();
-            let spliced = inc.to_mig();
-            assert_equiv(&m, &spliced, name);
-            assert!(
-                spliced.num_gates() <= m.num_gates(),
-                "{name}: eliminate_inplace grew the graph"
-            );
-            // Same rule, same traversal: gate counts match the rebuild
-            // pass on every bundled benchmark.
-            assert_eq!(
-                spliced.num_gates(),
-                rebuilt.num_gates(),
-                "{name}: in-place eliminate diverged from rebuild"
-            );
+        // The same rule on both drivers: on every bundled benchmark, raw
+        // and after one push-up, the in-place pass lands on the rebuild
+        // pass's fingerprint (gates, depth, complemented edges, tainted
+        // levels). Reshape has no such pin: its decisions depend on node
+        // numbering, which the two drivers do not share.
+        for info in bench_suite::LARGE_SUITE
+            .iter()
+            .chain(bench_suite::SMALL_SUITE)
+        {
+            let raw = Mig::from_netlist(&bench_suite::build_info(info)).compact();
+            let pushed = rewrite::push_up(&raw);
+            for (what, m) in [("raw", raw), ("push-up", pushed)] {
+                let name = format!("{} ({what})", info.name);
+                let rebuilt = rewrite::eliminate(&m);
+                let mut inc = IncrementalMig::from_mig(&m);
+                eliminate_inplace(&mut inc);
+                inc.assert_consistent();
+                let s = crate::cost::MigStats::of(&rebuilt);
+                assert_eq!(
+                    inc.fingerprint(),
+                    (
+                        rebuilt.num_gates(),
+                        rebuilt.depth(),
+                        s.complemented_edges,
+                        s.levels_with_compl
+                    ),
+                    "{name}: in-place eliminate diverged from rebuild"
+                );
+                assert_equiv(&m, &inc.to_mig(), &name);
+            }
         }
     }
 

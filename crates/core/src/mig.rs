@@ -60,12 +60,22 @@ pub(crate) fn normalize_maj(
     Ok(kids)
 }
 
-/// A sink for majority-node construction: anything a database entry can
-/// be instantiated into ([`Mig`] and the in-place engine of
+/// A graph that majority nodes can be built into and read back from:
+/// anything a database entry can be instantiated into and the Ω rules of
+/// [`crate::rewrite`] can match on ([`Mig`] and the in-place engine of
 /// [`crate::fanout`] both implement it).
 pub trait MajBuilder {
     /// Creates (or re-finds) a majority node over the given signals.
     fn maj(&mut self, a: MigSignal, b: MigSignal, c: MigSignal) -> MigSignal;
+    /// Views `sig` as a majority gate: returns its children, complemented
+    /// when `sig` itself is complemented (by inverter propagation
+    /// `M(x,y,z)' = M(x̄,ȳ,z̄)`).
+    ///
+    /// Rewriting through this view is functionally sound but moves
+    /// complement attributes; the rewrite passes use it deliberately.
+    fn children_through(&self, sig: MigSignal) -> Option<[MigSignal; 3]>;
+    /// Level of the node a signal points to.
+    fn signal_level(&self, sig: MigSignal) -> u32;
 }
 
 /// A node of the graph.
@@ -202,30 +212,10 @@ impl Mig {
         }
     }
 
-    /// Views `sig` as a majority gate: returns its children, complemented
-    /// when `sig` itself is complemented (by inverter propagation
-    /// `M(x,y,z)' = M(x̄,ȳ,z̄)`).
-    ///
-    /// Rewriting through this view is functionally sound but moves
-    /// complement attributes; the rewrite passes use it deliberately.
-    pub fn children_through(&self, sig: MigSignal) -> Option<[MigSignal; 3]> {
-        let c = self.maj_children(sig.node())?;
-        Some(if sig.is_complemented() {
-            [!c[0], !c[1], !c[2]]
-        } else {
-            c
-        })
-    }
-
     /// Level of node `idx`: longest path from the inputs (inputs and the
     /// constant are level 0).
     pub fn level(&self, idx: usize) -> u32 {
         self.levels[idx]
-    }
-
-    /// Level of the node a signal points to.
-    pub fn signal_level(&self, sig: MigSignal) -> u32 {
-        self.levels[sig.node()]
     }
 
     /// Depth of the graph: the maximum level over the output nodes.
@@ -639,6 +629,19 @@ impl Mig {
 impl MajBuilder for Mig {
     fn maj(&mut self, a: MigSignal, b: MigSignal, c: MigSignal) -> MigSignal {
         Mig::maj(self, a, b, c)
+    }
+
+    fn children_through(&self, sig: MigSignal) -> Option<[MigSignal; 3]> {
+        let c = self.maj_children(sig.node())?;
+        Some(if sig.is_complemented() {
+            [!c[0], !c[1], !c[2]]
+        } else {
+            c
+        })
+    }
+
+    fn signal_level(&self, sig: MigSignal) -> u32 {
+        self.levels[sig.node()]
     }
 }
 

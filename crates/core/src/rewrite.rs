@@ -6,14 +6,20 @@
 //! axioms at each reconstructed node:
 //!
 //! - [`eliminate`] — Ω.M + distributivity right-to-left (Ω.D R→L), the
-//!   node-count reducer of Alg. 1,
+//!   node-count reducer of Alg. 1 ([`eliminate_rule`]),
 //! - [`reshape`] — associativity Ω.A + complementary associativity Ψ.C,
-//!   the structure perturbation of Alg. 1,
+//!   the structure perturbation of Alg. 1 ([`reshape_rule`]),
 //! - [`push_up`] — the depth reducer used by Algs. 2–4 (Ω.M; Ω.D L→R;
 //!   Ω.A; Ψ.C, steered at the critical child),
 //! - [`relevance`] — Ψ.R, replacing reconvergent children,
 //! - [`inverter_propagation`] — the Ω.I R→L extension of Sec. III-C3 for
 //!   nodes with multiple complemented fanins.
+//!
+//! The rules of eliminate and reshape are written once, over any
+//! [`MajBuilder`]: the passes here run them while rebuilding a [`Mig`],
+//! and [`crate::fanout::eliminate_inplace`] and
+//! [`crate::fanout::reshape_inplace`] run the same rules in place on an
+//! [`crate::IncrementalMig`].
 //!
 //! Passes end with a reachability compaction, so intermediate garbage
 //! created by speculative rewrites never survives. The output graph is
@@ -37,7 +43,7 @@
 //!    added on the formerly regular fanin (net one), plus the complement
 //!    moved to the fanout level.
 
-use crate::mig::{Mig, MigNode};
+use crate::mig::{MajBuilder, Mig, MigNode};
 use crate::signal::MigSignal;
 
 /// Which inverter-propagation cases a pass may fire (see module docs).
@@ -72,8 +78,9 @@ struct NodeCtx {
     old_idx: usize,
     /// Children mapped into the new graph (original order, pre-sorting).
     kids: [MigSignal; 3],
-    /// Fanout count of the corresponding *old* children in the old graph.
-    old_fanout: [u32; 3],
+    /// Whether the corresponding *old* child has a single fanout in the
+    /// old graph.
+    single_fanout: [bool; 3],
 }
 
 /// Output room of a pass that replaces each node by about one node (all
@@ -108,7 +115,7 @@ fn transform(
                 let ctx = NodeCtx {
                     old_idx: idx,
                     kids: mk,
-                    old_fanout: kids.map(|s| fanout[s.node()]),
+                    single_fanout: kids.map(|s| fanout[s.node()] == 1),
                 };
                 hook(&mut out, &ctx)
             }
@@ -122,10 +129,22 @@ fn transform(
     out
 }
 
+/// Rebuilds `mig` through an Ω rule: each node becomes the rule's
+/// replacement or, when the rule does not fire, its default image.
+fn transform_rule(
+    mig: &Mig,
+    rule: impl Fn(&mut Mig, [MigSignal; 3], [bool; 3]) -> Option<MigSignal>,
+) -> Mig {
+    transform(mig, room_for_one_to_one(mig), |out, ctx| {
+        rule(out, ctx.kids, ctx.single_fanout)
+            .unwrap_or_else(|| out.maj(ctx.kids[0], ctx.kids[1], ctx.kids[2]))
+    })
+}
+
 /// Removes one occurrence of `x` from a 3-child set, returning the two
 /// remaining children in order. Allocation-free (this runs for every
 /// node of every pass).
-pub(crate) fn remove_child(v: [MigSignal; 3], x: MigSignal) -> Option<[MigSignal; 2]> {
+fn remove_child(v: [MigSignal; 3], x: MigSignal) -> Option<[MigSignal; 2]> {
     if v[0] == x {
         Some([v[1], v[2]])
     } else if v[1] == x {
@@ -141,7 +160,7 @@ pub(crate) fn remove_child(v: [MigSignal; 3], x: MigSignal) -> Option<[MigSignal
 /// when the sets share at least two children, returns `(x, y, u, v)` —
 /// the shared pair and the leftover child of each set (for a triple
 /// match the third shared child doubles as both leftovers).
-pub(crate) fn shared_pair(
+fn shared_pair(
     ca: [MigSignal; 3],
     cb: [MigSignal; 3],
 ) -> Option<(MigSignal, MigSignal, MigSignal, MigSignal)> {
@@ -171,39 +190,98 @@ pub(crate) fn shared_pair(
     Some((x, y, u, v))
 }
 
-/// `Ω.M; Ω.D R→L` — the *eliminate* pass of Alg. 1.
+/// The Ω.D R→L rule of [`eliminate`] at a node over `kids`:
+/// `M(M(x,y,u), M(x,y,v), z) = M(x,y,M(u,v,z))`, for the first pair of
+/// children that share two children and are both single-fanout (so the
+/// rewrite strictly removes a node). Builds and returns the replacement;
+/// `None`, having built nothing, when no pair matches.
+pub fn eliminate_rule<G: MajBuilder>(
+    g: &mut G,
+    kids: [MigSignal; 3],
+    single_fanout: [bool; 3],
+) -> Option<MigSignal> {
+    for (i, j) in [(0usize, 1usize), (0, 2), (1, 2)] {
+        if !single_fanout[i] || !single_fanout[j] {
+            continue;
+        }
+        let (Some(ca), Some(cb)) = (g.children_through(kids[i]), g.children_through(kids[j]))
+        else {
+            continue;
+        };
+        // Shared pair (x, y); leftovers u (from kids[i]), v (from kids[j]).
+        if let Some((x, y, u, v)) = shared_pair(ca, cb) {
+            let inner = g.maj(u, v, kids[3 - i - j]);
+            return Some(g.maj(x, y, inner));
+        }
+    }
+    None
+}
+
+/// The first match of `pattern` at a node over `kids`: it is offered the
+/// children `inner` of each single-fanout majority child, in child
+/// order, with both orderings of the two other children.
+fn first_match<G: MajBuilder, T>(
+    g: &G,
+    kids: [MigSignal; 3],
+    single_fanout: [bool; 3],
+    pattern: impl Fn([MigSignal; 3], MigSignal, MigSignal) -> Option<T>,
+) -> Option<T> {
+    for p in 0..3 {
+        let Some(inner) = g.children_through(kids[p]).filter(|_| single_fanout[p]) else {
+            continue;
+        };
+        let (a, b) = (kids[(p + 1) % 3], kids[(p + 2) % 3]);
+        if let Some(t) = pattern(inner, a, b).or_else(|| pattern(inner, b, a)) {
+            return Some(t);
+        }
+    }
+    None
+}
+
+/// The Ω.A / Ψ.C rule of [`reshape`] at a node over `kids`, rewriting a
+/// single-fanout majority child: the first Ω.A match that moves a
+/// variable in the direction `deeper` selects, else the first Ψ.C match.
+/// Builds and returns the replacement; `None`, having built nothing,
+/// when neither matches.
 ///
-/// Merges sibling majority nodes that share two children:
-/// `M(M(x,y,u), M(x,y,v), z) = M(x,y,M(u,v,z))`, firing only when both
-/// inner nodes are single-fanout (so the rewrite strictly removes a node).
+/// Which leftover of the inner node becomes `z` follows the order of its
+/// (index-sorted) children, so the decisions depend on node numbering.
+pub fn reshape_rule<G: MajBuilder>(
+    g: &mut G,
+    kids: [MigSignal; 3],
+    single_fanout: [bool; 3],
+    deeper: bool,
+) -> Option<MigSignal> {
+    // Ω.A: M(x, u, M(y, u, z)) = M(z, u, M(y, u, x)).
+    let assoc = first_match(g, kids, single_fanout, |inner, u, x| {
+        let [y, z] = remove_child(inner, u)?;
+        let (lx, lz) = (g.signal_level(x), g.signal_level(z));
+        (if deeper { lx > lz } else { lx < lz }).then_some((z, u, [y, u, x]))
+    });
+    // Ψ.C: M(x, u, M(y, ū, z)) = M(x, u, M(y, x, z)).
+    let (a, b, inner) = assoc.or_else(|| {
+        first_match(g, kids, single_fanout, |inner, u, x| {
+            let [y, z] = remove_child(inner, !u)?;
+            Some((x, u, [y, z, x]))
+        })
+    })?;
+    let new_inner = g.maj(inner[0], inner[1], inner[2]);
+    Some(g.maj(a, b, new_inner))
+}
+
+/// `Ω.M; Ω.D R→L` — the *eliminate* pass of Alg. 1 ([`eliminate_rule`]
+/// at every node).
 pub fn eliminate(mig: &Mig) -> Mig {
     eliminate_uncompacted(mig).compact()
 }
 
 /// [`eliminate`] before its pass-final compaction.
 pub(crate) fn eliminate_uncompacted(mig: &Mig) -> Mig {
-    transform(mig, room_for_one_to_one(mig), |out, ctx| {
-        for (i, j) in [(0usize, 1usize), (0, 2), (1, 2)] {
-            let (a, b) = (ctx.kids[i], ctx.kids[j]);
-            if ctx.old_fanout[i] != 1 || ctx.old_fanout[j] != 1 {
-                continue;
-            }
-            let (Some(ca), Some(cb)) = (out.children_through(a), out.children_through(b)) else {
-                continue;
-            };
-            // Shared pair (x, y); leftovers u (from a), v (from b).
-            if let Some((x, y, u, v)) = shared_pair(ca, cb) {
-                let k = 3 - i - j; // remaining child position
-                let z = ctx.kids[k];
-                let inner = out.maj(u, v, z);
-                return out.maj(x, y, inner);
-            }
-        }
-        out.maj(ctx.kids[0], ctx.kids[1], ctx.kids[2])
-    })
+    transform_rule(mig, eliminate_rule)
 }
 
-/// `Ω.A; Ψ.C` — the *reshape* pass of Alg. 1.
+/// `Ω.A; Ψ.C` — the *reshape* pass of Alg. 1 ([`reshape_rule`] at every
+/// node).
 ///
 /// Moves variables between adjacent levels with associativity to expose new
 /// elimination opportunities. `deeper` selects the direction variables are
@@ -214,49 +292,8 @@ pub fn reshape(mig: &Mig, deeper: bool) -> Mig {
 
 /// [`reshape`] before its pass-final compaction.
 pub(crate) fn reshape_uncompacted(mig: &Mig, deeper: bool) -> Mig {
-    transform(mig, room_for_one_to_one(mig), |out, ctx| {
-        // Ω.A: M(x, u, M(y, u, z)) = M(z, u, M(y, u, x)).
-        for g_pos in 0..3 {
-            let g = ctx.kids[g_pos];
-            let Some(inner) = out.children_through(g) else {
-                continue;
-            };
-            if ctx.old_fanout[g_pos] != 1 {
-                continue;
-            }
-            let others = [ctx.kids[(g_pos + 1) % 3], ctx.kids[(g_pos + 2) % 3]];
-            for (u, x) in [(others[0], others[1]), (others[1], others[0])] {
-                let Some([y, z]) = remove_child(inner, u) else {
-                    continue;
-                };
-                // Swap x with z when that moves a variable in the requested
-                // direction.
-                let (lx, lz) = (out.signal_level(x), out.signal_level(z));
-                let should = if deeper { lx > lz } else { lx < lz };
-                if should {
-                    let new_inner = out.maj(y, u, x);
-                    return out.maj(z, u, new_inner);
-                }
-            }
-        }
-        // Ψ.C: M(x, u, M(y, ū, z)) = M(x, u, M(y, x, z)).
-        for g_pos in 0..3 {
-            let g = ctx.kids[g_pos];
-            let Some(inner) = out.children_through(g) else {
-                continue;
-            };
-            if ctx.old_fanout[g_pos] != 1 {
-                continue;
-            }
-            let others = [ctx.kids[(g_pos + 1) % 3], ctx.kids[(g_pos + 2) % 3]];
-            for (u, x) in [(others[0], others[1]), (others[1], others[0])] {
-                if let Some([r0, r1]) = remove_child(inner, !u) {
-                    let new_inner = out.maj(r0, r1, x);
-                    return out.maj(x, u, new_inner);
-                }
-            }
-        }
-        out.maj(ctx.kids[0], ctx.kids[1], ctx.kids[2])
+    transform_rule(mig, |out, kids, single| {
+        reshape_rule(out, kids, single, deeper)
     })
 }
 
@@ -370,27 +407,15 @@ pub fn relevance(mig: &Mig) -> Mig {
 
 /// [`relevance`] before its pass-final compaction.
 pub(crate) fn relevance_uncompacted(mig: &Mig) -> Mig {
-    transform(mig, room_for_one_to_one(mig), |out, ctx| {
-        for z_pos in 0..3 {
-            let z = ctx.kids[z_pos];
-            if ctx.old_fanout[z_pos] != 1 {
-                continue;
+    transform_rule(mig, |out, kids, single_fanout| {
+        let (x, y, [r0, r1]) = first_match(out, kids, single_fanout, |inner, x, y| {
+            if out.signal_level(y) > out.signal_level(x) {
+                return None;
             }
-            let Some(inner) = out.children_through(z) else {
-                continue;
-            };
-            let others = [ctx.kids[(z_pos + 1) % 3], ctx.kids[(z_pos + 2) % 3]];
-            for (x, y) in [(others[0], others[1]), (others[1], others[0])] {
-                if out.signal_level(y) > out.signal_level(x) {
-                    continue;
-                }
-                if let Some([r0, r1]) = remove_child(inner, x) {
-                    let new_z = out.maj(r0, r1, !y);
-                    return out.maj(x, y, new_z);
-                }
-            }
-        }
-        out.maj(ctx.kids[0], ctx.kids[1], ctx.kids[2])
+            Some((x, y, remove_child(inner, x)?))
+        })?;
+        let new_z = out.maj(r0, r1, !y);
+        Some(out.maj(x, y, new_z))
     })
 }
 

@@ -36,16 +36,18 @@ use rms_sat::{Encoder, Lit, SatResult};
 /// Seed for the extra (non-engine) simulation lanes.
 const FRAIG_SEED: u64 = 0x000f_4a16_0b5e_55ed;
 
+/// Random simulation lanes beyond the engine's signature lane, of the
+/// fraig and resub passes alike (total patterns = `64 * (1 + EXTRA_WORDS)`).
+const EXTRA_WORDS: usize = 7;
+
+/// Maximum bucket/prove/refine rounds of the fraig pass.
+const MAX_ROUNDS: usize = 16;
+
 /// Options of the fraig pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FraigOptions {
-    /// Random simulation lanes beyond the engine's signature lane
-    /// (total patterns = `64 * (1 + extra_words)`).
-    pub extra_words: usize,
     /// Conflict budget per merge proof; exhaustion keeps both nodes.
     pub conflict_budget: u64,
-    /// Maximum bucket/prove/refine rounds.
-    pub max_rounds: usize,
     /// Cooperative cancellation, polled at round boundaries (every merge
     /// the pass has committed so far remains SAT-proved and valid).
     pub cancel: rms_core::CancelToken,
@@ -54,9 +56,7 @@ pub struct FraigOptions {
 impl Default for FraigOptions {
     fn default() -> Self {
         FraigOptions {
-            extra_words: 7,
             conflict_budget: 10_000,
-            max_rounds: 16,
             cancel: rms_core::CancelToken::default(),
         }
     }
@@ -223,8 +223,8 @@ fn input_lane(lane: usize, k: usize) -> u64 {
 /// Per-node simulation vectors (`sim[node][lane]`). Lane 0 is the
 /// engine's own signature cache; extra lanes are seeded from
 /// [`FRAIG_SEED`]. Dead nodes carry zeros.
-pub(crate) fn init_sim(g: &IncrementalMig, topo: &[u32], extra_words: usize) -> Vec<Vec<u64>> {
-    let lanes = 1 + extra_words;
+pub(crate) fn init_sim(g: &IncrementalMig, topo: &[u32]) -> Vec<Vec<u64>> {
+    let lanes = 1 + EXTRA_WORDS;
     let mut sim = vec![vec![0u64; lanes]; g.len()];
     for (idx, row) in sim.iter_mut().enumerate() {
         if !g.is_dead(idx) {
@@ -325,10 +325,10 @@ pub fn fraig_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> FraigOutcome {
         order.push(g.input(k).node() as u32);
     }
     order.extend_from_slice(&topo);
-    let mut sim = init_sim(g, &topo, opts.extra_words);
+    let mut sim = init_sim(g, &topo);
     let mut retired = vec![false; g.len()];
 
-    for round in 0..opts.max_rounds {
+    for round in 0..MAX_ROUNDS {
         // Round boundaries are cancellation checkpoints: committed
         // merges are individually SAT-proved, so stopping between
         // rounds leaves a correct graph.

@@ -48,10 +48,15 @@ struct Candidate {
 }
 
 /// The sequential commit phase of [`round_windowed`]: the mapped
-/// topological sweep over precomputed per-node candidates. `cands` is aligned with `order`. Commit order is
-/// the topological order itself — fixed before any worker runs — which
-/// is what makes the windowed round bit-identical for every worker
-/// count.
+/// topological sweep over precomputed per-node candidates, with `cands`
+/// aligned with `order`.
+///
+/// Commit order is the topological order itself — fixed before any
+/// worker runs — which is what makes the windowed round bit-identical
+/// for every worker count. Unlike the Ω passes of
+/// [`rms_core::fanout`], the sweep builds a node's default image
+/// *before* it instantiates the node's candidate, so a candidate can
+/// share with that image.
 fn commit_sweep(
     g: &mut IncrementalMig,
     db: &Database,
@@ -384,20 +389,22 @@ pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
     let mut rewrites = 0u64;
     let mut stale = 0usize;
     let mut cancelled = false;
+    // One fingerprint per cycle, carried over — not two.
+    let mut fp = g.fingerprint();
     for c in 0..opts.effort {
         if opts.cancel.cancelled() {
             cancelled = true;
             break;
         }
-        let before = g.fingerprint();
         eliminate_inplace(&mut g);
         rewrites += round_windowed(&mut g, db, c % 2 == 1, jobs, &opts.cancel).rewrites;
         eliminate_inplace(&mut g);
         reshape_inplace(&mut g, c % 2 == 0);
         eliminate_inplace(&mut g);
         cycles = c + 1;
-        // A cancel that fired mid-cycle may have truncated the round: the iterate is functionally correct but not one a
-        // completed run could produce, so never let it become `best`.
+        // A cancel that fired mid-cycle may have truncated the round: the
+        // iterate is functionally correct but not one a completed run
+        // could produce, so never let it become `best`.
         if opts.cancel.cancelled() {
             cancelled = true;
             break;
@@ -410,9 +417,11 @@ pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
         } else {
             stale += 1;
         }
-        if g.fingerprint() == before || stale >= STAGNATION_WINDOW {
+        let new_fp = g.fingerprint();
+        if new_fp == fp || stale >= STAGNATION_WINDOW {
             break;
         }
+        fp = new_fp;
     }
     let out = eliminate(&best);
     let stats = OptStats {

@@ -14,11 +14,13 @@
 //! 3. [`mod@database`] maps every class to a size-optimal (exact for ≤3
 //!    gates, near-optimal otherwise) 4-input MIG, loaded once per process
 //!    from a committed generated table;
-//! 4. [`rewrite`] walks the graph in topological order and replaces a
-//!    node's maximum fanout-free cone with the database structure
-//!    whenever that is a net win (zero-gain hops optional), yielding
-//!    [`optimize_cut`] (node-count objective) and [`optimize_cut_rram`]
-//!    (interleaved with the paper's Alg. 3, scored by `R·S`).
+//! 4. the rewrite round ([`round_windowed`], in [`incremental`]) walks
+//!    the graph in topological order and replaces a node's maximum
+//!    fanout-free cone with the database structure whenever that is a
+//!    net win (zero-gain hops optional); the scripts in [`rewrite`]
+//!    repeat it, yielding [`optimize_cut`] (node-count objective) and
+//!    [`optimize_cut_rram`] (interleaved with the paper's Alg. 3, scored
+//!    by `R·S`).
 //!
 //! Every script runs one round, the **in-place round** ([`incremental`]):
 //! it evaluates fixed-size windows of a persistent

@@ -42,30 +42,19 @@ use crate::fraig::{append_cex_lane, init_sim, prove_signals, ProveOutcome};
 use rms_core::{IncrementalMig, MajBuilder, MigNode, MigSignal};
 use std::ops::ControlFlow;
 
+/// Divisor window size cap per node.
+const MAX_DIVISORS: usize = 24;
+
+/// Conflict budget per substitution proof.
+const CONFLICT_BUDGET: u64 = 10_000;
+
 /// Options of the resubstitution pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResubOptions {
-    /// Divisor window size cap per node.
-    pub max_divisors: usize,
-    /// Random simulation lanes beyond the engine's signature lane.
-    pub extra_words: usize,
-    /// Conflict budget per substitution proof.
-    pub conflict_budget: u64,
     /// Cooperative cancellation, polled at window (per-node) boundaries;
     /// accepted substitutions are individually SAT-proved, so stopping
     /// between windows leaves a correct graph.
     pub cancel: rms_core::CancelToken,
-}
-
-impl Default for ResubOptions {
-    fn default() -> Self {
-        ResubOptions {
-            max_divisors: 24,
-            extra_words: 7,
-            conflict_budget: 10_000,
-            cancel: rms_core::CancelToken::default(),
-        }
-    }
 }
 
 /// Counters of one resubstitution pass.
@@ -188,7 +177,7 @@ fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> Re
         return stats;
     }
     let topo = g.topo_order();
-    let mut sim = init_sim(g, &topo, opts.extra_words);
+    let mut sim = init_sim(g, &topo);
     let mut cexes: Vec<Vec<bool>> = Vec::new();
     let mut stamps = Stamps::default();
 
@@ -200,7 +189,7 @@ fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> Re
         if g.is_dead(n) || !matches!(g.node(n), MigNode::Maj(_)) {
             continue;
         }
-        let divisors = collect_divisors(g, n, opts.max_divisors, &mut stamps);
+        let divisors = collect_divisors(g, n, MAX_DIVISORS, &mut stamps);
         let target = sim[n].clone();
 
         // 0-resub: an existing divisor already computes n (mod phase).
@@ -215,7 +204,7 @@ fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> Re
                 }
                 let cand = MigSignal::new(d, phase);
                 stats.candidates += 1;
-                match try_substitute(g, n, cand, opts, &mut stats) {
+                match try_substitute(g, n, cand, &mut stats) {
                     Verdict::Accepted => {
                         done = true;
                     }
@@ -275,7 +264,7 @@ fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> Re
             }
             let cand = built.complement_if(m.out_phase);
             stats.candidates += 1;
-            match try_substitute_built(g, n, cand, len_before, opts, &mut stats) {
+            match try_substitute_built(g, n, cand, len_before, &mut stats) {
                 Verdict::Accepted => {
                     ControlFlow::Break((built.node(), [(da, pa), (db, pb), (dc, pc)]))
                 }
@@ -447,7 +436,6 @@ fn try_substitute(
     g: &mut IncrementalMig,
     n: usize,
     cand: MigSignal,
-    opts: &ResubOptions,
     stats: &mut ResubStats,
 ) -> Verdict {
     // Engine signature veto (lane 0 subsumes this, but keep the veto as
@@ -456,12 +444,7 @@ fn try_substitute(
         stats.sig_vetoes += 1;
         return Verdict::Rejected;
     }
-    match prove_signals(
-        g,
-        MigSignal::new(n, false),
-        cand,
-        Some(opts.conflict_budget),
-    ) {
+    match prove_signals(g, MigSignal::new(n, false), cand, Some(CONFLICT_BUDGET)) {
         ProveOutcome::Equal { conflicts } => {
             stats.sat_conflicts += conflicts;
             g.replace(n, cand);
@@ -488,7 +471,6 @@ fn try_substitute_built(
     n: usize,
     cand: MigSignal,
     len_before: usize,
-    opts: &ResubOptions,
     stats: &mut ResubStats,
 ) -> Verdict {
     if g.sig_of(cand) != g.sig_of(MigSignal::new(n, false)) {
@@ -496,12 +478,7 @@ fn try_substitute_built(
         g.undo_tail(len_before);
         return Verdict::Rejected;
     }
-    match prove_signals(
-        g,
-        MigSignal::new(n, false),
-        cand,
-        Some(opts.conflict_budget),
-    ) {
+    match prove_signals(g, MigSignal::new(n, false), cand, Some(CONFLICT_BUDGET)) {
         ProveOutcome::Equal { conflicts } => {
             stats.sat_conflicts += conflicts;
             g.replace(n, cand);
@@ -726,11 +703,10 @@ mod tests {
 
     #[test]
     fn pruned_triple_search_matches_the_plain_scan_on_real_windows() {
-        let opts = ResubOptions::default();
         for name in ["rd84_f4", "t481_d", "9sym_d"] {
             let g = bench_inc(name);
             let topo = g.topo_order();
-            let sim = init_sim(&g, &topo, opts.extra_words);
+            let sim = init_sim(&g, &topo);
             let mut stamps = Stamps::default();
             let mut matched = 0usize;
             for &nu in &topo {
@@ -738,7 +714,7 @@ mod tests {
                 if g.maj_children(n).is_none() {
                     continue;
                 }
-                let divisors = collect_divisors(&g, n, opts.max_divisors, &mut stamps);
+                let divisors = collect_divisors(&g, n, MAX_DIVISORS, &mut stamps);
                 let rows: Vec<&[u64]> = divisors.iter().map(|&d| sim[d].as_slice()).collect();
                 let want = naive_triples(&rows, &sim[n]);
                 assert_eq!(pruned_triples(&rows, &sim[n]), want, "{name}: node {n}");

@@ -93,7 +93,6 @@ pub(crate) fn post_passes(
         if passes.resub {
             let ropts = ResubOptions {
                 cancel: cancel.clone(),
-                ..ResubOptions::default()
             };
             let r = resub_pass(&mut g, &ropts);
             stats.resubs += r.accepted;
