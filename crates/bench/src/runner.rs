@@ -34,15 +34,6 @@ impl From<RramCost> for Measured {
     }
 }
 
-/// Resolves a worker count: `0` means the default pool size.
-fn workers(jobs: usize) -> usize {
-    if jobs == 0 {
-        par::num_threads()
-    } else {
-        jobs
-    }
-}
-
 /// Maps `row` over `suite` on `jobs` workers (`0` = all cores), in suite
 /// order.
 fn over_suite<R: Send>(
@@ -51,7 +42,7 @@ fn over_suite<R: Send>(
     row: impl Fn(&'static BenchmarkInfo) -> R + Sync,
 ) -> Vec<R> {
     let infos: Vec<&'static BenchmarkInfo> = suite.iter().collect();
-    par::par_map_threads(&infos, workers(jobs), |info| row(info))
+    par::par_map_threads(&infos, par::resolve_threads(jobs), |info| row(info))
 }
 
 /// One measured row of Table II (six optimizer/realization configurations).
@@ -404,7 +395,11 @@ pub fn run_sweep(opts: &OptOptions, jobs: usize) -> SweepReport {
     let rows = over_suite(bench_suite::SMALL_SUITE, jobs, |info| {
         run_sweep_row(info, opts)
     });
-    let alt_workers = if workers(jobs) == 1 { 3 } else { 1 };
+    let alt_workers = if par::resolve_threads(jobs) == 1 {
+        3
+    } else {
+        1
+    };
     let alt_gates: Vec<u64> = over_suite(bench_suite::SMALL_SUITE, alt_workers, |info| {
         let mig = Mig::from_netlist(&bench_suite::build_info(info));
         rms_cut::optimize_sweep_stats(&mig, opts, rms_cut::SweepPasses::BOTH)

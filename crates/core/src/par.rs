@@ -38,6 +38,16 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The worker count for a requested `jobs`: `0` means all cores
+/// ([`num_threads`]), any other value is taken as given.
+pub fn resolve_threads(jobs: usize) -> usize {
+    if jobs == 0 {
+        num_threads()
+    } else {
+        jobs
+    }
+}
+
 /// Applies `f` to every item on a pool of [`num_threads`] workers.
 ///
 /// The output vector preserves input order, so a parallel sweep returns
@@ -114,5 +124,7 @@ mod tests {
     #[test]
     fn default_thread_count_is_positive() {
         assert!(num_threads() >= 1);
+        assert_eq!(resolve_threads(0), num_threads());
+        assert_eq!(resolve_threads(3), 3);
     }
 }

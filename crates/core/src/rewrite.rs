@@ -78,9 +78,6 @@ struct NodeCtx {
     old_idx: usize,
     /// Children mapped into the new graph (original order, pre-sorting).
     kids: [MigSignal; 3],
-    /// Whether the corresponding *old* child has a single fanout in the
-    /// old graph.
-    single_fanout: [bool; 3],
 }
 
 /// Output room of a pass that replaces each node by about one node (all
@@ -103,7 +100,6 @@ fn transform(
     capacity: usize,
     mut hook: impl FnMut(&mut Mig, &NodeCtx) -> MigSignal,
 ) -> Mig {
-    let fanout = mig.fanout_counts();
     let mut out = Mig::with_capacity(mig.name().to_string(), mig.num_inputs(), capacity);
     let mut map: Vec<MigSignal> = Vec::with_capacity(mig.len());
     for idx in 0..mig.len() {
@@ -115,7 +111,6 @@ fn transform(
                 let ctx = NodeCtx {
                     old_idx: idx,
                     kids: mk,
-                    single_fanout: kids.map(|s| fanout[s.node()] == 1),
                 };
                 hook(&mut out, &ctx)
             }
@@ -130,13 +125,19 @@ fn transform(
 }
 
 /// Rebuilds `mig` through an Ω rule: each node becomes the rule's
-/// replacement or, when the rule does not fire, its default image.
+/// replacement or, when the rule does not fire, its default image. The
+/// rule is told which of the node's *old* children have a single fanout
+/// in the old graph.
 fn transform_rule(
     mig: &Mig,
     rule: impl Fn(&mut Mig, [MigSignal; 3], [bool; 3]) -> Option<MigSignal>,
 ) -> Mig {
+    let fanout = mig.fanout_counts();
     transform(mig, room_for_one_to_one(mig), |out, ctx| {
-        rule(out, ctx.kids, ctx.single_fanout)
+        let single_fanout = mig
+            .maj_children(ctx.old_idx)
+            .map_or([false; 3], |kids| kids.map(|s| fanout[s.node()] == 1));
+        rule(out, ctx.kids, single_fanout)
             .unwrap_or_else(|| out.maj(ctx.kids[0], ctx.kids[1], ctx.kids[2]))
     })
 }

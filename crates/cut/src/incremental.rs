@@ -29,7 +29,7 @@ use crate::npn;
 use crate::rewrite::RoundStats;
 use rms_core::fanout::{eliminate_inplace, reshape_inplace};
 use rms_core::opt::{OptOptions, OptStats};
-use rms_core::par::par_map_threads;
+use rms_core::par::{par_map_threads, resolve_threads};
 use rms_core::rewrite::eliminate;
 use rms_core::{IncrementalMig, Mig, MigNode, MigSignal};
 
@@ -353,16 +353,6 @@ pub fn round_windowed(
     stats
 }
 
-/// The worker count of [`round_windowed`] for `opts`: [`OptOptions::jobs`],
-/// with `0` meaning [`rms_core::par::num_threads`].
-pub(crate) fn resolve_jobs(opts: &OptOptions) -> usize {
-    if opts.jobs == 0 {
-        rms_core::par::num_threads()
-    } else {
-        opts.jobs
-    }
-}
-
 /// Consecutive cycles without a new best iterate after which
 /// [`cut_script_inplace`] stops. It bounds the gap between two
 /// improvements of the best `(gates, depth)`, not the cycle of the last
@@ -381,7 +371,7 @@ pub const STAGNATION_WINDOW: usize = 8;
 pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
     let db = database();
     let compacted = mig.compact();
-    let jobs = resolve_jobs(opts);
+    let jobs = resolve_threads(opts.jobs);
     let mut g = IncrementalMig::from_mig(&compacted);
     let mut best = compacted;
     let mut best_score = (best.num_gates(), best.depth());

@@ -264,7 +264,12 @@ fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> Re
             }
             let cand = built.complement_if(m.out_phase);
             stats.candidates += 1;
-            match try_substitute_built(g, n, cand, len_before, &mut stats) {
+            let verdict = try_substitute(g, n, cand, &mut stats);
+            if !matches!(verdict, Verdict::Accepted) {
+                // Roll the freshly built candidate back.
+                g.undo_tail(len_before);
+            }
+            match verdict {
                 Verdict::Accepted => {
                     ControlFlow::Break((built.node(), [(da, pa), (db, pb), (dc, pc)]))
                 }
@@ -431,7 +436,8 @@ enum Verdict {
     Rejected,
 }
 
-/// Proves and commits `n := cand` for an already-existing candidate.
+/// Proves and commits `n := cand`. A rejected candidate stays in the
+/// graph; the caller rolls back one it built.
 fn try_substitute(
     g: &mut IncrementalMig,
     n: usize,
@@ -459,42 +465,6 @@ fn try_substitute(
         ProveOutcome::Unknown { conflicts } => {
             stats.sat_conflicts += conflicts;
             stats.budget_exhausted += 1;
-            Verdict::Rejected
-        }
-    }
-}
-
-/// Like [`try_substitute`], but for a freshly built candidate node that
-/// must be rolled back with `undo_tail` unless the proof succeeds.
-fn try_substitute_built(
-    g: &mut IncrementalMig,
-    n: usize,
-    cand: MigSignal,
-    len_before: usize,
-    stats: &mut ResubStats,
-) -> Verdict {
-    if g.sig_of(cand) != g.sig_of(MigSignal::new(n, false)) {
-        stats.sig_vetoes += 1;
-        g.undo_tail(len_before);
-        return Verdict::Rejected;
-    }
-    match prove_signals(g, MigSignal::new(n, false), cand, Some(CONFLICT_BUDGET)) {
-        ProveOutcome::Equal { conflicts } => {
-            stats.sat_conflicts += conflicts;
-            g.replace(n, cand);
-            stats.accepted += 1;
-            Verdict::Accepted
-        }
-        ProveOutcome::Differ { cex, conflicts } => {
-            stats.sat_conflicts += conflicts;
-            stats.refuted += 1;
-            g.undo_tail(len_before);
-            Verdict::Refuted(cex)
-        }
-        ProveOutcome::Unknown { conflicts } => {
-            stats.sat_conflicts += conflicts;
-            stats.budget_exhausted += 1;
-            g.undo_tail(len_before);
             Verdict::Rejected
         }
     }

@@ -25,7 +25,7 @@
 
 use crate::cuts;
 use crate::database::database;
-use crate::incremental::{cut_script_inplace, resolve_jobs, round_windowed};
+use crate::incremental::{cut_script_inplace, round_windowed};
 use crate::npn;
 use rms_core::opt::{drive, optimize_rram, OptOptions, OptStats};
 use rms_core::rewrite::{eliminate, inverter_propagation, push_up, reshape, InverterCases};
@@ -256,7 +256,7 @@ fn cut_rram_on(
         (c.rrams.saturating_mul(c.steps), c.steps)
     };
     let db = database();
-    let jobs = resolve_jobs(opts);
+    let jobs = rms_core::par::resolve_threads(opts.jobs);
     let base = optimize_rram(mig, realization, opts);
     let mut rewrites = 0u64;
     let (hybrid, cycles, cancelled) = run(mig, opts, &score, &mut |m, c| {

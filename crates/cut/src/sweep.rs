@@ -62,6 +62,23 @@ pub(crate) fn post_passes(
     stats: &mut OptStats,
     cancel: &CancelToken,
 ) -> Mig {
+    post_rounds(base, stats, cancel, |g, stats| {
+        post_round(g, passes, stats, cancel)
+    })
+}
+
+/// The round loop of [`post_passes`] over any round body, which returns
+/// the round's progress. The token is polled before and after every
+/// round, and a round it tripped in is never scored: its passes may
+/// have stopped early, so its graph is not one a completed run could
+/// produce (the contract of [`rms_core::opt::drive`]). The best
+/// iterate is always a fully-committed graph, so stopping is safe.
+fn post_rounds(
+    base: &Mig,
+    stats: &mut OptStats,
+    cancel: &CancelToken,
+    mut round: impl FnMut(&mut IncrementalMig, &mut OptStats) -> u64,
+) -> Mig {
     let compact = base.compact();
     if compact.num_gates() == 0 {
         return compact;
@@ -70,40 +87,16 @@ pub(crate) fn post_passes(
     let mut best = compact;
     let mut best_score = (best.num_gates(), best.depth());
     for _ in 0..MAX_POST_ROUNDS {
-        // Post-pass rounds are cancellation checkpoints; the best iterate
-        // is always a fully-committed graph, so stopping here is safe.
         if cancel.cancelled() {
             stats.cancelled = true;
             break;
         }
-        let mut progress = 0u64;
-        if passes.fraig {
-            let fopts = FraigOptions {
-                cancel: cancel.clone(),
-                ..FraigOptions::default()
-            };
-            let outcome = fraig_pass(&mut g, &fopts);
-            stats.fraig_classes += outcome.stats.classes;
-            stats.fraig_merges += outcome.stats.merges;
-            stats.sat_conflicts += outcome.stats.sat_conflicts;
-            stats.sat_budget_exhausted += outcome.stats.budget_exhausted;
-            progress += outcome.stats.merges;
-            stats.passes += 1;
-        }
-        if passes.resub {
-            let ropts = ResubOptions {
-                cancel: cancel.clone(),
-            };
-            let r = resub_pass(&mut g, &ropts);
-            stats.resubs += r.accepted;
-            stats.sat_conflicts += r.sat_conflicts;
-            stats.sat_budget_exhausted += r.budget_exhausted;
-            progress += r.accepted;
-            stats.passes += 1;
-        }
-        progress += eliminate_inplace(&mut g) as u64;
-        stats.passes += 1;
+        let progress = round(&mut g, stats);
         stats.cycles += 1;
+        if cancel.cancelled() {
+            stats.cancelled = true;
+            break;
+        }
         let score = (g.num_gates(), g.depth());
         if score < best_score {
             best_score = score;
@@ -115,6 +108,44 @@ pub(crate) fn post_passes(
     }
     stats.peak_nodes = stats.peak_nodes.max(g.peak_len() as u64);
     best
+}
+
+/// One post-pass round on `g`: the requested passes, then `eliminate`.
+/// Returns the number of merges, resubstitutions and eliminations.
+fn post_round(
+    g: &mut IncrementalMig,
+    passes: SweepPasses,
+    stats: &mut OptStats,
+    cancel: &CancelToken,
+) -> u64 {
+    let mut progress = 0u64;
+    if passes.fraig {
+        let fopts = FraigOptions {
+            cancel: cancel.clone(),
+            ..FraigOptions::default()
+        };
+        let outcome = fraig_pass(g, &fopts);
+        stats.fraig_classes += outcome.stats.classes;
+        stats.fraig_merges += outcome.stats.merges;
+        stats.sat_conflicts += outcome.stats.sat_conflicts;
+        stats.sat_budget_exhausted += outcome.stats.budget_exhausted;
+        progress += outcome.stats.merges;
+        stats.passes += 1;
+    }
+    if passes.resub {
+        let ropts = ResubOptions {
+            cancel: cancel.clone(),
+        };
+        let r = resub_pass(g, &ropts);
+        stats.resubs += r.accepted;
+        stats.sat_conflicts += r.sat_conflicts;
+        stats.sat_budget_exhausted += r.budget_exhausted;
+        progress += r.accepted;
+        stats.passes += 1;
+    }
+    progress += eliminate_inplace(g) as u64;
+    stats.passes += 1;
+    progress
 }
 
 /// Runs a sweep script: the in-place cut script, then the requested
@@ -143,6 +174,7 @@ pub(crate) fn rram_polish(
     };
     let mut post = OptStats::default();
     let polished = post_passes(best, SweepPasses::BOTH, &mut post, cancel);
+    stats.cancelled |= post.cancelled;
     if score(&polished) < score(best) {
         stats.fraig_classes += post.fraig_classes;
         stats.fraig_merges += post.fraig_merges;
@@ -189,6 +221,39 @@ mod tests {
                 assert!(res.holds(), "{name}: {res:?}");
             }
         }
+    }
+
+    #[test]
+    fn post_rounds_never_score_a_round_the_token_tripped_in() {
+        // The first round shrinks the graph but trips the token on the
+        // way, as a fraig or resub pass stopping early on it would: its
+        // graph must not become the best iterate, and the run must say
+        // it was cancelled.
+        let base = bench_mig("exam3_d").compact();
+        let cancel = CancelToken::new();
+        let mut stats = OptStats::default();
+        let out = post_rounds(&base, &mut stats, &cancel, |g, stats| {
+            let progress = post_round(g, SweepPasses::BOTH, stats, &CancelToken::default());
+            assert!(
+                g.num_gates() < base.num_gates(),
+                "the round must shrink the graph"
+            );
+            cancel.cancel();
+            progress
+        });
+        assert!(stats.cancelled);
+        assert_eq!(stats.cycles, 1);
+        assert_eq!(out.num_gates(), base.num_gates());
+    }
+
+    #[test]
+    fn rram_polish_reports_a_cancelled_post_pass() {
+        let m = bench_mig("exam3_d").compact();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let mut stats = OptStats::default();
+        rram_polish(&m, Realization::Maj, &mut stats, &cancel);
+        assert!(stats.cancelled);
     }
 
     #[test]

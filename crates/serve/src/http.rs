@@ -15,7 +15,7 @@
 //!
 //! # Robustness
 //!
-//! - **Connection shedding**: at most `Service::max_conns` connections
+//! - **Connection shedding**: at most `ServeConfig::max_conns` connections
 //!   are served concurrently; excess connections get an immediate
 //!   `503 Service Unavailable` instead of queuing without bound.
 //! - **Socket timeouts**: every accepted socket gets the service's
@@ -46,17 +46,6 @@ const BODY_CHUNK_BYTES: usize = 64 << 10;
 /// How long [`HttpServer::run`] waits for in-flight connections to
 /// finish after the shutdown flag is raised.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Binds `addr` and serves connections forever (the embedding entry
-/// point without shutdown control).
-///
-/// # Errors
-///
-/// Returns the bind error; per-connection errors are contained.
-pub fn serve_http(service: Arc<Service>, addr: &str) -> io::Result<()> {
-    let server = HttpServer::bind(service, addr)?;
-    server.run(&AtomicBool::new(false))
-}
 
 /// Binds `addr` (use `127.0.0.1:0` for an ephemeral port), returns the
 /// bound address, and serves on a background thread — the test and
@@ -118,8 +107,8 @@ impl HttpServer {
     /// failures propagate.
     pub fn run(&self, shutdown: &AtomicBool) -> io::Result<()> {
         let active = Arc::new(AtomicUsize::new(0));
-        let max_conns = self.service.max_conns();
-        let io_timeout = self.service.io_timeout();
+        let max_conns = self.service.config().max_conns;
+        let io_timeout = self.service.config().io_timeout;
         for stream in self.listener.incoming() {
             if shutdown.load(Ordering::SeqCst) {
                 break;
@@ -212,7 +201,7 @@ impl Response {
         Response {
             status,
             reason,
-            body: crate::service::error_line("", kind, message),
+            body: crate::service::error_envelope("", kind, message),
         }
     }
 
@@ -222,7 +211,7 @@ impl Response {
 }
 
 fn handle_connection(service: &Service, mut stream: TcpStream) {
-    let response = match read_request(&mut stream, service.max_body_bytes()) {
+    let response = match read_request(&mut stream, service.config().max_body_bytes) {
         Ok(request) => route(service, &request),
         Err(response) => response,
     };

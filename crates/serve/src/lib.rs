@@ -2,7 +2,7 @@
 //!
 //! A long-lived process that accepts circuits over two transports —
 //! newline-delimited JSON on stdio ([`run_stdio`]) and a minimal
-//! std-only HTTP/1.1 listener ([`serve_http`]) — runs them through the
+//! std-only HTTP/1.1 listener ([`HttpServer`]) — runs them through the
 //! [`rms_flow::Pipeline`], and memoizes every result in a
 //! **content-addressed, proof-carrying cache** ([`cache::ResultCache`]):
 //!
@@ -21,7 +21,8 @@
 //! Per-process state that the CLI sets up on every invocation — the NPN
 //! tables, the NPN-222 cut database (loaded from its committed table) and
 //! the parsed benchmark suites — is set up once behind `OnceLock`s and
-//! shared by every request. Batch requests fan out over the same
+//! shared by every request. Every synthesis request runs as a batch (a
+//! single request is a batch of one), and batches fan out over the same
 //! scoped-thread pool as `rms bench`, with responses assembled
 //! sequentially in input order so the byte stream is identical across
 //! worker counts.
@@ -48,7 +49,7 @@ pub mod service;
 pub mod stdio;
 
 pub use cache::{CacheKey, CacheStats, Entry, Provenance, ResultCache};
-pub use http::{serve_http, spawn_http, HttpServer};
+pub use http::{spawn_http, HttpServer};
 pub use persist::{Journal, ReplayStats, JOURNAL_FILE, JOURNAL_MAGIC};
 pub use service::{
     RequestOptions, ServeConfig, Service, DEFAULT_CACHE_BYTES, DEFAULT_MAX_BODY_BYTES,

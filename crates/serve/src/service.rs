@@ -29,10 +29,16 @@
 //!  "opt":"cut","jobs":4}
 //! ```
 //!
-//! Batch responses list per-item envelopes in **input order**, and are
-//! bit-identical across worker counts: items are classified against the
-//! cache up front, unique misses run in parallel, and cache insertion +
-//! response assembly happen sequentially in input order.
+//! A single request runs as a one-item batch: the request is its own
+//! item, its id is the item's default id, and its `jobs` field is
+//! ignored. The `batch` key changes only the response's shape: the
+//! item envelopes are wrapped as `{…,"count":n,"results":[…]}` instead
+//! of sent bare. An item without an `id` of its own gets `b1[i]`.
+//!
+//! Item envelopes come in **input order**, and are bit-identical across
+//! worker counts: items are classified against the cache up front,
+//! unique misses run in parallel, and cache insertion + response
+//! assembly happen sequentially in input order.
 //!
 //! **Ops** — `{"op":"stats"}` returns cache counters,
 //! `{"op":"ping"}` a liveness probe.
@@ -460,12 +466,7 @@ struct State {
 /// after a panic.
 pub struct Service {
     state: Mutex<State>,
-    jobs: usize,
-    max_body_bytes: usize,
-    max_conns: usize,
-    io_timeout: Option<Duration>,
-    default_deadline_ms: Option<u64>,
-    default_best_effort: bool,
+    config: ServeConfig,
     replay: Option<ReplayStats>,
 }
 
@@ -475,8 +476,9 @@ impl Service {
     /// into the cache (see [`Service::replay_stats`]); an unusable
     /// cache directory degrades to a memory-only cache with a warning
     /// on stderr rather than refusing to serve.
-    pub fn new(config: ServeConfig) -> Self {
+    pub fn new(mut config: ServeConfig) -> Self {
         rms_cut::prewarm();
+        config.max_conns = config.max_conns.max(1);
         let mut cache = ResultCache::new(config.cache_bytes);
         let mut replay = None;
         let journal =
@@ -498,31 +500,15 @@ impl Service {
                 });
         Service {
             state: Mutex::new(State { cache, journal }),
-            jobs: config.jobs,
-            max_body_bytes: config.max_body_bytes,
-            max_conns: config.max_conns.max(1),
-            io_timeout: config.io_timeout,
-            default_deadline_ms: config.deadline_ms,
-            default_best_effort: config.best_effort,
+            config,
             replay,
         }
     }
 
-    /// The configured HTTP request-body cap, consulted by the HTTP
-    /// transport before reading a body.
-    pub fn max_body_bytes(&self) -> usize {
-        self.max_body_bytes
-    }
-
-    /// The concurrent HTTP connection cap (excess connections are shed
-    /// with `503`).
-    pub fn max_conns(&self) -> usize {
-        self.max_conns
-    }
-
-    /// The HTTP socket read/write timeout.
-    pub fn io_timeout(&self) -> Option<Duration> {
-        self.io_timeout
+    /// The configuration the service was built with (`max_conns` raised
+    /// to at least 1); the transports read their caps and timeouts here.
+    pub fn config(&self) -> &ServeConfig {
+        &self.config
     }
 
     /// What journal replay restored at startup (`None` when no cache
@@ -618,94 +604,53 @@ impl Service {
             Err(e) => return error_envelope(&id, kind::BAD_REQUEST, &e),
         };
         if opts.deadline_ms.is_none() {
-            opts.deadline_ms = self.default_deadline_ms;
+            opts.deadline_ms = self.config.deadline_ms;
         }
-        opts.best_effort |= self.default_best_effort;
-        match v.get("batch") {
-            None => {
-                let spec = match CircuitSpec::from_json(&v, id.clone()) {
-                    Ok(s) => s,
-                    Err(e) => return error_envelope(&id, kind::BAD_REQUEST, &e),
-                };
-                let outcome = self.run_one(&spec, &opts);
-                render_outcome(&spec.id, &opts, outcome)
-            }
-            Some(batch) => {
-                let Some(items) = batch.as_array() else {
-                    return error_envelope(&id, kind::BAD_REQUEST, "\"batch\" must be an array");
-                };
-                let jobs = match v.get("jobs") {
-                    Some(j) => match j.as_u64() {
-                        Some(n) => n as usize,
-                        None => {
-                            return error_envelope(
-                                &id,
-                                kind::BAD_REQUEST,
-                                "\"jobs\" must be a non-negative integer",
-                            )
-                        }
-                    },
-                    None => self.jobs,
-                };
-                self.handle_batch(&id, items, &opts, jobs)
-            }
-        }
-    }
-
-    /// Runs one circuit against the cache: hit → memoized entry, miss →
-    /// pipeline run (outside the cache lock) + insert. Deadline-
-    /// truncated best-effort runs are returned but never inserted.
-    fn run_one(&self, spec: &CircuitSpec, opts: &RequestOptions) -> ItemOutcome {
-        let netlist = match spec.resolve() {
-            Ok(nl) => nl,
-            Err(e) => return ItemOutcome::Error(ServeError::bad_request(e)),
+        opts.best_effort |= self.config.best_effort;
+        // A single request is a batch of one: the request is its own
+        // item, and the item id defaults to the request id. `"batch"`
+        // only adds the `count`/`results` wrapping.
+        let Some(batch) = v.get("batch") else {
+            return self
+                .execute(std::slice::from_ref(&v), |_| id.clone(), &opts, 1)
+                .swap_remove(0);
         };
-        let key = cache_key(&netlist, opts);
-        if let Some(entry) = self.lock_state().cache.lookup(&key) {
-            return ItemOutcome::Hit(entry);
-        }
-        match run_pipeline(netlist, opts) {
-            Err(e) => ItemOutcome::Error(e),
-            Ok(run) if run.cancelled => ItemOutcome::BestEffort(uncached_entry(&spec.id, &run)),
-            Ok(run) => ItemOutcome::Miss(self.insert(key, &spec.id, run.report_json, &run.verify)),
-        }
+        let Some(items) = batch.as_array() else {
+            return error_envelope(&id, kind::BAD_REQUEST, "\"batch\" must be an array");
+        };
+        let jobs = match v.get("jobs") {
+            Some(j) => match j.as_u64() {
+                Some(n) => n as usize,
+                None => {
+                    return error_envelope(
+                        &id,
+                        kind::BAD_REQUEST,
+                        "\"jobs\" must be a non-negative integer",
+                    )
+                }
+            },
+            None => self.config.jobs,
+        };
+        let results = self.execute(items, |i| format!("{id}[{i}]"), &opts, jobs);
+        format!(
+            "{{\"protocol\":\"{PROTOCOL}\",\"id\":\"{}\",\"status\":\"ok\",\"count\":{},\"results\":[{}]}}",
+            escape_json(&id),
+            results.len(),
+            results.join(",")
+        )
     }
 
-    /// Builds the provenance record, inserts the entry, and journals it
+    /// Builds the cache entry for `run`, inserts it, and journals it
     /// (making it durable against `kill -9` before the response that
     /// announces it is written); returns the entry as stored (for the
     /// miss response). A journal append failure disables persistence
     /// for the rest of the process — the in-memory cache keeps working.
-    fn insert(
-        &self,
-        key: CacheKey,
-        request_id: &str,
-        report_json: String,
-        verify: &VerifyOutcome,
-    ) -> Entry {
-        let (conflicts, decisions) = match verify {
-            VerifyOutcome::Proved {
-                conflicts,
-                decisions,
-            } => (*conflicts, *decisions),
-            _ => (0, 0),
-        };
+    fn insert(&self, key: &CacheKey, request_id: &str, run: &PipelineRun) -> Entry {
         let mut state = self.lock_state();
-        let entry = Entry {
-            report_json,
-            provenance: Provenance {
-                request_id: request_id.to_string(),
-                verified: verify.label(),
-                proof: verify.is_proof(),
-                sat_conflicts: conflicts,
-                sat_decisions: decisions,
-                cached_at: state.cache.next_insert_tick(),
-            },
-            hits: 0,
-        };
+        let entry = entry_of(request_id, run, state.cache.next_insert_tick());
         state.cache.insert(key.clone(), entry.clone());
         if let Some(journal) = state.journal.as_mut() {
-            if let Err(e) = journal.append(&key, &entry) {
+            if let Err(e) = journal.append(key, &entry) {
                 eprintln!("rms serve: cache journal disabled after append failure: {e}");
                 state.journal = None;
             }
@@ -713,17 +658,19 @@ impl Service {
         entry
     }
 
-    /// Executes a batch: parse + resolve sequentially, fan the unique
-    /// cache misses out over the thread pool, then insert + render
-    /// **sequentially in input order** — which makes the response byte
-    /// stream independent of the worker count.
-    fn handle_batch(
+    /// The one executor every synthesis request runs through (a single
+    /// request is a batch of one): returns one rendered envelope per
+    /// item, in input order, byte-identical for every worker count
+    /// `jobs` (0 = all cores). `item_id(i)` is the id of item `i` when
+    /// it names none. A deadline-truncated best-effort run is returned
+    /// but never inserted.
+    fn execute(
         &self,
-        id: &str,
         items: &[Value],
+        item_id: impl Fn(usize) -> String,
         opts: &RequestOptions,
         jobs: usize,
-    ) -> String {
+    ) -> Vec<String> {
         // Phase 1 (sequential): decode and parse every item.
         enum Prep {
             Err(String, ServeError), // (item id, error)
@@ -733,14 +680,15 @@ impl Service {
             .iter()
             .enumerate()
             .map(|(i, item)| {
+                let default_id = item_id(i);
                 if !item.is_object() {
                     return Prep::Err(
-                        format!("{id}[{i}]"),
+                        default_id,
                         ServeError::bad_request("batch item must be an object"),
                     );
                 }
-                match CircuitSpec::from_json(item, format!("{id}[{i}]")) {
-                    Err(e) => Prep::Err(format!("{id}[{i}]"), ServeError::bad_request(e)),
+                match CircuitSpec::from_json(item, default_id.clone()) {
+                    Err(e) => Prep::Err(default_id, ServeError::bad_request(e)),
                     Ok(spec) => match spec.resolve() {
                         Err(e) => Prep::Err(spec.id.clone(), ServeError::bad_request(e)),
                         Ok(nl) => {
@@ -771,10 +719,10 @@ impl Service {
                 }
             }
         }
-        let workers = if jobs == 0 { par::num_threads() } else { jobs };
-        let computed: Vec<RunResult> = par::par_map_threads(&to_compute, workers, |(_, nl)| {
-            run_pipeline((*nl).clone(), opts)
-        });
+        let computed: Vec<RunResult> =
+            par::par_map_threads(&to_compute, par::resolve_threads(jobs), |(_, nl)| {
+                run_pipeline((*nl).clone(), opts)
+            });
         let by_key: Vec<(CacheKey, RunResult)> = to_compute
             .into_iter()
             .map(|(k, _)| k.clone())
@@ -788,7 +736,7 @@ impl Service {
         let mut rendered: Vec<String> = Vec::with_capacity(prepared.len());
         for (p, planned) in prepared.iter().zip(planned) {
             let envelope = match p {
-                Prep::Err(item_id, e) => error_envelope(item_id, e.kind, &e.message),
+                Prep::Err(id, e) => error_envelope(id, e.kind, &e.message),
                 Prep::Ready(spec, _, key) => {
                     // A key computed in this batch hits from its second
                     // occurrence on, unless it has been evicted again.
@@ -797,14 +745,11 @@ impl Service {
                         Some(entry) => ItemOutcome::Hit(entry),
                         None => match by_key.iter().find(|(k, _)| k == key) {
                             Some((_, Ok(run))) if run.cancelled => {
-                                ItemOutcome::BestEffort(uncached_entry(&spec.id, run))
+                                ItemOutcome::BestEffort(entry_of(&spec.id, run, 0))
                             }
-                            Some((_, Ok(run))) => ItemOutcome::Miss(self.insert(
-                                key.clone(),
-                                &spec.id,
-                                run.report_json.clone(),
-                                &run.verify,
-                            )),
+                            Some((_, Ok(run))) => {
+                                ItemOutcome::Miss(self.insert(key, &spec.id, run))
+                            }
                             Some((_, Err(e))) => ItemOutcome::Error(e.clone()),
                             None => ItemOutcome::Error(ServeError::internal(
                                 "batch item neither cached nor computed",
@@ -816,14 +761,7 @@ impl Service {
             };
             rendered.push(envelope);
         }
-        let mut out = format!(
-            "{{\"protocol\":\"{PROTOCOL}\",\"id\":\"{}\",\"status\":\"ok\",\"count\":{},\"results\":[",
-            escape_json(id),
-            rendered.len()
-        );
-        out.push_str(&rendered.join(","));
-        out.push_str("]}");
-        out
+        rendered
     }
 
     fn stats_envelope(&self, id: &str) -> String {
@@ -839,7 +777,7 @@ impl Service {
             s.hits,
             s.misses,
             s.evictions,
-            self.jobs
+            self.config.jobs
         )
     }
 }
@@ -889,15 +827,16 @@ fn run_pipeline(netlist: Netlist, opts: &RequestOptions) -> RunResult {
     })
 }
 
-/// The response entry for a deadline-truncated best-effort run: carries
-/// full provenance for the truncated run but is never stored, so
-/// `cached_at` is 0 and the disposition renders as `bypass`.
-fn uncached_entry(request_id: &str, run: &PipelineRun) -> Entry {
-    let (conflicts, decisions) = match &run.verify {
+/// The cache entry for `run`, with the provenance of the request that
+/// produced it. `cached_at` is the insert tick, or 0 for a
+/// deadline-truncated best-effort result, which is never stored and
+/// renders as `bypass`.
+fn entry_of(request_id: &str, run: &PipelineRun, cached_at: u64) -> Entry {
+    let (sat_conflicts, sat_decisions) = match run.verify {
         VerifyOutcome::Proved {
             conflicts,
             decisions,
-        } => (*conflicts, *decisions),
+        } => (conflicts, decisions),
         _ => (0, 0),
     };
     Entry {
@@ -906,9 +845,9 @@ fn uncached_entry(request_id: &str, run: &PipelineRun) -> Entry {
             request_id: request_id.to_string(),
             verified: run.verify.label(),
             proof: run.verify.is_proof(),
-            sat_conflicts: conflicts,
-            sat_decisions: decisions,
-            cached_at: 0,
+            sat_conflicts,
+            sat_decisions,
+            cached_at,
         },
         hits: 0,
     }
@@ -926,14 +865,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Renders a protocol error envelope — the transports use this for
+/// Renders a protocol error envelope; the transports also use it for
 /// errors that never reach [`Service::handle_line`] (oversized lines,
 /// invalid UTF-8, shed connections).
-pub(crate) fn error_line(id: &str, kind: &str, message: &str) -> String {
-    error_envelope(id, kind, message)
-}
-
-fn error_envelope(id: &str, kind: &str, message: &str) -> String {
+pub(crate) fn error_envelope(id: &str, kind: &str, message: &str) -> String {
     format!(
         "{{\"protocol\":\"{PROTOCOL}\",\"id\":\"{}\",\"status\":\"error\",\"kind\":\"{}\",\"error\":\"{}\"}}",
         escape_json(id),

@@ -10,7 +10,7 @@
 //! a line likewise gets an in-band error response instead of tearing
 //! down the transport.
 
-use crate::service::{error_line, kind, Service};
+use crate::service::{error_envelope, kind, Service};
 use std::io::{self, BufRead, Read, Write};
 
 /// Serves JSONL over the given reader/writer until EOF: one request
@@ -29,7 +29,7 @@ pub fn run_stdio<R: BufRead, W: Write>(
     mut input: R,
     output: &mut W,
 ) -> io::Result<()> {
-    let max_line = service.max_body_bytes().max(1);
+    let max_line = service.config().max_body_bytes.max(1);
     let mut buf: Vec<u8> = Vec::new();
     loop {
         buf.clear();
@@ -44,7 +44,7 @@ pub fn run_stdio<R: BufRead, W: Write>(
             // The line overran the cap: drop what we have, drain the
             // rest of the line without storing it, and answer in-band.
             let drained = drain_line(&mut input)?;
-            error_line(
+            error_envelope(
                 "",
                 kind::BAD_REQUEST,
                 &format!(
@@ -54,7 +54,7 @@ pub fn run_stdio<R: BufRead, W: Write>(
             )
         } else {
             match std::str::from_utf8(&buf) {
-                Err(_) => error_line("", kind::BAD_REQUEST, "request line is not valid UTF-8"),
+                Err(_) => error_envelope("", kind::BAD_REQUEST, "request line is not valid UTF-8"),
                 Ok(line) => {
                     let trimmed = line.trim();
                     if trimmed.is_empty() {

@@ -145,6 +145,56 @@ fn concurrent_clients_agree_and_share_entries() {
 }
 
 #[test]
+fn single_request_envelope_is_its_one_item_batch_envelope() {
+    // Two services see the same sequence, one as single requests, one as
+    // one-item batches carrying the same id, circuit and options.
+    let (singles, batches) = (service(), service());
+    let opts = "\"opt\":\"cut\",\"effort\":4,\"deterministic\":true";
+    let cases = [
+        (
+            "r1",
+            format!("\"circuit\":\"{BLIF_AND_FIRST}\""),
+            opts.to_string(),
+            "\"cache\":\"miss\"",
+        ),
+        (
+            "r2",
+            format!("\"circuit\":\"{BLIF_OR_FIRST}\""),
+            opts.to_string(),
+            "\"cache\":\"hit\"",
+        ),
+        (
+            "r3",
+            "\"bench\":\"misex1\"".to_string(),
+            format!("{opts},\"deadline_ms\":0,\"best_effort\":true"),
+            "\"cache\":\"bypass\"",
+        ),
+        (
+            "r4",
+            "\"circuit\":\"f = (\"".to_string(),
+            opts.to_string(),
+            "\"status\":\"error\"",
+        ),
+    ];
+    for (id, circuit, opts, disposition) in cases {
+        let single = singles.handle_line(&format!("{{\"id\":\"{id}\",{circuit},{opts}}}"));
+        assert!(single.contains(disposition), "{single}");
+        let batch = batches.handle_line(&format!(
+            "{{\"id\":\"{id}\",{opts},\"batch\":[{{\"id\":\"{id}\",{circuit}}}]}}"
+        ));
+        let wrapper = format!(
+            "{{\"protocol\":\"rms-serve-v1\",\"id\":\"{id}\",\"status\":\"ok\",\"count\":1,\"results\":["
+        );
+        let item = batch
+            .strip_prefix(&wrapper)
+            .and_then(|rest| rest.strip_suffix("]}"))
+            .unwrap_or_else(|| panic!("not a one-item batch: {batch}"));
+        assert_eq!(single, item, "{id}");
+    }
+    assert_eq!(singles.cache_stats(), batches.cache_stats());
+}
+
+#[test]
 fn batch_responses_are_bit_identical_across_worker_counts() {
     let batch_for = |jobs: usize| {
         format!(
