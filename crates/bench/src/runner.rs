@@ -429,16 +429,7 @@ pub fn sum_by<T>(rows: &[T], f: impl Fn(&T) -> Measured) -> Measured {
 
 /// The paper-reported Σ row of Table II as `Measured` columns.
 pub fn paper_table2_sums() -> [Measured; 6] {
-    let s = paper_data::TABLE2_SUM;
-    [
-        s.area_imp,
-        s.depth_imp,
-        s.rram_imp,
-        s.rram_maj,
-        s.step_imp,
-        s.step_maj,
-    ]
-    .map(|r| Measured {
+    paper_data::TABLE2_SUM.columns().map(|r| Measured {
         rrams: r.rrams,
         steps: r.steps,
     })

@@ -354,7 +354,7 @@ pub fn round_windowed(
 }
 
 /// Consecutive cycles without a new best iterate after which
-/// [`cut_script_inplace`] stops. It bounds the gap between two
+/// [`optimize_cut_stats`] stops. It bounds the gap between two
 /// improvements of the best `(gates, depth)`, not the cycle of the last
 /// one: on Table II the last best comes at cycle 34 (apex4), 22 (misex3,
 /// seq) and 20 (apex1). The reshape pass alternates its push direction
@@ -368,7 +368,7 @@ pub const STAGNATION_WINDOW: usize = 8;
 /// [`round_windowed`] as its rewrite round, and the cycle loop stops
 /// early when a cycle leaves the fingerprint unchanged or after
 /// [`STAGNATION_WINDOW`] consecutive cycles without improvement.
-pub fn cut_script_inplace(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
+pub fn optimize_cut_stats(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
     let db = database();
     let compacted = mig.compact();
     let jobs = resolve_threads(opts.jobs);
@@ -538,7 +538,7 @@ mod tests {
         let mut rebuild_total = 0u64;
         for name in SAMPLES {
             let m = bench_mig(name);
-            let (inc, _) = cut_script_inplace(&m, &opts);
+            let (inc, _) = optimize_cut_stats(&m, &opts);
             let (reb, _, _) = drive(
                 &m,
                 &opts,

@@ -17,19 +17,20 @@
 //! 4. the rewrite round ([`round_windowed`], in [`incremental`]) walks
 //!    the graph in topological order and replaces a node's maximum
 //!    fanout-free cone with the database structure whenever that is a
-//!    net win (zero-gain hops optional); the scripts in [`rewrite`]
-//!    repeat it, yielding [`optimize_cut`] (node-count objective) and
-//!    [`optimize_cut_rram`] (interleaved with the paper's Alg. 3, scored
-//!    by `R·S`).
+//!    net win (zero-gain hops optional); the scripts repeat it,
+//!    yielding [`optimize_cut_stats`] (node-count objective) and
+//!    [`optimize_cut_rram_stats`] (interleaved with the paper's Alg. 3,
+//!    scored by `R·S`).
 //!
 //! Every script runs one round, the **in-place round** ([`incremental`]):
 //! it evaluates fixed-size windows of a persistent
 //! [`rms_core::IncrementalMig`] and splices accepted rewrites into it.
-//! Algorithm 5 ([`cut_script_inplace`]) and the SAT-sweeping scripts
+//! Algorithm 5 ([`optimize_cut_stats`]) and the SAT-sweeping scripts
 //! ([`sweep`]) rewrite one graph for the whole run; the hybrid
-//! ([`optimize_cut_rram`]) runs the round on a fresh incremental view of
-//! each cycle's graph inside [`rms_core::opt::drive`], the best-iterate
-//! loop of the paper's algorithms. The **rebuild round**
+//! ([`optimize_cut_rram_stats`], in [`rewrite`]) runs the round on a
+//! fresh incremental view of each cycle's graph inside
+//! [`rms_core::opt::drive`], the best-iterate loop of the paper's
+//! algorithms. The **rebuild round**
 //! ([`rewrite_round`]) rebuilds the whole graph per round; it is kept
 //! only as the reference oracle of differential tests.
 //!
@@ -40,7 +41,7 @@
 //!
 //! ```
 //! use rms_core::{Mig, opt::OptOptions};
-//! use rms_cut::optimize_cut;
+//! use rms_cut::optimize_cut_stats;
 //!
 //! // Majority spelled as five AND/OR gates; one database lookup finds it.
 //! let mut mig = Mig::with_inputs("maj_sop", 3);
@@ -49,8 +50,9 @@
 //! let or1 = mig.or(ab, ac);
 //! let or2 = mig.or(or1, bc);
 //! mig.add_output("f", or2);
-//! let opt = optimize_cut(&mig, &OptOptions::with_effort(2));
+//! let (opt, stats) = optimize_cut_stats(&mig, &OptOptions::with_effort(2));
 //! assert_eq!(opt.num_gates(), 1);
+//! assert_eq!(stats.gates_after, 1);
 //! ```
 
 pub mod cuts;
@@ -67,10 +69,7 @@ pub mod sweep;
 pub use cuts::{Cut, CutList, MAX_CUTS_PER_NODE, MAX_CUT_INPUTS};
 pub use database::{database, prewarm, Database, DbEntry};
 pub use fraig::{fraig_pass, prove_signals, FraigOptions, FraigOutcome, FraigStats, ProveOutcome};
-pub use incremental::{cut_script_inplace, round_windowed, WINDOW_NODES};
+pub use incremental::{optimize_cut_stats, round_windowed, WINDOW_NODES};
 pub use resub::{resub_pass, ResubOptions, ResubStats};
-pub use rewrite::{
-    optimize_cut, optimize_cut_rram, optimize_cut_rram_stats, optimize_cut_stats, rewrite_round,
-    RoundStats,
-};
+pub use rewrite::{optimize_cut_rram_stats, rewrite_round, RoundStats};
 pub use sweep::{optimize_sweep_stats, SweepPasses};

@@ -1,6 +1,5 @@
-//! The cut-rewriting drivers (Algorithm 5 and the hybrid cut+RRAM
-//! script) and the rebuild round, the reference oracle of the in-place
-//! round.
+//! The hybrid cut+RRAM script and the rebuild round, the reference
+//! oracle of the in-place round.
 //!
 //! One **rebuild round** walks the graph in topological order rebuilding
 //! it into a fresh, structurally hashed [`Mig`]. For every majority node
@@ -19,13 +18,13 @@
 //! This rebuild round is the reference oracle of the in-place round
 //! ([`crate::incremental::round_windowed`]): `tests/incremental.rs` and
 //! the database builder's tests compare against it, and no product path
-//! runs it. The module also exposes the user-facing drivers
-//! [`optimize_cut`] (Algorithm 5) and [`optimize_cut_rram`] (the hybrid
-//! cut+RRAM script), both on the in-place round.
+//! runs it. The module also holds the hybrid cut+RRAM script
+//! ([`optimize_cut_rram_stats`]), which runs the in-place round;
+//! Algorithm 5 is [`crate::incremental::optimize_cut_stats`].
 
 use crate::cuts;
 use crate::database::database;
-use crate::incremental::{cut_script_inplace, round_windowed};
+use crate::incremental::round_windowed;
 use crate::npn;
 use rms_core::opt::{drive, optimize_rram, OptOptions, OptStats};
 use rms_core::rewrite::{eliminate, inverter_propagation, push_up, reshape, InverterCases};
@@ -197,25 +196,9 @@ pub(crate) fn rewrite_round_with(
     (out.compact(), stats)
 }
 
-/// Algorithm 5 — cut-based rewriting with the node-count objective
-/// ([`cut_script_inplace`]).
-pub fn optimize_cut(mig: &Mig, opts: &OptOptions) -> Mig {
-    optimize_cut_stats(mig, opts).0
-}
-
-/// [`optimize_cut`] with run statistics.
-pub fn optimize_cut_stats(mig: &Mig, opts: &OptOptions) -> (Mig, OptStats) {
-    cut_script_inplace(mig, opts)
-}
-
 /// The hybrid script: cut rewriting interleaved with the paper's Alg. 3
-/// passes, scored by the `R·S` product for `realization`. Never scores
-/// worse than [`rms_core::opt::optimize_rram`].
-pub fn optimize_cut_rram(mig: &Mig, realization: Realization, opts: &OptOptions) -> Mig {
-    optimize_cut_rram_stats(mig, realization, opts).0
-}
-
-/// [`optimize_cut_rram`] with run statistics.
+/// passes, scored by the `R·S` product for `realization`; returns the
+/// optimized graph with its run statistics.
 ///
 /// Per cycle: one in-place rewrite round ([`round_windowed`], zero-gain
 /// replacements on odd cycles) on a fresh [`IncrementalMig`] of the
@@ -302,6 +285,7 @@ fn cut_rram_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::optimize_cut_stats;
     use rms_core::cost::RramCost;
     use rms_core::opt::{optimize_area, optimize_rram};
     use rms_logic::bench_suite;
@@ -356,7 +340,7 @@ mod tests {
         let opts = OptOptions::with_effort(4);
         for name in SAMPLES {
             let m = bench_mig(name);
-            let o = optimize_cut(&m, &opts);
+            let (o, _) = optimize_cut_stats(&m, &opts);
             assert_equiv(&m, &o, name);
             assert!(o.num_gates() <= m.num_gates(), "{name}");
         }
@@ -370,7 +354,7 @@ mod tests {
         let mut wins = 0usize;
         for name in SAMPLES {
             let m = bench_mig(name);
-            let cut = optimize_cut(&m, &opts).num_gates() as u64;
+            let cut = optimize_cut_stats(&m, &opts).0.num_gates() as u64;
             let area = optimize_area(&m, &opts).num_gates() as u64;
             cut_total += cut;
             area_total += area;
@@ -391,7 +375,7 @@ mod tests {
         for name in SAMPLES {
             let m = bench_mig(name);
             for real in Realization::ALL {
-                let hybrid = optimize_cut_rram(&m, real, &opts);
+                let (hybrid, _) = optimize_cut_rram_stats(&m, real, &opts);
                 assert_equiv(&m, &hybrid, name);
                 let base = optimize_rram(&m, real, &opts);
                 let ch = RramCost::of(&hybrid, real);

@@ -17,7 +17,7 @@
 //! result's size. Results are bit-identical across thread counts.
 
 use crate::fraig::{fraig_pass, FraigOptions};
-use crate::incremental::cut_script_inplace;
+use crate::incremental::optimize_cut_stats;
 use crate::resub::{resub_pass, ResubOptions};
 use rms_core::fanout::eliminate_inplace;
 use rms_core::opt::{OptOptions, OptStats};
@@ -151,7 +151,7 @@ fn post_round(
 /// Runs a sweep script: the in-place cut script, then the requested
 /// SAT-backed post passes until fixpoint (best iterate returned).
 pub fn optimize_sweep_stats(mig: &Mig, opts: &OptOptions, passes: SweepPasses) -> (Mig, OptStats) {
-    let (base, mut stats) = cut_script_inplace(mig, opts);
+    let (base, mut stats) = optimize_cut_stats(mig, opts);
     if opts.effort == 0 {
         return (base, stats);
     }
@@ -192,7 +192,6 @@ pub(crate) fn rram_polish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rewrite::optimize_cut_stats;
     use rms_logic::bench_suite;
     use rms_logic::sim::check_equivalence;
 

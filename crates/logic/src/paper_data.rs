@@ -36,6 +36,21 @@ pub struct Table2Row {
     pub step_maj: Rs,
 }
 
+impl Table2Row {
+    /// The six configurations in the paper's column order: Area-IMP,
+    /// Depth-IMP, RRAM-IMP, RRAM-MAJ, Step-IMP, Step-MAJ.
+    pub fn columns(&self) -> [Rs; 6] {
+        [
+            self.area_imp,
+            self.depth_imp,
+            self.rram_imp,
+            self.rram_maj,
+            self.step_imp,
+            self.step_maj,
+        ]
+    }
+}
+
 const fn rs(rrams: u64, steps: u64) -> Rs {
     Rs { rrams, steps }
 }

@@ -22,7 +22,9 @@
 //! the batch tests enforce).
 //!
 //! **Batch request** — many circuits, one shared option set, fanned out
-//! over the scoped-thread pool (`jobs` overrides the worker count):
+//! over the scoped-thread pool (`jobs` overrides the worker count; 0
+//! means all cores, and any value is capped at the core count, or at
+//! `RMS_THREADS` when that is set):
 //!
 //! ```json
 //! {"id":"b1","batch":[{"id":"x","bench":"misex1"},{"id":"y","circuit":"…"}],
@@ -120,7 +122,8 @@ pub struct ServeConfig {
     /// Byte budget of the result cache.
     pub cache_bytes: usize,
     /// Default batch fan-out worker count (0 = all cores, the `par_map`
-    /// default); a request's `jobs` field overrides it.
+    /// default); a request's `jobs` field overrides it. Either is capped
+    /// at [`par::num_threads`].
     pub jobs: usize,
     /// Upper bound on HTTP request bodies; larger requests are rejected
     /// with `413 Payload Too Large` before any body allocation.
@@ -720,7 +723,7 @@ impl Service {
             }
         }
         let computed: Vec<RunResult> =
-            par::par_map_threads(&to_compute, par::resolve_threads(jobs), |(_, nl)| {
+            par::par_map_threads(&to_compute, batch_workers(jobs), |(_, nl)| {
                 run_pipeline((*nl).clone(), opts)
             });
         let by_key: Vec<(CacheKey, RunResult)> = to_compute
@@ -779,6 +782,21 @@ impl Service {
             s.evictions,
             self.config.jobs
         )
+    }
+}
+
+/// The batch fan-out worker count for a requested `jobs`: `0` means all
+/// cores, and every value is capped at [`par::num_threads`], so a
+/// request cannot start more threads than the machine has cores. The
+/// core count is read once per process: reading it costs system calls,
+/// and every request comes through here.
+fn batch_workers(jobs: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(par::num_threads);
+    if jobs == 0 {
+        cores
+    } else {
+        jobs.min(cores)
     }
 }
 
@@ -934,6 +952,16 @@ mod tests {
                 .map(key)
                 .collect();
         assert_eq!(keys.len(), 3, "{keys:?}");
+    }
+
+    #[test]
+    fn batch_workers_are_capped_at_the_core_count() {
+        let cores = par::num_threads();
+        assert_eq!(batch_workers(0), cores);
+        assert_eq!(batch_workers(1), 1);
+        assert_eq!(batch_workers(cores), cores);
+        assert_eq!(batch_workers(1_000_000), cores);
+        assert_eq!(batch_workers(usize::MAX), cores);
     }
 
     #[test]

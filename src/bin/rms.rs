@@ -157,7 +157,6 @@ BENCH:
                           on every benchmark and bit-identity across worker
                           counts; exits non-zero on any regression
     --list                list embedded benchmark names
-    --sequential          disable the thread pool
     --jobs N              worker threads (default: all cores; RMS_THREADS also works)
 
 SERVE:
@@ -804,7 +803,6 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
                 }
                 return stdout(list);
             }
-            "--sequential" => jobs = 1,
             "--jobs" => {
                 let v = it
                     .next()

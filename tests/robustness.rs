@@ -41,9 +41,11 @@ fn usage_error_exits_2() {
             .unwrap();
         assert_eq!(exit_code(&out), 2, "{removed:?}: {out:?}");
     }
-    // The removed profile flags of `rms bench` are rejected too.
+    // The removed profile flags of `rms bench`, and `--sequential`
+    // (a second spelling of `--jobs 1`), are rejected too.
     for removed in [
         &["--profile"][..],
+        &["--sequential"],
         &["--suite", "large"],
         &["--iters", "3"],
         &["--out", "x.json"],

@@ -222,6 +222,27 @@ fn batch_responses_are_bit_identical_across_worker_counts() {
 }
 
 #[test]
+fn oversized_batch_jobs_is_capped_and_changes_nothing() {
+    // The worker count is capped at the core count, so a huge `jobs`
+    // starts no more threads than there are cores, and the response is
+    // byte-identical to the one-worker response.
+    let batch_for = |jobs: usize| {
+        format!(
+            "{{\"id\":\"b\",\"opt\":\"cut\",\"effort\":2,\"deterministic\":true,\"jobs\":{jobs},\
+             \"batch\":[{{\"id\":\"i0\",\"bench\":\"rd53_f2\"}},{{\"id\":\"i1\",\"bench\":\"xor5_d\"}}]}}"
+        )
+    };
+    let one = service().handle_line(&batch_for(1));
+    let huge = service().handle_line(&batch_for(1_000_000));
+    assert!(one.contains("\"count\":2"), "{one}");
+    assert!(!one.contains("\"status\":\"error\""), "{one}");
+    assert_eq!(
+        one, huge,
+        "a capped worker count must not change the response"
+    );
+}
+
+#[test]
 fn batch_hits_survive_eviction_by_earlier_misses() {
     // A cache budget of exactly one entry: the batch's first miss evicts
     // the warmed entry before the batch renders that entry's hit.
