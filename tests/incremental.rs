@@ -1,4 +1,5 @@
-//! Differential and determinism tests of the in-place rewrite engine.
+//! Differential and determinism tests of the in-place rewrite engine,
+//! and the pins of its quality.
 //!
 //! The rebuild round ([`rms_cut::rewrite_round`]) is the reference
 //! oracle: on every embedded benchmark one windowed in-place round must
@@ -7,10 +8,14 @@
 //! on graphs of one window and of many.
 //!
 //! Exact quality figures are pinned in one generated file,
-//! `tests/quality_ledger.txt`, checked by `tests/ledger.rs`: gates,
+//! `tests/quality_ledger.txt` (see `tests/quality/mod.rs`): gates,
 //! depth, R and S of every mode on the small suite and Table II, the
 //! resubstitution counters of apex4 and t481, and the cut results of the
-//! generated large suite.
+//! generated large suite. The tests at the end of this file check its
+//! small-suite rows of the paper's four algorithms, of cut and of
+//! cut-rram, and its resub section; `tests/ledger.rs` checks the rest.
+
+mod quality;
 
 use rms_core::cost::Realization;
 use rms_core::opt::{Algorithm, OptOptions};
@@ -129,4 +134,26 @@ fn windowed_round_is_deterministic_across_multiple_windows() {
         Ok(outcome) => assert!(outcome.is_proof() && outcome.passed(), "{outcome:?}"),
         Err(e) => panic!("miter construction failed: {e}"),
     }
+}
+
+#[test]
+fn paper_algorithms_are_pinned_on_the_small_suite() {
+    quality::assert_current(&[], &Algorithm::ALL);
+}
+
+#[test]
+fn cut_gates_are_pinned_on_the_small_suite() {
+    quality::assert_current(&[], &[Algorithm::Cut]);
+}
+
+#[test]
+fn cut_rram_costs_are_pinned_on_the_small_suite() {
+    quality::assert_current(&[], &[Algorithm::CutRram]);
+}
+
+#[test]
+fn resub_counts_are_pinned_on_apex4_and_t481() {
+    // The resubstitution filter decides which candidates reach SAT, so
+    // any drift in it changes these counts before it changes gates.
+    quality::assert_current(&["resub"], &[]);
 }
