@@ -15,7 +15,12 @@
 //!   levels of the transitive fanout of the touched nodes only,
 //! - a **word-parallel simulation signature** (64 random input lanes,
 //!   fixed seed) is cached per node and maintained the same way; rewrite
-//!   acceptance uses it as a constant-time functional spot-check.
+//!   acceptance uses it as a constant-time functional spot-check,
+//! - the node array stays **dense** across mapped rounds: a collected
+//!   node leaves a dead slot only until the end of the round, which
+//!   renumbers the survivors in their index order, so the array's size
+//!   (and its peak) tracks the live nodes plus one round's appended and
+//!   tentative ones.
 //!
 //! Replacement semantics: [`IncrementalMig::replace`] declares that the
 //! (uncomplemented) function of a node equals another signal, rewires all
@@ -83,10 +88,13 @@ pub enum Rechild {
 
 /// A majority-inverter graph with in-place update support.
 ///
-/// Node indices are **stable**: nodes are appended, never renumbered, and
-/// a garbage-collected node leaves a dead slot behind. Unlike [`Mig`],
-/// index order is therefore *not* topological after a splice — use
-/// [`IncrementalMig::topo_order`] to walk the live graph.
+/// Node indices are **stable except across the end of a mapped round**:
+/// nodes are appended, and a garbage-collected node leaves a dead slot
+/// behind, until [`IncrementalMig::finish_mapped_round`] drops the dead
+/// slots and renumbers the survivors densely in their index order (no
+/// caller holds an index past it). Unlike [`Mig`], index order is *not*
+/// topological after a splice — use [`IncrementalMig::topo_order`] to
+/// walk the live graph.
 #[derive(Debug, Clone)]
 pub struct IncrementalMig {
     name: String,
@@ -104,12 +112,13 @@ pub struct IncrementalMig {
     strash: FxHashMap<[MigSignal; 3], u32>,
     /// Live majority-gate count.
     live_gates: usize,
-    /// High-water mark of the node array (peak memory proxy).
+    /// High-water mark of the node array (peak memory proxy): live plus
+    /// tentative nodes, since mapped rounds drop their dead slots.
     peak_len: usize,
-    /// Recycled fanout vectors: allocations of undone tentative nodes,
-    /// reused by later [`IncrementalMig::push_node`] calls instead of
-    /// being dropped. Keeps the allocator out of the instantiate/undo
-    /// hot loop of the rewrite sweep.
+    /// Recycled fanout vectors: allocations of undone tentative nodes and
+    /// of dropped slots, reused by later [`IncrementalMig::push_node`]
+    /// calls instead of being dropped. Keeps the allocator out of the
+    /// instantiate/undo hot loop of the rewrite sweep.
     spare_fanouts: Vec<Vec<u32>>,
     /// Worklist-dedup stamps for [`IncrementalMig::update_upward`].
     uw_stamp: Vec<u64>,
@@ -120,8 +129,8 @@ pub struct IncrementalMig {
 impl IncrementalMig {
     /// Builds the incremental view of a graph.
     ///
-    /// The source should be compacted (dead nodes are imported as dead
-    /// slots and simply wasted).
+    /// The source should be compacted (its unreachable nodes are carried
+    /// as slots until the first mapped round drops them).
     pub fn from_mig(mig: &Mig) -> Self {
         let n = mig.len();
         // Tentative rewrite candidates grow and shrink the node-array
@@ -197,7 +206,8 @@ impl IncrementalMig {
         self.live_gates
     }
 
-    /// Length of the node array (live and dead slots).
+    /// Length of the node array: live slots plus the dead ones collected
+    /// since the last mapped round (none right after one).
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -207,7 +217,9 @@ impl IncrementalMig {
         self.live_gates == 0
     }
 
-    /// High-water mark of the node array over the graph's lifetime.
+    /// High-water mark of the node array over the graph's lifetime. The
+    /// mapped rounds drop dead slots, so the peak tracks the live nodes
+    /// plus one round's appended and tentative ones.
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }
@@ -560,15 +572,23 @@ impl IncrementalMig {
 
     /// Completes a mapped rewrite round (see
     /// [`IncrementalMig::rechild_to`]): rewires the outputs through
-    /// `map`, garbage-collects everything unreachable, and rebuilds the
-    /// deferred derived structures (reference counts, fanout lists,
-    /// levels, simulation signatures) over the live graph.
+    /// `map`, drops everything unreachable, renumbers the survivors
+    /// densely, and rebuilds the deferred derived structures (structural
+    /// hash, reference counts, fanout lists, levels, simulation
+    /// signatures) over the live graph.
     ///
     /// One depth-first walk from the outputs ([`IncrementalMig::topo_order`])
     /// serves both: its gates, the constant and the inputs are the live
     /// set, and its order is the bottom-up order of the level and
-    /// signature sweep. Fanout lists are still rebuilt in index order,
-    /// which is the order their readers see.
+    /// signature sweep.
+    ///
+    /// The renumbering keeps the survivors in their index order (the
+    /// constant and the inputs keep their numbers), so every decision
+    /// that compares node numbers only by order — the child sort of
+    /// [`Mig::maj`]'s normalization, cut leaf order, index-order
+    /// tie-breaks — reads the same after it. Fanout lists are rebuilt in
+    /// index order, which is the order their readers see. Indices held
+    /// across this call are invalid afterwards.
     ///
     /// `map[i]` is the image signal of round-start node `i`; nodes
     /// created during the round (indices `>= map.len()`) map to
@@ -581,44 +601,70 @@ impl IncrementalMig {
             }
         }
         let order = self.topo_order();
-        let mut alive = vec![false; self.nodes.len()];
-        alive[..=self.num_inputs].fill(true);
-        for &i in &order {
-            alive[i as usize] = true;
+        // The new number of every live slot, `DROPPED` for the rest.
+        const DROPPED: u32 = u32::MAX;
+        let len = self.nodes.len();
+        let first_gate = self.num_inputs + 1;
+        let mut renum = vec![DROPPED; len];
+        for (i, r) in renum[..first_gate].iter_mut().enumerate() {
+            *r = i as u32;
         }
-        // Kill the unreachable, rebuild refs and fanouts for the rest.
-        self.live_gates = order.len();
-        for (i, &is_alive) in alive.iter().enumerate() {
-            self.fanouts[i].clear();
-            self.refs[i] = 0;
-            if is_alive {
-                self.dead[i] = false;
-            } else if !self.dead[i] {
-                self.dead[i] = true;
-                if let MigNode::Maj(kids) = self.nodes[i] {
-                    if self.strash.get(&kids) == Some(&(i as u32)) {
-                        self.strash.remove(&kids);
-                    }
-                }
+        for &i in &order {
+            renum[i as usize] = 0;
+        }
+        let mut live = first_gate;
+        for r in &mut renum[first_gate..] {
+            if *r != DROPPED {
+                *r = live as u32;
+                live += 1;
             }
         }
-        for (i, &is_alive) in alive.iter().enumerate() {
-            if !is_alive {
+        // Move every survivor down to its new slot (never above its old
+        // one, so the move is in place) and rebuild the strash, the
+        // reference counts and the fanout lists over the new numbers.
+        self.strash.clear();
+        self.refs[..live].fill(0);
+        for f in &mut self.fanouts[..live] {
+            f.clear();
+        }
+        for i in first_gate..len {
+            let n = renum[i];
+            if n == DROPPED {
                 continue;
             }
-            if let MigNode::Maj(kids) = self.nodes[i] {
-                for k in kids {
-                    self.refs[k.node()] += 1;
-                    self.fanouts[k.node()].push(i as u32);
-                }
+            let MigNode::Maj(kids) = self.nodes[i] else {
+                unreachable!("live slot {i} past the inputs is not a gate");
+            };
+            let kids = kids.map(|k| MigSignal::new(renum[k.node()] as usize, k.is_complemented()));
+            self.nodes[n as usize] = MigNode::Maj(kids);
+            self.strash.insert(kids, n);
+            for k in kids {
+                self.refs[k.node()] += 1;
+                self.fanouts[k.node()].push(n);
             }
         }
-        for (_, o) in &self.outputs {
+        for (_, o) in &mut self.outputs {
+            *o = MigSignal::new(renum[o.node()] as usize, o.is_complemented());
             self.refs[o.node()] += 1;
         }
+        self.nodes.truncate(live);
+        self.levels.truncate(live);
+        self.sigs.truncate(live);
+        self.refs.truncate(live);
+        self.dead.truncate(live);
+        self.dead.fill(false);
+        for mut v in self.fanouts.drain(live..) {
+            if v.capacity() > 0 {
+                v.clear();
+                self.spare_fanouts.push(v);
+            }
+        }
+        // Every stamp is zero between `update_upward` calls.
+        self.uw_stamp.truncate(live);
+        self.live_gates = order.len();
         // Levels and signatures, bottom-up over the live graph.
         for &idx in &order {
-            let idx = idx as usize;
+            let idx = renum[idx as usize] as usize;
             if let MigNode::Maj(kids) = self.nodes[idx] {
                 self.levels[idx] = 1 + kids.iter().map(|s| self.levels[s.node()]).max().unwrap();
                 self.sigs[idx] = maj_word(
@@ -886,6 +932,42 @@ impl IncrementalMig {
             "live gate count stale"
         );
     }
+
+    /// Checks that this graph is the dense result of mapped rounds run
+    /// on `before` — test and debugging support. Every slot is live
+    /// (`len() == 1 + num_inputs() + num_gates()`), every maintained
+    /// structure is consistent, and the survivors keep their relative
+    /// order: the gate signatures, read in index order, are `before`'s
+    /// live gate signatures with the dropped gates removed, followed by
+    /// no more new gates than the rounds appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated property.
+    pub fn assert_dense_after(&self, before: &IncrementalMig) {
+        self.assert_consistent();
+        let first_gate = self.num_inputs + 1;
+        assert_eq!(
+            self.len(),
+            first_gate + self.live_gates,
+            "dead slots left after a mapped round"
+        );
+        let mut old = (first_gate..before.len())
+            .filter(|&i| !before.dead[i])
+            .map(|i| before.sigs[i]);
+        // Greedy: the longest prefix that is a subsequence of the old
+        // gates is at least as long as the true survivor run.
+        let kept = self.sigs[first_gate..]
+            .iter()
+            .take_while(|&&s| old.any(|o| o == s))
+            .count();
+        let new = self.live_gates - kept;
+        let appended = self.peak_len.saturating_sub(before.len());
+        assert!(
+            new <= appended,
+            "{new} gates out of the survivors' order, but only {appended} appended"
+        );
+    }
 }
 
 impl MajBuilder for IncrementalMig {
@@ -1007,10 +1089,10 @@ pub fn eliminate_inplace(g: &mut IncrementalMig) -> usize {
 /// [`crate::rewrite::reshape`], [`crate::rewrite::reshape_rule`], run on
 /// the mapped-round protocol of [`eliminate_inplace`]. Same rule, not
 /// always the same decisions: the rule reads an inner node's children
-/// in index order, and this graph keeps its numbering through the pass
-/// where the rebuild renumbers, so the two can swap a different
-/// leftover (they differ on 25 of 300 input/direction pairs of the
-/// bundled benchmarks). Returns the number of rewrites fired.
+/// in index order, and this graph keeps the relative order of its nodes
+/// through the pass where the rebuild renumbers, so the two can swap a
+/// different leftover (they differ on 25 of 300 input/direction pairs
+/// of the bundled benchmarks). Returns the number of rewrites fired.
 pub fn reshape_inplace(g: &mut IncrementalMig, deeper: bool) -> usize {
     rewrite_mapped(g, |g, kids, single| reshape_rule(g, kids, single, deeper))
 }
@@ -1164,6 +1246,33 @@ mod tests {
                 assert_equiv(&m, &spliced, name);
             }
         }
+    }
+
+    #[test]
+    fn mapped_rounds_leave_the_graph_dense_in_survivor_order() {
+        // Each pass ends in `finish_mapped_round`, which drops the dead
+        // slots and renumbers the survivors in their index order.
+        type Pass = fn(&mut IncrementalMig) -> usize;
+        let passes: [(&str, Pass); 3] = [
+            ("eliminate", eliminate_inplace),
+            ("reshape up", |g| reshape_inplace(g, false)),
+            ("reshape down", |g| reshape_inplace(g, true)),
+        ];
+        let mut fired = 0;
+        for name in SAMPLES {
+            let raw = bench_mig(name);
+            let pushed = rewrite::push_up(&raw);
+            for m in [&raw, &pushed] {
+                for (what, pass) in passes {
+                    let before = IncrementalMig::from_mig(m);
+                    let mut g = before.clone();
+                    fired += pass(&mut g);
+                    g.assert_dense_after(&before);
+                    assert_equiv(m, &g.to_mig(), &format!("{name} ({what})"));
+                }
+            }
+        }
+        assert!(fired > 0, "no pass fired, so none dropped a slot");
     }
 
     #[test]

@@ -98,7 +98,9 @@ pub struct OptStats {
     /// Majority-gate count after optimization.
     pub gates_after: u64,
     /// High-water mark of the node array during optimization (0 when the
-    /// engine does not track it; the in-place cut engine does).
+    /// engine does not track it; the in-place cut engine does). Its
+    /// mapped rounds drop dead slots, so this tracks live plus tentative
+    /// nodes.
     pub peak_nodes: u64,
     /// Candidate equivalence classes examined by the fraig pass (0 for
     /// algorithms without a SAT-sweeping stage).

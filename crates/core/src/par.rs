@@ -19,23 +19,29 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Number of worker threads to use by default.
 ///
 /// Honours the `RMS_THREADS` environment variable (a positive integer)
-/// and otherwise uses [`std::thread::available_parallelism`].
+/// and otherwise uses [`std::thread::available_parallelism`]. Read once
+/// per process: the first call caches the value, because
+/// `available_parallelism` costs system calls and every optimization
+/// at `jobs` 0 asks.
 pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("RMS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        if let Ok(v) = std::env::var("RMS_THREADS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                if n >= 1 {
+                    return n;
+                }
             }
         }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The worker count for a requested `jobs`: `0` means all cores

@@ -787,12 +787,9 @@ impl Service {
 
 /// The batch fan-out worker count for a requested `jobs`: `0` means all
 /// cores, and every value is capped at [`par::num_threads`], so a
-/// request cannot start more threads than the machine has cores. The
-/// core count is read once per process: reading it costs system calls,
-/// and every request comes through here.
+/// request cannot start more threads than the machine has cores.
 fn batch_workers(jobs: usize) -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(par::num_threads);
+    let cores = par::num_threads();
     if jobs == 0 {
         cores
     } else {

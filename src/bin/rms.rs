@@ -124,7 +124,7 @@ FLOW:
                           (applies *within* one circuit, at every size; a graph
                           of at most 4096 nodes is one window and runs inline;
                           results are bit-identical for every N; default: all
-                          cores, RMS_THREADS also works)
+                          cores, RMS_THREADS also works; read once per process)
     --timeout MS          deadline for the optimization in milliseconds; on
                           expiry the run exits 5 with a structured timeout
                           error (completed runs are unaffected and stay
@@ -157,7 +157,8 @@ BENCH:
                           on every benchmark and bit-identity across worker
                           counts; exits non-zero on any regression
     --list                list embedded benchmark names
-    --jobs N              worker threads (default: all cores; RMS_THREADS also works)
+    --jobs N              worker threads (default: all cores; RMS_THREADS also
+                          works; read once per process)
 
 SERVE:
     rms serve             persistent synthesis service: newline-delimited JSON
