@@ -277,11 +277,25 @@ pub(crate) fn append_cex_lane(
     cexes: &[Vec<bool>],
     salt: u64,
 ) {
-    debug_assert!(cexes.len() <= 64);
     for row in sim.iter_mut() {
         row.push(0);
     }
     let lane = sim.first().map_or(0, |r| r.len() - 1);
+    fill_cex_lane(g, topo, sim, lane, cexes, salt);
+}
+
+/// Fills lane `lane` of every live node in `topo` from up to 64
+/// counterexample patterns, one per bit (spare bit positions get
+/// deterministic random filler seeded by `salt`).
+pub(crate) fn fill_cex_lane(
+    g: &IncrementalMig,
+    topo: &[u32],
+    sim: &mut [Vec<u64>],
+    lane: usize,
+    cexes: &[Vec<bool>],
+    salt: u64,
+) {
+    debug_assert!(cexes.len() <= 64);
     simulate_lane(g, topo, sim, lane, |k| {
         let mut w =
             SplitMix64::new(FRAIG_SEED ^ salt.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ (k as u64))

@@ -28,7 +28,12 @@
 //! engine's signature veto), then a bounded-conflict SAT proof; budget
 //! exhaustion rejects the substitution. Counterexamples from refuted
 //! candidates are fed back as new simulation lanes, sharpening the
-//! filter for later nodes. The pass is fully deterministic.
+//! filter for later nodes: after each node that refuted one, its lane is
+//! re-simulated over the current graph, so every live node, those that
+//! accepted substitutions added included, reads correct words on every
+//! lane. The filter then drops only candidates that are not equivalent,
+//! and the committed substitutions do not depend on lane contents. The
+//! pass is fully deterministic.
 //!
 //! The 1-resub triple search is the pass's inner loop. It reads each
 //! divisor's lane-0 word from a local array and prunes whole divisor
@@ -38,7 +43,7 @@
 //! scan. Divisor windows are collected with one generation-stamped visit
 //! array for the whole pass.
 
-use crate::fraig::{append_cex_lane, init_sim, prove_signals, ProveOutcome};
+use crate::fraig::{fill_cex_lane, init_sim, prove_signals, ProveOutcome};
 use rms_core::{IncrementalMig, MajBuilder, MigNode, MigSignal};
 use std::ops::ControlFlow;
 
@@ -166,22 +171,30 @@ fn lanes_match(sim: &[Vec<u64>], sig: usize, phase: bool, target: &[u64]) -> boo
 
 /// Runs one windowed resubstitution pass over `g`.
 pub fn resub_pass(g: &mut IncrementalMig, opts: &ResubOptions) -> ResubStats {
-    run_pass(g, opts, true)
+    run_pass(g, opts, true).0
 }
 
 /// [`resub_pass`]; without `mffc_bound` the 1-resub search also runs on
 /// nodes whose MFFC cannot pay for a new gate (the test reference).
-fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> ResubStats {
+/// Also returns the final simulation rows (`sim[node][lane]`).
+fn run_pass(
+    g: &mut IncrementalMig,
+    opts: &ResubOptions,
+    mffc_bound: bool,
+) -> (ResubStats, Vec<Vec<u64>>) {
     let mut stats = ResubStats::default();
     if g.num_gates() == 0 {
-        return stats;
+        return (stats, Vec::new());
     }
     let topo = g.topo_order();
     let mut sim = init_sim(g, &topo);
-    let mut cexes: Vec<Vec<bool>> = Vec::new();
+    let mut lane = CexLane::default();
     let mut stamps = Stamps::default();
 
     for &nu in &topo {
+        // The previous node's counterexamples reach the filter before
+        // this node reads it.
+        lane.fold(g, &mut sim);
         if opts.cancel.cancelled() {
             break;
         }
@@ -208,11 +221,7 @@ fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> Re
                     Verdict::Accepted => {
                         done = true;
                     }
-                    Verdict::Refuted(cex) => {
-                        if cexes.len() < 64 {
-                            cexes.push(cex);
-                        }
-                    }
+                    Verdict::Refuted(cex) => lane.add(cex),
                     Verdict::Rejected => {}
                 }
                 break;
@@ -274,9 +283,7 @@ fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> Re
                     ControlFlow::Break((built.node(), [(da, pa), (db, pb), (dc, pc)]))
                 }
                 Verdict::Refuted(cex) => {
-                    if cexes.len() < 64 {
-                        cexes.push(cex);
-                    }
+                    lane.add(cex);
                     ControlFlow::Continue(())
                 }
                 Verdict::Rejected => ControlFlow::Continue(()),
@@ -292,14 +299,50 @@ fn run_pass(g: &mut IncrementalMig, opts: &ResubOptions, mffc_bound: bool) -> Re
                 sim.push(row);
             }
         }
+    }
+    lane.fold(g, &mut sim);
+    (stats, sim)
+}
 
-        // Periodically fold counterexamples back into the filter.
-        if cexes.len() >= 64 {
-            append_cex_lane(g, &topo, &mut sim, &cexes, stats.candidates);
-            cexes.clear();
+/// The counterexample lane being filled: the last simulation lane, once
+/// it exists, holds one counterexample per bit, up to 64.
+#[derive(Default)]
+struct CexLane {
+    cexes: Vec<Vec<bool>>,
+    /// Counterexamples the lane's words already include.
+    folded: usize,
+}
+
+impl CexLane {
+    /// Records a refuting input pattern (dropped once the lane is full).
+    fn add(&mut self, cex: Vec<bool>) {
+        if self.cexes.len() < 64 {
+            self.cexes.push(cex);
         }
     }
-    stats
+
+    /// Folds newly added counterexamples into the filter: the lane, opened
+    /// first if need be, is re-simulated over the current graph, so every
+    /// live node reads correct words on it, the nodes that accepted
+    /// 1-resubs added and the fanouts rewired onto them included. A full
+    /// lane is closed; the next counterexample opens a new one.
+    fn fold(&mut self, g: &IncrementalMig, sim: &mut [Vec<u64>]) {
+        if self.cexes.len() == self.folded {
+            return;
+        }
+        debug_assert_eq!(sim.len(), g.len(), "a live node without simulation rows");
+        if self.folded == 0 {
+            for row in sim.iter_mut() {
+                row.push(0);
+            }
+        }
+        let lane = sim[0].len() - 1;
+        fill_cex_lane(g, &g.topo_order(), sim, lane, &self.cexes, lane as u64);
+        self.folded = self.cexes.len();
+        if self.folded == 64 {
+            *self = CexLane::default();
+        }
+    }
 }
 
 /// Majority of three divisor signals on one simulation lane.
@@ -519,8 +562,8 @@ mod tests {
             for (what, mig) in [("raw", raw), ("cut", cut.compact())] {
                 let mut bounded = IncrementalMig::from_mig(&mig);
                 let mut plain = IncrementalMig::from_mig(&mig);
-                let sb = run_pass(&mut bounded, &opts, true);
-                let sp = run_pass(&mut plain, &opts, false);
+                let (sb, _) = run_pass(&mut bounded, &opts, true);
+                let (sp, _) = run_pass(&mut plain, &opts, false);
                 assert_eq!(sb, sp, "{name} / {what}: stats");
                 assert_eq!(bounded.len(), plain.len(), "{name} / {what}: node counts");
                 for i in 0..bounded.len() {
@@ -540,6 +583,46 @@ mod tests {
             }
         }
         assert!(accepted > 0, "no substitution to compare");
+    }
+
+    #[test]
+    fn folded_lanes_match_a_fresh_simulation() {
+        // After a pass, every live node's rows on every lane, the folded
+        // counterexample lanes included, must be what simulating the
+        // final graph from the same input words gives: the nodes that
+        // accepted 1-resubs added, and the fanouts rewired onto them,
+        // included.
+        let (mut added, mut folded) = (0, 0);
+        for name in ["rd84_f4", "9sym_d", "sao2_f1", "apex4"] {
+            let mut g = bench_inc(name);
+            let len_before = g.len();
+            let base_lanes = init_sim(&g, &g.topo_order())[0].len();
+            let (_, sim) = run_pass(&mut g, &ResubOptions::default(), true);
+            let lanes = sim[0].len();
+            folded += lanes - base_lanes;
+            added += (len_before..g.len()).filter(|&i| !g.is_dead(i)).count();
+            let mut fresh = vec![vec![0u64; lanes]; g.len()];
+            for k in 0..g.num_inputs() {
+                let i = g.input(k).node();
+                fresh[i].clone_from(&sim[i]);
+            }
+            for &nu in &g.topo_order() {
+                let n = nu as usize;
+                let kids = g.maj_children(n).expect("a live gate");
+                fresh[n] = (0..lanes)
+                    .map(|l| {
+                        let [a, b, c] =
+                            kids.map(|k| fresh[k.node()][l] ^ phase_mask(k.is_complemented()));
+                        maj3(a, b, c)
+                    })
+                    .collect();
+            }
+            for i in (0..g.len()).filter(|&i| !g.is_dead(i)) {
+                assert_eq!(sim[i], fresh[i], "{name}: node {i}");
+            }
+        }
+        assert!(added > 0, "no 1-resub added a node");
+        assert!(folded > 0, "no counterexample lane was folded");
     }
 
     #[test]

@@ -63,6 +63,12 @@ impl Lit {
     pub fn code(self) -> usize {
         self.0 as usize
     }
+
+    /// The literal whose [`Lit::code`] is `code`. The solver's clause
+    /// arena also stores each clause's length header in this form.
+    pub(crate) fn from_code(code: u32) -> Lit {
+        Lit(code)
+    }
 }
 
 impl Not for Lit {

@@ -186,13 +186,13 @@ impl Miter {
         vals.extend_from_slice(&self.inputs);
         for (idx, gate) in nl.gates() {
             debug_assert_eq!(idx, vals.len(), "gates arrive in node order");
-            let f: Vec<Lit> = gate.fanins.iter().map(|&w| wire_lit(&vals, w)).collect();
+            let f = |k: usize| wire_lit(&vals, gate.fanins[k]);
             let z = match gate.kind {
-                GateKind::And => self.enc.and(f[0], f[1]),
-                GateKind::Or => self.enc.or(f[0], f[1]),
-                GateKind::Xor => self.enc.xor(f[0], f[1]),
-                GateKind::Maj => self.enc.maj(f[0], f[1], f[2]),
-                GateKind::Mux => self.enc.mux(f[0], f[1], f[2]),
+                GateKind::And => self.enc.and(f(0), f(1)),
+                GateKind::Or => self.enc.or(f(0), f(1)),
+                GateKind::Xor => self.enc.xor(f(0), f(1)),
+                GateKind::Maj => self.enc.maj(f(0), f(1), f(2)),
+                GateKind::Mux => self.enc.mux(f(0), f(1), f(2)),
             };
             vals.push(z);
         }

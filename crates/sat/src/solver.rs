@@ -14,6 +14,31 @@
 //!   of related queries and keeps what it learned between them, which is
 //!   what the sweeping miter in [`crate::miter`] runs on.
 //!
+//! # Clause store
+//!
+//! Every clause of two or more literals, original or learned, lives in
+//! one flat arena of literals (MiniSat's layout; Eén & Sörensson, "An
+//! Extensible SAT-solver", SAT 2003): a clause reference is the offset of
+//! a length header that the literals follow. Watch lists, reasons and
+//! conflicts hold that offset, so the hot loops chase no per-clause
+//! allocation, and adding or learning a clause appends to the arena.
+//!
+//! Binary clauses, which make up most watch-list visits on the Tseitin
+//! encodings and the sweep's proved implications, are also kept inline
+//! in the watch lists: a binary watch carries the clause's other
+//! literal, so propagating it reads no arena. A binary clause's stored
+//! order matters to conflict analysis only. As a reason it contributes
+//! just the literal it did not imply, in either order; as a conflict it
+//! is first written back as `[other, false literal]`, the order a swap
+//! to put the other watch first would leave, so analysis visits the same
+//! literals in the same order as with a vector per clause.
+//!
+//! Watches of longer clauses carry no blocker literal. A blocker that is
+//! not the other watch would skip clause visits and so change which
+//! watch moves, and with it the search: the conflict and decision counts
+//! that proof labels report, and the counterexample models that the
+//! fraig and resub passes refine on.
+//!
 //! It is `std`-only (the workspace builds offline) and fully
 //! deterministic: the same clause set always produces the same model,
 //! the same conflict count, and the same decision count, which is what
@@ -63,6 +88,9 @@ pub struct SolverStats {
 /// Sentinel for "no reason clause" (decisions and root-level units).
 const NO_REASON: u32 = u32::MAX;
 
+/// Tag bit of a [`Watch`] on a binary clause; clause offsets stay below it.
+const BINARY: u32 = 1 << 31;
+
 /// Restart interval unit: the Luby sequence is scaled by this many
 /// conflicts.
 const RESTART_BASE: u64 = 128;
@@ -70,26 +98,37 @@ const RESTART_BASE: u64 = 128;
 /// Multiplicative VSIDS decay applied after every conflict.
 const ACTIVITY_DECAY: f64 = 0.95;
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
+/// One watch-list entry: the watched clause's arena offset, tagged
+/// [`BINARY`] for a two-literal clause, plus that clause's other literal.
+/// `other` is read only for binary clauses. A longer clause's watches
+/// move, and reading a stale literal there as a blocker would change the
+/// search (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    cref: u32,
+    other: Lit,
 }
 
 /// The CDCL solver: a growable clause database plus search state.
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every stored clause, back to back: a length header (a literal
+    /// whose code is the length) followed by the clause's literals. A
+    /// clause reference is the offset of its header.
+    arena: Vec<Lit>,
+    /// Clauses in the arena (original and learned).
+    num_clauses: usize,
     /// Watch lists indexed by [`Lit::code`]: clauses currently watching
-    /// the literal.
-    watches: Vec<Vec<u32>>,
-    /// Assignment per variable: `0` unassigned, `1` true, `-1` false.
-    assign: Vec<i8>,
+    /// the literal, in the order they started watching it.
+    watches: Vec<Vec<Watch>>,
+    /// Truth state per literal, indexed by [`Lit::code`]: `0`
+    /// unassigned, `1` true, `-1` false (a variable's two literals are
+    /// kept opposite, so reading a literal needs no sign test).
+    values: Vec<i8>,
     /// Saved phase per variable (last value it held).
     phase: Vec<bool>,
-    /// Decision level at which each variable was assigned.
-    level: Vec<u32>,
-    /// Clause index that implied each variable ([`NO_REASON`] otherwise).
-    reason: Vec<u32>,
+    /// Decision level and reason of each assigned variable.
+    vardata: Vec<VarData>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     prop_head: usize,
@@ -98,6 +137,11 @@ pub struct Solver {
     heap: VarHeap,
     /// Scratch marker per variable for conflict analysis.
     seen: Vec<bool>,
+    /// Conflict analysis's learned clause (asserting literal first),
+    /// reused across conflicts.
+    learnt: Vec<Lit>,
+    /// Variables conflict analysis marked in `seen`, reused likewise.
+    to_clear: Vec<Var>,
     /// Set when an empty clause was derived at the root level.
     root_unsat: bool,
     stats: SolverStats,
@@ -127,11 +171,13 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
-        self.assign.push(0);
+        let v = Var(self.vardata.len() as u32);
+        self.values.extend([0, 0]);
         self.phase.push(false);
-        self.level.push(0);
-        self.reason.push(NO_REASON);
+        self.vardata.push(VarData {
+            level: 0,
+            reason: NO_REASON,
+        });
         self.activity.push(0.0);
         self.seen.push(false);
         self.watches.push(Vec::new());
@@ -142,12 +188,12 @@ impl Solver {
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.vardata.len()
     }
 
     /// Number of clauses in the database (including learned ones).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Search statistics accumulated so far.
@@ -160,12 +206,7 @@ impl Solver {
     /// Unassigned variables read as `false`; after [`SatResult::Sat`]
     /// every variable is assigned.
     pub fn value(&self, lit: Lit) -> bool {
-        let v = self.assign[lit.var().index()];
-        (v > 0) ^ lit.is_negated()
-    }
-
-    fn lit_state(&self, lit: Lit) -> i8 {
-        lit_state_in(&self.assign, lit)
+        (self.values[lit.abs().code()] > 0) ^ lit.is_negated()
     }
 
     fn decision_level(&self) -> usize {
@@ -187,51 +228,86 @@ impl Solver {
         if self.root_unsat {
             return;
         }
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Simplify straight into the arena's tail, behind a header slot;
+        // a clause that is dropped or not stored is truncated away again.
+        let cref = self.arena.len();
+        self.arena.push(Lit::from_code(0));
         for &l in lits {
             debug_assert!(l.var().index() < self.num_vars(), "unknown variable");
-            match self.lit_state(l) {
-                1 => return, // satisfied at root
+            match self.values[l.code()] {
                 -1 => continue,
+                0 => {
+                    let kept = &self.arena[cref + 1..];
+                    if kept.contains(&!l) {
+                        // Tautology.
+                        self.arena.truncate(cref);
+                        return;
+                    }
+                    if !kept.contains(&l) {
+                        self.arena.push(l);
+                    }
+                }
                 _ => {
-                    if c.contains(&!l) {
-                        return; // tautology
-                    }
-                    if !c.contains(&l) {
-                        c.push(l);
-                    }
+                    // Satisfied at the root.
+                    self.arena.truncate(cref);
+                    return;
                 }
             }
         }
-        match c.len() {
-            0 => self.root_unsat = true,
+        match self.arena.len() - cref - 1 {
+            0 => {
+                self.arena.truncate(cref);
+                self.root_unsat = true;
+            }
             1 => {
-                self.enqueue(c[0], NO_REASON);
+                let unit = self.arena[cref + 1];
+                self.arena.truncate(cref);
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.root_unsat = true;
                 }
             }
-            _ => {
-                let ci = self.clauses.len() as u32;
-                self.watches[c[0].code()].push(ci);
-                self.watches[c[1].code()].push(ci);
-                self.clauses.push(Clause { lits: c });
-            }
+            len => self.attach(cref, len),
         }
+    }
+
+    /// Writes the header of the `len`-literal clause already at `cref`
+    /// and adds its two watches (on its first two literals).
+    fn attach(&mut self, cref: usize, len: usize) {
+        assert!(cref < BINARY as usize, "clause arena overflow");
+        self.arena[cref] = Lit::from_code(len as u32);
+        let (a, b) = (self.arena[cref + 1], self.arena[cref + 2]);
+        let tagged = if len == 2 {
+            cref as u32 | BINARY
+        } else {
+            cref as u32
+        };
+        self.watches[a.code()].push(Watch {
+            cref: tagged,
+            other: b,
+        });
+        self.watches[b.code()].push(Watch {
+            cref: tagged,
+            other: a,
+        });
+        self.num_clauses += 1;
     }
 
     fn enqueue(&mut self, lit: Lit, reason: u32) {
         let vi = lit.var().index();
-        debug_assert_eq!(self.assign[vi], 0, "enqueue of assigned var");
-        self.assign[vi] = if lit.is_negated() { -1 } else { 1 };
+        debug_assert_eq!(self.values[lit.code()], 0, "enqueue of assigned var");
+        self.values[lit.code()] = 1;
+        self.values[(!lit).code()] = -1;
         self.phase[vi] = !lit.is_negated();
-        self.level[vi] = self.decision_level() as u32;
-        self.reason[vi] = reason;
+        self.vardata[vi] = VarData {
+            level: self.decision_level() as u32,
+            reason,
+        };
         self.trail.push(lit);
     }
 
-    /// Propagates all pending assignments; returns a conflicting clause
-    /// index on conflict.
+    /// Propagates all pending assignments; returns the conflicting
+    /// clause's reference on conflict.
     fn propagate(&mut self) -> Option<u32> {
         while self.prop_head < self.trail.len() {
             let p = self.trail[self.prop_head];
@@ -243,44 +319,60 @@ impl Solver {
             let mut i = 0;
             let mut j = 0;
             let mut conflict = None;
-            'clauses: while i < list.len() {
-                let ci = list[i];
+            'watches: while i < list.len() {
+                let w = list[i];
                 i += 1;
-                let clause = &mut self.clauses[ci as usize];
-                // Normalize: the other watched literal sits at index 0.
-                if clause.lits[0] == false_lit {
-                    clause.lits.swap(0, 1);
-                }
-                let first = clause.lits[0];
-                debug_assert_eq!(clause.lits[1], false_lit);
-                if lit_state_in(&self.assign, first) == 1 {
-                    list[j] = ci;
+                let implied;
+                if w.cref & BINARY != 0 {
+                    // Binary: the other literal is in the watch itself.
+                    implied = w.other;
+                    list[j] = w;
                     j += 1;
-                    continue;
-                }
-                // Look for a replacement watch.
-                for k in 2..clause.lits.len() {
-                    if lit_state_in(&self.assign, clause.lits[k]) != -1 {
-                        clause.lits.swap(1, k);
-                        let moved = clause.lits[1];
-                        self.watches[moved.code()].push(ci);
-                        continue 'clauses;
+                    if self.values[implied.code()] == 1 {
+                        continue;
                     }
-                }
-                // No replacement: the clause is unit or conflicting.
-                list[j] = ci;
-                j += 1;
-                if self.lit_state(first) == -1 {
-                    // Conflict: keep the remaining entries and stop.
-                    while i < list.len() {
-                        list[j] = list[i];
-                        i += 1;
-                        j += 1;
-                    }
-                    conflict = Some(ci);
                 } else {
-                    self.enqueue(first, ci);
+                    let at = w.cref as usize;
+                    let len = self.arena[at].code();
+                    let lits = &mut self.arena[at + 1..at + 1 + len];
+                    // Normalize: the other watched literal sits at index 0.
+                    if lits[0] == false_lit {
+                        lits.swap(0, 1);
+                    }
+                    implied = lits[0];
+                    debug_assert_eq!(lits[1], false_lit);
+                    if self.values[implied.code()] == 1 {
+                        list[j] = w;
+                        j += 1;
+                        continue;
+                    }
+                    // Look for a replacement watch.
+                    for k in 2..len {
+                        if self.values[lits[k].code()] != -1 {
+                            lits.swap(1, k);
+                            self.watches[lits[1].code()].push(w);
+                            continue 'watches;
+                        }
+                    }
+                    // No replacement: the clause is unit or conflicting.
+                    list[j] = w;
+                    j += 1;
                 }
+                let cref = w.cref & !BINARY;
+                if self.values[implied.code()] == -1 {
+                    if w.cref & BINARY != 0 {
+                        // Normalize the conflicting binary clause as a
+                        // longer one is above: analysis visits it in order.
+                        self.arena[cref as usize + 1] = implied;
+                        self.arena[cref as usize + 2] = false_lit;
+                    }
+                    // Conflict: keep the remaining entries and stop.
+                    list.copy_within(i.., j);
+                    j += list.len() - i;
+                    conflict = Some(cref);
+                    break;
+                }
+                self.enqueue(implied, cref);
             }
             list.truncate(j);
             self.watches[false_lit.code()] = list;
@@ -310,29 +402,35 @@ impl Solver {
         self.heap.bump(v, &self.activity);
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the level to backtrack to.
-    fn analyze(&mut self, mut conflict: u32) -> (Vec<Lit>, usize) {
-        let mut learnt: Vec<Lit> = vec![Lit::positive(Var(0))]; // placeholder
+    /// First-UIP conflict analysis. Leaves the learned clause in
+    /// `self.learnt` (asserting literal first) and returns the level to
+    /// backtrack to.
+    fn analyze(&mut self, mut conflict: u32) -> usize {
+        self.learnt.clear();
+        self.learnt.push(Lit::from_code(0)); // the asserting literal's slot
+        self.to_clear.clear();
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
-        let mut to_clear: Vec<Var> = Vec::new();
         let current = self.decision_level() as u32;
         loop {
-            let clause = &self.clauses[conflict as usize];
-            // For a reason clause, lits[0] is the implied literal `p`.
-            let start = usize::from(p.is_some());
-            for k in start..clause.lits.len() {
-                let q = clause.lits[k];
+            let at = conflict as usize;
+            let len = self.arena[at].code();
+            // A reason clause contains the literal `p` it implied: first
+            // in a longer clause, and in either place in a binary one.
+            for &q in &self.arena[at + 1..at + 1 + len] {
+                if Some(q) == p {
+                    continue;
+                }
                 let vi = q.var().index();
-                if !self.seen[vi] && self.level[vi] > 0 {
+                let level = self.vardata[vi].level;
+                if !self.seen[vi] && level > 0 {
                     self.seen[vi] = true;
-                    to_clear.push(q.var());
-                    if self.level[vi] >= current {
+                    self.to_clear.push(q.var());
+                    if level >= current {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -350,32 +448,34 @@ impl Solver {
             if counter == 0 {
                 break;
             }
-            conflict = self.reason[pl.var().index()];
+            conflict = self.vardata[pl.var().index()].reason;
             debug_assert_ne!(conflict, NO_REASON);
         }
-        learnt[0] = !p.expect("analyze reached the first UIP");
+        self.learnt[0] = !p.expect("analyze reached the first UIP");
         // Bump every variable involved in the conflict (the UIP included —
         // all of them were marked, so all of them are in `to_clear`).
-        for &v in &to_clear {
-            self.bump(v);
+        for k in 0..self.to_clear.len() {
+            self.bump(self.to_clear[k]);
         }
+        let learnt = &mut self.learnt;
         let backtrack = if learnt.len() == 1 {
             0
         } else {
             // Move the deepest remaining literal to the second watch slot.
             let mut max_i = 1;
             for i in 2..learnt.len() {
-                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
+                let level = |l: Lit| self.vardata[l.var().index()].level;
+                if level(learnt[i]) > level(learnt[max_i]) {
                     max_i = i;
                 }
             }
             learnt.swap(1, max_i);
-            self.level[learnt[1].var().index()] as usize
+            self.vardata[learnt[1].var().index()].level as usize
         };
-        for v in to_clear {
+        for &v in &self.to_clear {
             self.seen[v.index()] = false;
         }
-        (learnt, backtrack)
+        backtrack
     }
 
     fn backtrack(&mut self, target: usize) {
@@ -384,34 +484,36 @@ impl Solver {
         }
         let keep = self.trail_lim[target];
         for i in (keep..self.trail.len()).rev() {
-            let vi = self.trail[i].var().index();
-            self.assign[vi] = 0;
-            self.reason[vi] = NO_REASON;
-            self.heap.insert(self.trail[i].var(), &self.activity);
+            let v = self.trail[i].var();
+            self.values[2 * v.index()] = 0;
+            self.values[2 * v.index() + 1] = 0;
+            self.heap.insert(v, &self.activity);
         }
         self.trail.truncate(keep);
         self.trail_lim.truncate(target);
         self.prop_head = keep;
     }
 
-    fn learn(&mut self, learnt: Vec<Lit>) {
-        if learnt.len() == 1 {
+    /// Stores the clause [`Solver::analyze`] left in `self.learnt` and
+    /// asserts its first literal.
+    fn learn(&mut self) {
+        let asserting = self.learnt[0];
+        if self.learnt.len() == 1 {
             debug_assert_eq!(self.decision_level(), 0);
-            self.enqueue(learnt[0], NO_REASON);
+            self.enqueue(asserting, NO_REASON);
         } else {
-            let ci = self.clauses.len() as u32;
-            self.watches[learnt[0].code()].push(ci);
-            self.watches[learnt[1].code()].push(ci);
-            let asserting = learnt[0];
-            self.clauses.push(Clause { lits: learnt });
+            let cref = self.arena.len();
+            self.arena.push(Lit::from_code(0));
+            self.arena.extend_from_slice(&self.learnt);
+            self.attach(cref, self.learnt.len());
             self.stats.learned += 1;
-            self.enqueue(asserting, ci);
+            self.enqueue(asserting, cref as u32);
         }
     }
 
     fn pick_branch(&mut self) -> Option<Var> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assign[v.index()] == 0 {
+            if self.values[2 * v.index()] == 0 {
                 return Some(v);
             }
         }
@@ -479,9 +581,9 @@ impl Solver {
                     *b -= 1;
                 }
                 self.stats.conflicts += 1;
-                let (learnt, backtrack) = self.analyze(conflict);
+                let backtrack = self.analyze(conflict);
                 self.backtrack(backtrack);
-                self.learn(learnt);
+                self.learn();
                 self.var_inc /= ACTIVITY_DECAY;
                 conflicts_left = conflicts_left.saturating_sub(1);
                 if conflicts_left == 0 {
@@ -497,7 +599,7 @@ impl Solver {
                     }
                 }
             } else if let Some(&p) = assumptions.get(self.decision_level()) {
-                match self.lit_state(p) {
+                match self.values[p.code()] {
                     // Already implied: an empty level keeps levels and
                     // assumptions aligned.
                     1 => self.trail_lim.push(self.trail.len()),
@@ -529,14 +631,15 @@ impl Solver {
     }
 }
 
-/// Truth state of `lit` in `assign`: `1` true, `-1` false, `0` unassigned.
-fn lit_state_in(assign: &[i8], lit: Lit) -> i8 {
-    let v = assign[lit.var().index()];
-    if lit.is_negated() {
-        -v
-    } else {
-        v
-    }
+/// Where an assigned variable got its value; stale once it is unassigned
+/// (only assigned variables are ever read).
+#[derive(Debug, Clone, Copy)]
+struct VarData {
+    /// Decision level of the assignment.
+    level: u32,
+    /// Clause reference that implied it ([`NO_REASON`] for decisions and
+    /// root-level units).
+    reason: u32,
 }
 
 /// The `i`-th element (1-based) of the Luby restart sequence

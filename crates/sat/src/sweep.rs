@@ -159,21 +159,22 @@ impl Classes {
     /// complement; singletons get no class.
     fn build(mut sim: Vec<u64>, num_vars: usize) -> Self {
         let phase: Vec<bool> = (0..num_vars).map(|v| sim[v * SIM_WORDS] & 1 == 1).collect();
-        let key = |v: usize| {
-            let flip = if phase[v] { u64::MAX } else { 0 };
-            sim[v * SIM_WORDS..(v + 1) * SIM_WORDS]
-                .iter()
-                .map(move |&w| w ^ flip)
-        };
+        // Each variable's signature, complemented to a clear first bit.
+        let keys: Vec<[u64; SIM_WORDS]> = (0..num_vars)
+            .map(|v| {
+                let flip = if phase[v] { u64::MAX } else { 0 };
+                std::array::from_fn(|w| sim[v * SIM_WORDS + w] ^ flip)
+            })
+            .collect();
         let mut order: Vec<u32> = (0..num_vars as u32).collect();
-        order.sort_by(|&a, &b| key(a as usize).cmp(key(b as usize)).then(a.cmp(&b)));
+        order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
         let mut class_of = vec![NONE; num_vars];
         let mut members: Vec<Vec<u32>> = Vec::new();
         let mut start = 0;
         while start < order.len() {
             let head = order[start] as usize;
             let mut end = start + 1;
-            while end < order.len() && key(order[end] as usize).eq(key(head)) {
+            while end < order.len() && keys[order[end] as usize] == keys[head] {
                 end += 1;
             }
             if end - start >= 2 {

@@ -39,6 +39,7 @@
 use crate::lit::{Lit, Var};
 use crate::solver::{SatResult, Solver, SolverStats};
 use rms_core::hash::FxHashMap;
+use std::collections::hash_map::Entry;
 
 /// A structurally-hashed gate key (operands already canonicalized).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,15 +128,16 @@ impl Encoder {
         }
     }
 
-    fn define(&mut self, key: GateKey, clauses: impl FnOnce(Lit) -> Vec<Vec<Lit>>) -> Lit {
-        if let Some(&z) = self.cache.get(&key) {
-            return z;
-        }
-        let z = self.fresh();
-        for clause in clauses(z) {
-            self.solver.add_clause(&clause);
-        }
-        self.cache.insert(key, z);
+    /// The cached output of `key`, or a fresh one whose defining clauses
+    /// `clauses` adds to the solver.
+    fn define(&mut self, key: GateKey, clauses: impl FnOnce(Lit, &mut Solver)) -> Lit {
+        let slot = match self.cache.entry(key) {
+            Entry::Occupied(cached) => return *cached.get(),
+            Entry::Vacant(slot) => slot,
+        };
+        let z = Lit::positive(self.solver.new_var());
+        clauses(z, &mut self.solver);
+        slot.insert(z);
         self.gates.push((z.var(), key));
         z
     }
@@ -161,8 +163,10 @@ impl Encoder {
             return self.false_lit();
         }
         let (x, y) = if a.code() <= b.code() { (a, b) } else { (b, a) };
-        self.define(GateKey::And(x, y), |z| {
-            vec![vec![!z, x], vec![!z, y], vec![!x, !y, z]]
+        self.define(GateKey::And(x, y), |z, solver| {
+            solver.add_clause(&[!z, x]);
+            solver.add_clause(&[!z, y]);
+            solver.add_clause(&[!x, !y, z]);
         })
     }
 
@@ -198,13 +202,11 @@ impl Encoder {
         } else {
             (pb, pa)
         };
-        let z = self.define(GateKey::Xor(x, y), |z| {
-            vec![
-                vec![!z, x, y],
-                vec![!z, !x, !y],
-                vec![z, !x, y],
-                vec![z, x, !y],
-            ]
+        let z = self.define(GateKey::Xor(x, y), |z, solver| {
+            solver.add_clause(&[!z, x, y]);
+            solver.add_clause(&[!z, !x, !y]);
+            solver.add_clause(&[z, !x, y]);
+            solver.add_clause(&[z, x, !y]);
         });
         if negated {
             !z
@@ -258,15 +260,13 @@ impl Encoder {
         if x.code() > y.code() {
             std::mem::swap(&mut x, &mut y);
         }
-        let m = self.define(GateKey::Maj(x, y, z), |m| {
-            vec![
-                vec![!x, !y, m],
-                vec![!x, !z, m],
-                vec![!y, !z, m],
-                vec![x, y, !m],
-                vec![x, z, !m],
-                vec![y, z, !m],
-            ]
+        let m = self.define(GateKey::Maj(x, y, z), |m, solver| {
+            solver.add_clause(&[!x, !y, m]);
+            solver.add_clause(&[!x, !z, m]);
+            solver.add_clause(&[!y, !z, m]);
+            solver.add_clause(&[x, y, !m]);
+            solver.add_clause(&[x, z, !m]);
+            solver.add_clause(&[y, z, !m]);
         });
         if negated {
             !m
@@ -314,16 +314,14 @@ impl Encoder {
             t = !t;
             e = !e;
         }
-        let z = self.define(GateKey::Mux(s, t, e), |z| {
-            vec![
-                vec![!s, !t, z],
-                vec![!s, t, !z],
-                vec![s, !e, z],
-                vec![s, e, !z],
-                // Redundant but propagation-strengthening:
-                vec![!t, !e, z],
-                vec![t, e, !z],
-            ]
+        let z = self.define(GateKey::Mux(s, t, e), |z, solver| {
+            solver.add_clause(&[!s, !t, z]);
+            solver.add_clause(&[!s, t, !z]);
+            solver.add_clause(&[s, !e, z]);
+            solver.add_clause(&[s, e, !z]);
+            // Redundant but propagation-strengthening:
+            solver.add_clause(&[!t, !e, z]);
+            solver.add_clause(&[t, e, !z]);
         });
         if negated {
             !z

@@ -337,20 +337,19 @@ fn route(service: &Service, request: &Request) -> Response {
     }
 }
 
+/// Sends `response` with one `write_all`: the head and the body, which
+/// always ends in a newline, are built into one message first, so a
+/// response costs one write on the unbuffered socket.
 fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    let mut body = response.body.clone();
-    if !body.ends_with('\n') {
-        body.push('\n');
-    }
-    write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+    let body = response.body.as_str();
+    let newline = if body.ends_with('\n') { "" } else { "\n" };
+    let message = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}{newline}",
         response.status,
         response.reason,
-        body.len(),
-        body
-    )?;
-    stream.flush()
+        body.len() + newline.len(),
+    );
+    stream.write_all(message.as_bytes())
 }
 
 #[cfg(test)]
@@ -408,7 +407,16 @@ mod tests {
         let stats = exchange(addr, "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(stats.contains("\"op\":\"stats\""), "{stats}");
         let missing = exchange(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        // The whole response, byte for byte: head, then the envelope and
+        // its terminating newline.
+        let body = crate::service::error_envelope("", kind::BAD_REQUEST, "no such route");
+        assert_eq!(
+            missing,
+            format!(
+                "HTTP/1.1 404 Not Found\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}\n",
+                body.len() + 1
+            )
+        );
         let bad = exchange(addr, "garbage\r\n\r\n");
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
         let empty = post(addr, "");

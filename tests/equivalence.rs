@@ -674,3 +674,52 @@ fn pipeline_proof_counts_are_the_sum_of_its_program_miters() {
         );
     }
 }
+
+/// Σ verification (conflicts, decisions) and the count of SAT-proved
+/// items over the `table2-default` route. Recorded with the solver that
+/// kept each clause in its own vector; the flat clause store reproduces
+/// them exactly.
+const TABLE2_DEFAULT_PROOF_SUMS: (u64, u64, usize) = (25150, 88269, 51);
+
+#[test]
+#[ignore = "release-only: 75 pipeline runs at effort 40; run by CI's perf-smoke"]
+fn table2_default_verification_counts_are_pinned() {
+    // The benchmark's table2-default items: the 25 Table II circuits as
+    // BLIF bytes, through rram, cut and sweep-resub at effort 40 under
+    // the default verification. Their summed proof effort pins the
+    // solver's search on the miters the flow actually runs: a change to
+    // the solver that alters any proof's conflicts or decisions moves it.
+    let (mut conflicts, mut decisions, mut proved) = (0u64, 0u64, 0usize);
+    for info in bench_suite::LARGE_SUITE {
+        let blif = rram_mig::logic::blif::write(&bench_suite::build_info(info));
+        for alg in [Algorithm::RramCosts, Algorithm::Cut, Algorithm::SweepResub] {
+            let out = Pipeline::from_bytes(
+                rram_mig::flow::InputFormat::Blif,
+                blif.as_bytes(),
+                info.name,
+            )
+            .unwrap()
+            .algorithm(alg)
+            .effort(40)
+            .run()
+            .unwrap_or_else(|e| panic!("{} {alg:?}: {e}", info.name));
+            match out.report.verify {
+                VerifyOutcome::Proved {
+                    conflicts: c,
+                    decisions: d,
+                } => {
+                    conflicts += c;
+                    decisions += d;
+                    proved += 1;
+                }
+                VerifyOutcome::Exhaustive => {}
+                ref other => panic!("{} {alg:?}: {other:?}", info.name),
+            }
+        }
+    }
+    assert_eq!(
+        (conflicts, decisions, proved),
+        TABLE2_DEFAULT_PROOF_SUMS,
+        "Σ (conflicts, decisions, SAT-proved items) over table2-default"
+    );
+}
