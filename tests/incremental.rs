@@ -10,10 +10,11 @@
 //! Exact quality figures are pinned in one generated file,
 //! `tests/quality_ledger.txt` (see `tests/quality/mod.rs`): gates,
 //! depth, R and S of every mode on the small suite and Table II, the
-//! resubstitution counters of apex4 and t481, and the cut results of the
-//! generated large suite. The tests at the end of this file check its
-//! small-suite rows of the paper's four algorithms, of cut and of
-//! cut-rram, and its resub section; `tests/ledger.rs` checks the rest.
+//! fraig and resubstitution counters of apex4 and t481, and the cut
+//! results of the generated large suite. The tests at the end of this
+//! file check its small-suite rows of the paper's four algorithms, of cut
+//! and of cut-rram, and its fraig and resub sections; `tests/ledger.rs`
+//! checks the rest.
 
 mod quality;
 
@@ -181,4 +182,12 @@ fn resub_counts_are_pinned_on_apex4_and_t481() {
     // The resubstitution filter decides which candidates reach SAT, so
     // any drift in it changes these counts before it changes gates.
     quality::assert_current(&["resub"], &[]);
+}
+
+#[test]
+fn fraig_counts_are_pinned_on_apex4_and_t481() {
+    // The counterexample lanes decide how the candidate classes split,
+    // so any drift in them changes these counts before it changes
+    // gates. Both SAT-pass pins start from one cut run per circuit.
+    quality::assert_current(&["fraig"], &[]);
 }

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! The ledger's small-suite rows of the paper's four algorithms, of cut
-//! and of cut-rram, and its resub section, are checked by
+//! and of cut-rram, and its fraig and resub sections, are checked by
 //! `tests/incremental.rs`, one test per group; this file checks the
 //! header and the rest. See `tests/quality/mod.rs` for what each section
 //! holds.

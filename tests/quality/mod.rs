@@ -5,17 +5,18 @@
 //!
 //! The ledger gives gates, depth, R and S for every (circuit, mode,
 //! realization) of the small suite and of Table II at effort 40, the
-//! resubstitution counters of apex4 and t481, and the cut results of the
-//! generated large suite at effort 2. A change that moves any of them
-//! regenerates the file, and its diff is the gain or loss per row:
+//! fraig and resubstitution counters of apex4 and t481, and the cut
+//! results of the generated large suite at effort 2. A change that moves
+//! any of them regenerates the file, and its diff is the gain or loss per
+//! row:
 //!
 //! ```sh
 //! cargo test --release --test ledger -- --ignored regenerate_quality_ledger
 //! ```
 //!
-//! Every `cargo test` run checks the header and the small and resub
-//! sections byte for byte; the small section's rows are checked one group
-//! of modes per test. The Table II and large-suite sections are checked
+//! Every `cargo test` run checks the header and the small, fraig and
+//! resub sections byte for byte; the small section's rows are checked
+//! one group of modes per test. The Table II and large-suite sections are checked
 //! in release:
 //! `cargo test --release --test ledger -- --ignored ledger_is_current_on_table2`.
 //! Generating a section also checks what the values stand on: every
@@ -30,12 +31,13 @@ use rms_bench::runner::TABLE2_CONFIGS;
 use rms_core::cost::{Realization, RramCost};
 use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::{par, IncrementalMig, Mig};
-use rms_cut::{resub_pass, ResubOptions};
+use rms_cut::{fraig_pass, resub_pass, FraigOptions, ResubOptions};
 use rms_flow::{run_algorithm, InputFormat, Pipeline, VerifyMode};
 use rms_logic::paper_data::{self, Rs, Table2Row};
 use rms_logic::{bench_suite, blif, large_suite};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// The committed ledger.
 const PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/quality_ledger.txt");
@@ -49,9 +51,10 @@ type Part = (&'static str, fn() -> String);
 
 /// The ledger's parts in file order: the header (the text before the
 /// first `## ` line), then one section per `## name` line.
-const PARTS: [Part; 5] = [
+const PARTS: [Part; 6] = [
     ("header", header),
     ("small", small_section),
+    ("fraig", fraig_section),
     ("resub", resub_section),
     ("table2", table2_section),
     ("xl", xl_section),
@@ -213,17 +216,20 @@ fn header() -> String {
 #   {REGENERATE}
 # and review the diff: each changed row is one circuit's gain or loss.
 # `cargo test --test ledger --test incremental` checks this header and
-# the small and resub sections; the table2 and xl sections are checked
-# in release by
+# the small, fraig and resub sections; the table2 and xl sections are
+# checked in release by
 #   cargo test --release --test ledger -- --ignored ledger_is_current_on_table2
 #
 # Sections, and the route each takes from circuit to figures (every
 # optimizer run on one worker):
 #   small   the 25 Table III circuits under all nine modes, effort 40:
 #           bench_suite::build -> Mig::from_netlist -> run_algorithm
-#   resub   one default resub_pass on apex4 and t481 (candidates,
-#           accepted, refuted): bench_suite::build -> Mig::from_netlist
-#           -> run_algorithm (cut, effort 40) -> compact -> resub_pass
+#   fraig   one default fraig_pass on apex4 and t481 (classes,
+#           candidates, merges, refuted, budget exhausted):
+#           bench_suite::build -> Mig::from_netlist -> run_algorithm
+#           (cut, effort 40) -> compact -> fraig_pass
+#   resub   one default resub_pass on the same cut results (candidates,
+#           accepted, refuted): ... -> compact -> resub_pass
 #   table2  the 25 Table II circuits under all nine modes, effort 40:
 #           bench_suite::build -> blif::write -> BLIF bytes ->
 #           Pipeline::from_bytes -> Mig::from_netlist -> run_algorithm,
@@ -302,6 +308,45 @@ fn row_key(line: &str) -> Option<[&str; 3]> {
     Some([words.next()?, words.next()?, words.next()?])
 }
 
+/// The circuits of the fraig and resub sections.
+const SAT_CIRCUITS: [&str; 2] = ["apex4", "t481"];
+
+/// The compacted cut results (effort 40) of [`SAT_CIRCUITS`] that the
+/// fraig and resub sections start from, computed once per process.
+fn sat_inputs() -> &'static [Mig] {
+    static CUT: OnceLock<Vec<Mig>> = OnceLock::new();
+    CUT.get_or_init(|| {
+        par::par_map(&SAT_CIRCUITS, |name| {
+            let mig = Mig::from_netlist(&bench_suite::build(name).unwrap());
+            let (cut, _) = run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &options(40));
+            cut.compact()
+        })
+    })
+}
+
+fn fraig_section() -> String {
+    let mut out = String::from("## fraig: one fraig_pass after cut at effort 40\n");
+    writeln!(
+        out,
+        "# {:<8} {:>7} {:>10} {:>6} {:>7} {:>9}",
+        "circuit", "classes", "candidates", "merges", "refuted", "exhausted"
+    )
+    .unwrap();
+    let counts = par::par_map(sat_inputs(), |cut| {
+        fraig_pass(&mut IncrementalMig::from_mig(cut), &FraigOptions::default()).stats
+    });
+    for (name, st) in SAT_CIRCUITS.iter().zip(counts) {
+        writeln!(
+            out,
+            "{name:<10} {:>7} {:>10} {:>6} {:>7} {:>9}",
+            st.classes, st.candidates, st.merges, st.refuted, st.budget_exhausted
+        )
+        .unwrap();
+    }
+    out.push('\n');
+    out
+}
+
 fn resub_section() -> String {
     let mut out = String::from("## resub: one resub_pass after cut at effort 40\n");
     writeln!(
@@ -310,16 +355,10 @@ fn resub_section() -> String {
         "circuit", "candidates", "accepted", "refuted"
     )
     .unwrap();
-    let names = ["apex4", "t481"];
-    let counts = par::par_map(&names, |name| {
-        let mig = Mig::from_netlist(&bench_suite::build(name).unwrap());
-        let (cut, _) = run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &options(40));
-        resub_pass(
-            &mut IncrementalMig::from_mig(&cut.compact()),
-            &ResubOptions::default(),
-        )
+    let counts = par::par_map(sat_inputs(), |cut| {
+        resub_pass(&mut IncrementalMig::from_mig(cut), &ResubOptions::default())
     });
-    for (name, st) in names.iter().zip(counts) {
+    for (name, st) in SAT_CIRCUITS.iter().zip(counts) {
         writeln!(
             out,
             "{name:<10} {:>10} {:>8} {:>7}",
