@@ -716,54 +716,6 @@ impl IncrementalMig {
         self.dead.truncate(len_before);
     }
 
-    /// Size of the maximum fanout-free cone of `root` with respect to
-    /// `leaves`, against the **live** reference counts: the number of
-    /// gates (including `root`) that die if `root` is re-expressed over
-    /// the leaves.
-    pub fn mffc_size(&mut self, root: usize, leaves: &[u32]) -> u32 {
-        let mut count = 1u32;
-        self.mffc_deref(root, leaves, &mut count);
-        self.mffc_reref(root, leaves);
-        count
-    }
-
-    fn is_boundary(&self, node: usize, leaves: &[u32]) -> bool {
-        leaves.contains(&(node as u32)) || self.maj_children(node).is_none()
-    }
-
-    fn mffc_deref(&mut self, node: usize, leaves: &[u32], count: &mut u32) {
-        let Some(kids) = self.maj_children(node) else {
-            return;
-        };
-        for k in kids {
-            let c = k.node();
-            if self.is_boundary(c, leaves) {
-                continue;
-            }
-            self.refs[c] -= 1;
-            if self.refs[c] == 0 {
-                *count += 1;
-                self.mffc_deref(c, leaves, count);
-            }
-        }
-    }
-
-    fn mffc_reref(&mut self, node: usize, leaves: &[u32]) {
-        let Some(kids) = self.maj_children(node) else {
-            return;
-        };
-        for k in kids {
-            let c = k.node();
-            if self.is_boundary(c, leaves) {
-                continue;
-            }
-            if self.refs[c] == 0 {
-                self.mffc_reref(c, leaves);
-            }
-            self.refs[c] += 1;
-        }
-    }
-
     /// The live graph in topological order (children before parents),
     /// restricted to nodes reachable from the outputs. Deterministic:
     /// depth-first from the outputs in declaration order.

@@ -7,17 +7,22 @@
 //! sound-by-construction:
 //!
 //! 1. **Bucket** — live nodes are partitioned into candidate classes by
-//!    their simulation vectors, canonicalized up to complement (the MIG
-//!    has complemented edges, so `f` and `!f` belong to one class). Lane
-//!    0 is the engine's own 64-pattern signature cache; further lanes are
+//!    their simulation vectors (the lane store it shares with
+//!    [`crate::resub`]), canonicalized up to complement (the MIG has
+//!    complemented edges, so `f` and `!f` belong to one class). Lane 0
+//!    is the engine's own 64-pattern signature cache; further lanes are
 //!    seeded deterministically.
 //! 2. **Prove** — for each class, every member is checked against the
 //!    lowest-level representative with a fresh cone miter
 //!    ([`prove_signals`]) under a conflict budget. `Unsat` proves the
 //!    merge; `Sat` yields a counterexample; budget exhaustion keeps
 //!    *both* nodes — the pass never merges unproven candidates.
-//! 3. **Refine** — counterexamples become new simulation lanes; the
-//!    partition strictly refines, so the bucket/prove loop terminates.
+//! 3. **Refine** — counterexamples fill the open counterexample lane, up
+//!    to 64 per lane, and at the end of each round that lane is
+//!    re-simulated over the current graph, merges included, so every
+//!    live node reads correct words on it. A refuted pair whose
+//!    counterexample made it into the lane is split, so the partition
+//!    strictly refines; a round without refutations ends the loop.
 //! 4. **Merge** — proved members are merged through
 //!    [`IncrementalMig::replace`], which re-wires fanouts, collapses
 //!    degenerate majorities, and garbage-collects the MFFC. Merging into
@@ -28,17 +33,10 @@
 //! first-seen order of a deterministic node order — so results are
 //! bit-identical across thread counts and engines.
 
+use crate::lanes::Lanes;
 use rms_core::hash::FxHashMap;
 use rms_core::{IncrementalMig, MigNode, MigSignal};
-use rms_logic::rng::SplitMix64;
 use rms_sat::{Encoder, Lit, SatResult};
-
-/// Seed for the extra (non-engine) simulation lanes.
-const FRAIG_SEED: u64 = 0x000f_4a16_0b5e_55ed;
-
-/// Random simulation lanes beyond the engine's signature lane, of the
-/// fraig and resub passes alike (total patterns = `64 * (1 + EXTRA_WORDS)`).
-const EXTRA_WORDS: usize = 7;
 
 /// Maximum bucket/prove/refine rounds of the fraig pass.
 const MAX_ROUNDS: usize = 16;
@@ -214,103 +212,6 @@ pub fn prove_signals(
     }
 }
 
-/// Deterministic simulation word for lane `lane` of primary input `k`.
-fn input_lane(lane: usize, k: usize) -> u64 {
-    SplitMix64::new(FRAIG_SEED ^ (lane as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ (k as u64))
-        .next_u64()
-}
-
-/// Per-node simulation vectors (`sim[node][lane]`). Lane 0 is the
-/// engine's own signature cache; extra lanes are seeded from
-/// [`FRAIG_SEED`]. Dead nodes carry zeros.
-pub(crate) fn init_sim(g: &IncrementalMig, topo: &[u32]) -> Vec<Vec<u64>> {
-    let lanes = 1 + EXTRA_WORDS;
-    let mut sim = vec![vec![0u64; lanes]; g.len()];
-    for (idx, row) in sim.iter_mut().enumerate() {
-        if !g.is_dead(idx) {
-            row[0] = g.sig_of(MigSignal::new(idx, false));
-        }
-    }
-    for lane in 1..lanes {
-        simulate_lane(g, topo, &mut sim, lane, |k| input_lane(lane, k));
-    }
-    sim
-}
-
-/// Fills lane `lane` of every live node from the given input words.
-fn simulate_lane(
-    g: &IncrementalMig,
-    topo: &[u32],
-    sim: &mut [Vec<u64>],
-    lane: usize,
-    input_word: impl Fn(usize) -> u64,
-) {
-    for k in 0..g.num_inputs() {
-        let idx = g.input(k).node();
-        sim[idx][lane] = input_word(k);
-    }
-    for &nu in topo {
-        let n = nu as usize;
-        if g.is_dead(n) {
-            continue;
-        }
-        if let Some(kids) = g.maj_children(n) {
-            let [a, b, c] = kids.map(|s| {
-                let w = sim[s.node()][lane];
-                if s.is_complemented() {
-                    !w
-                } else {
-                    w
-                }
-            });
-            sim[n][lane] = (a & b) | (a & c) | (b & c);
-        }
-    }
-}
-
-/// Appends one refinement lane built from up to 64 counterexample
-/// patterns (spare bit positions get deterministic random filler).
-pub(crate) fn append_cex_lane(
-    g: &IncrementalMig,
-    topo: &[u32],
-    sim: &mut [Vec<u64>],
-    cexes: &[Vec<bool>],
-    salt: u64,
-) {
-    for row in sim.iter_mut() {
-        row.push(0);
-    }
-    let lane = sim.first().map_or(0, |r| r.len() - 1);
-    fill_cex_lane(g, topo, sim, lane, cexes, salt);
-}
-
-/// Fills lane `lane` of every live node in `topo` from up to 64
-/// counterexample patterns, one per bit (spare bit positions get
-/// deterministic random filler seeded by `salt`).
-pub(crate) fn fill_cex_lane(
-    g: &IncrementalMig,
-    topo: &[u32],
-    sim: &mut [Vec<u64>],
-    lane: usize,
-    cexes: &[Vec<bool>],
-    salt: u64,
-) {
-    debug_assert!(cexes.len() <= 64);
-    simulate_lane(g, topo, sim, lane, |k| {
-        let mut w =
-            SplitMix64::new(FRAIG_SEED ^ salt.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ (k as u64))
-                .next_u64();
-        for (bit, cex) in cexes.iter().enumerate() {
-            if cex[k] {
-                w |= 1 << bit;
-            } else {
-                w &= !(1 << bit);
-            }
-        }
-        w
-    });
-}
-
 /// Canonical class key of a node: its simulation vector, complemented if
 /// the first bit is set, plus the phase that was applied.
 fn canon(row: &[u64]) -> (Vec<u64>, bool) {
@@ -326,11 +227,17 @@ fn canon(row: &[u64]) -> (Vec<u64>, bool) {
 /// Runs one fraig pass over `g`, merging every SAT-proved equivalent
 /// node pair; see the module docs for the policy.
 pub fn fraig_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> FraigOutcome {
+    run_pass(g, opts).0
+}
+
+/// [`fraig_pass`], also returning the final simulation rows.
+pub(crate) fn run_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> (FraigOutcome, Lanes) {
     let mut out = FraigOutcome::default();
-    if g.num_gates() == 0 {
-        return out;
-    }
     let topo = g.topo_order();
+    let mut lanes = Lanes::new(g, &topo);
+    if g.num_gates() == 0 {
+        return (out, lanes);
+    }
     // Candidate order: constant, inputs, then gates topologically. This
     // is also the class-discovery order, so it fixes determinism.
     let mut order: Vec<u32> = Vec::with_capacity(1 + g.num_inputs() + topo.len());
@@ -339,7 +246,6 @@ pub fn fraig_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> FraigOutcome {
         order.push(g.input(k).node() as u32);
     }
     order.extend_from_slice(&topo);
-    let mut sim = init_sim(g, &topo);
     let mut retired = vec![false; g.len()];
 
     for round in 0..MAX_ROUNDS {
@@ -358,7 +264,7 @@ pub fn fraig_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> FraigOutcome {
             if g.is_dead(n) || retired[n] {
                 continue;
             }
-            let (key, phase) = canon(&sim[n]);
+            let (key, phase) = canon(lanes.row(n));
             phases[n] = phase;
             let next = classes.len();
             let id = *class_of.entry(key).or_insert(next);
@@ -371,7 +277,6 @@ pub fn fraig_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> FraigOutcome {
             out.stats.classes = classes.iter().filter(|c| c.len() >= 2).count() as u64;
         }
 
-        let mut cexes: Vec<Vec<bool>> = Vec::new();
         for class in &classes {
             if class.len() < 2 {
                 continue;
@@ -417,9 +322,7 @@ pub fn fraig_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> FraigOutcome {
                     ProveOutcome::Differ { cex, conflicts } => {
                         out.stats.sat_conflicts += conflicts;
                         out.stats.refuted += 1;
-                        if cexes.len() < 64 {
-                            cexes.push(cex);
-                        }
+                        lanes.add_cex(cex);
                     }
                     ProveOutcome::Unknown { conflicts } => {
                         out.stats.sat_conflicts += conflicts;
@@ -430,12 +333,12 @@ pub fn fraig_pass(g: &mut IncrementalMig, opts: &FraigOptions) -> FraigOutcome {
                 }
             }
         }
-        if cexes.is_empty() {
+        // Refine: the round's counterexamples reach the next partition.
+        if !lanes.fold(g) {
             break;
         }
-        append_cex_lane(g, &topo, &mut sim, &cexes, round as u64 + 1);
     }
-    out
+    (out, lanes)
 }
 
 #[cfg(test)]

@@ -155,17 +155,24 @@ const UNSET: u32 = u32::MAX;
 /// A lazy local copy of the graph's reference counts for
 /// [`mffc_size_frozen`]: a node-indexed array whose slots are filled on
 /// first touch, plus the list of touched slots, which is reset after
-/// every call. Allocated once per window.
-struct RefOverlay {
+/// every call. Allocated once per window, and once per resub pass.
+pub(crate) struct RefOverlay {
     refs: Vec<u32>,
     touched: Vec<u32>,
 }
 
 impl RefOverlay {
-    fn new(len: usize) -> RefOverlay {
+    pub(crate) fn new(len: usize) -> RefOverlay {
         RefOverlay {
             refs: vec![UNSET; len],
             touched: Vec::new(),
+        }
+    }
+
+    /// Covers nodes `0..len`, for a graph that grew since [`RefOverlay::new`].
+    pub(crate) fn grow(&mut self, len: usize) {
+        if self.refs.len() < len {
+            self.refs.resize(len, UNSET);
         }
     }
 
@@ -190,12 +197,19 @@ impl RefOverlay {
 }
 
 /// MFFC size of `root` with respect to `leaves` on a **shared** graph:
-/// the recursive deref walk of [`IncrementalMig::mffc_size`], but
-/// against a lazy local refcount overlay instead of mutating the
-/// graph's counts — windows evaluate concurrently on `&IncrementalMig`.
-/// The cone of a window-local cut never leaves the window (out-of-window
-/// children are always cut leaves), so the overlay stays small.
-fn mffc_size_frozen(g: &IncrementalMig, root: usize, leaves: &[u32], refs: &mut RefOverlay) -> u32 {
+/// the number of gates (including `root`) that die if `root` is
+/// re-expressed over the leaves. A recursive deref walk against a lazy
+/// local refcount overlay instead of the graph's counts, so windows
+/// evaluate concurrently on `&IncrementalMig`. The cone of a
+/// window-local cut never leaves the window (out-of-window children are
+/// always cut leaves), so the overlay stays small. The resub pass's gain
+/// checks use it too.
+pub(crate) fn mffc_size_frozen(
+    g: &IncrementalMig,
+    root: usize,
+    leaves: &[u32],
+    refs: &mut RefOverlay,
+) -> u32 {
     fn deref(
         g: &IncrementalMig,
         node: usize,
@@ -468,10 +482,12 @@ mod tests {
     #[test]
     fn frozen_mffc_matches_the_live_mffc_on_every_cut() {
         // The array overlay (reused across cuts, reset per call) against
-        // the graph's own deref/reref walk.
+        // the rebuild oracle's deref/reref walk on the same compacted
+        // graph; `from_mig` keeps node numbers.
         for name in SAMPLES.iter().chain(&["t481_d", "max46_d"]) {
             let m = bench_mig(name).compact();
-            let mut g = IncrementalMig::from_mig(&m);
+            let g = IncrementalMig::from_mig(&m);
+            let mut refs = m.fanout_counts();
             let mut overlay = RefOverlay::new(g.len());
             let mut checked = 0usize;
             for (node, cuts) in cuts::enumerate(&m, cuts::MAX_CUTS_PER_NODE)
@@ -485,13 +501,14 @@ mod tests {
                     let frozen = mffc_size_frozen(&g, node, cut.leaves(), &mut overlay);
                     assert_eq!(
                         frozen,
-                        g.mffc_size(node, cut.leaves()),
+                        crate::rewrite::mffc_size(&m, &mut refs, node, cut.leaves()),
                         "{name}: node {node}, leaves {:?}",
                         cut.leaves()
                     );
                     checked += 1;
                 }
             }
+            assert_eq!(refs, m.fanout_counts(), "{name}: oracle counts restored");
             assert!(overlay.touched.is_empty());
             assert!(
                 overlay.refs.iter().all(|&r| r == UNSET),

@@ -61,6 +61,7 @@ pub mod database;
 mod database_table;
 pub mod fraig;
 pub mod incremental;
+mod lanes;
 pub mod npn;
 pub mod resub;
 pub mod rewrite;

@@ -22,18 +22,20 @@
 //!   accepted only when the freed MFFC strictly outweighs the one added
 //!   node. Divisors as boundary leaves can only shrink the MFFC, so a
 //!   node whose whole MFFC is a single gate skips the search outright.
+//!   MFFC sizes come from the cut round's read-only overlay walk.
 //!
 //! Candidates must pass the simulation filter on every lane (lane 0 is
 //! the engine's signature cache, so this subsumes the incremental
 //! engine's signature veto), then a bounded-conflict SAT proof; budget
-//! exhaustion rejects the substitution. Counterexamples from refuted
-//! candidates are fed back as new simulation lanes, sharpening the
-//! filter for later nodes: after each node that refuted one, its lane is
-//! re-simulated over the current graph, so every live node, those that
-//! accepted substitutions added included, reads correct words on every
-//! lane. The filter then drops only candidates that are not equivalent,
-//! and the committed substitutions do not depend on lane contents. The
-//! pass is fully deterministic.
+//! exhaustion rejects the substitution. The lanes live in the store the
+//! fraig pass uses too. Counterexamples from refuted candidates go into
+//! its open lane, sharpening the filter for later nodes: before each
+//! node the store folds them in by re-simulating that lane over the
+//! current graph, and gives the node an accepted 1-resub added rows from
+//! its children. So every live node reads correct words on every lane;
+//! the filter drops only candidates that are not equivalent, and the
+//! committed substitutions do not depend on lane contents. The pass is
+//! fully deterministic.
 //!
 //! The 1-resub triple search is the pass's inner loop. It reads each
 //! divisor's lane-0 word from a local array and prunes whole divisor
@@ -43,7 +45,9 @@
 //! scan. Divisor windows are collected with one generation-stamped visit
 //! array for the whole pass.
 
-use crate::fraig::{fill_cex_lane, init_sim, prove_signals, ProveOutcome};
+use crate::fraig::{prove_signals, ProveOutcome};
+use crate::incremental::{mffc_size_frozen, RefOverlay};
+use crate::lanes::{maj3, phase_mask, Lanes};
 use rms_core::{IncrementalMig, MajBuilder, MigNode, MigSignal};
 use std::ops::ControlFlow;
 
@@ -160,15 +164,6 @@ fn collect_divisors(g: &IncrementalMig, n: usize, cap: usize, seen: &mut Stamps)
     divisors
 }
 
-/// The simulation vector of a divisor signal on all lanes, compared
-/// lazily; returns true when `sig`'s vector equals `target` on every
-/// lane, with `phase` complementing.
-fn lanes_match(sim: &[Vec<u64>], sig: usize, phase: bool, target: &[u64]) -> bool {
-    let row = &sim[sig];
-    let mask = if phase { !0u64 } else { 0 };
-    row.iter().zip(target).all(|(&w, &t)| w ^ mask == t)
-}
-
 /// Runs one windowed resubstitution pass over `g`.
 pub fn resub_pass(g: &mut IncrementalMig, opts: &ResubOptions) -> ResubStats {
     run_pass(g, opts, true).0
@@ -176,25 +171,25 @@ pub fn resub_pass(g: &mut IncrementalMig, opts: &ResubOptions) -> ResubStats {
 
 /// [`resub_pass`]; without `mffc_bound` the 1-resub search also runs on
 /// nodes whose MFFC cannot pay for a new gate (the test reference).
-/// Also returns the final simulation rows (`sim[node][lane]`).
-fn run_pass(
+/// Also returns the final simulation rows.
+pub(crate) fn run_pass(
     g: &mut IncrementalMig,
     opts: &ResubOptions,
     mffc_bound: bool,
-) -> (ResubStats, Vec<Vec<u64>>) {
+) -> (ResubStats, Lanes) {
     let mut stats = ResubStats::default();
-    if g.num_gates() == 0 {
-        return (stats, Vec::new());
-    }
     let topo = g.topo_order();
-    let mut sim = init_sim(g, &topo);
-    let mut lane = CexLane::default();
+    let mut lanes = Lanes::new(g, &topo);
+    if g.num_gates() == 0 {
+        return (stats, lanes);
+    }
     let mut stamps = Stamps::default();
+    let mut refs = RefOverlay::new(g.len());
 
     for &nu in &topo {
-        // The previous node's counterexamples reach the filter before
-        // this node reads it.
-        lane.fold(g, &mut sim);
+        // The previous node's counterexamples, and the node its 1-resub
+        // added, reach the filter before this node reads it.
+        lanes.fold(g);
         if opts.cancel.cancelled() {
             break;
         }
@@ -203,7 +198,7 @@ fn run_pass(
             continue;
         }
         let divisors = collect_divisors(g, n, MAX_DIVISORS, &mut stamps);
-        let target = sim[n].clone();
+        let target = lanes.row(n).to_vec();
 
         // 0-resub: an existing divisor already computes n (mod phase).
         let mut done = false;
@@ -211,8 +206,10 @@ fn run_pass(
             if d == n || g.is_dead(d) {
                 continue;
             }
+            let row = lanes.row(d);
             for phase in [false, true] {
-                if !lanes_match(&sim, d, phase, &target) {
+                let mask = phase_mask(phase);
+                if row.iter().zip(&target).any(|(&w, &t)| w ^ mask != t) {
                     continue;
                 }
                 let cand = MigSignal::new(d, phase);
@@ -221,7 +218,7 @@ fn run_pass(
                     Verdict::Accepted => {
                         done = true;
                     }
-                    Verdict::Refuted(cex) => lane.add(cex),
+                    Verdict::Refuted(cex) => lanes.add_cex(cex),
                     Verdict::Rejected => {}
                 }
                 break;
@@ -240,7 +237,7 @@ fn run_pass(
         // of `n` frees fewer than two nodes every match would fail the
         // gain check: search no divisors at all. Liveness cannot change
         // before a commit, and a commit ends the search.
-        let live: Vec<usize> = if mffc_bound && g.mffc_size(n, &[]) < 2 {
+        let live: Vec<usize> = if mffc_bound && mffc_size_frozen(g, n, &[], &mut refs) < 2 {
             Vec::new()
         } else {
             divisors
@@ -249,14 +246,15 @@ fn run_pass(
                 .filter(|&d| !g.is_dead(d))
                 .collect()
         };
-        let rows: Vec<&[u64]> = live.iter().map(|&d| sim[d].as_slice()).collect();
+        let rows: Vec<&[u64]> = live.iter().map(|&d| lanes.row(d)).collect();
+        let mut refuted = Vec::new();
         let accepted = search_triples(&rows, &target, |m| {
             let [pa, pb, pc] = m.phases();
             let (da, db, dc) = (live[m.i], live[m.j], live[m.k]);
             // Gain check on the pristine graph: the MFFC of n with the
             // three divisors as boundary must free more than the one node
             // we are about to add.
-            let freed = g.mffc_size(n, &[da as u32, db as u32, dc as u32]);
+            let freed = mffc_size_frozen(g, n, &[da as u32, db as u32, dc as u32], &mut refs);
             if freed < 2 {
                 return ControlFlow::Continue(());
             }
@@ -279,97 +277,24 @@ fn run_pass(
                 g.undo_tail(len_before);
             }
             match verdict {
-                Verdict::Accepted => {
-                    ControlFlow::Break((built.node(), [(da, pa), (db, pb), (dc, pc)]))
-                }
+                Verdict::Accepted => ControlFlow::Break(()),
                 Verdict::Refuted(cex) => {
-                    lane.add(cex);
+                    refuted.push(cex);
                     ControlFlow::Continue(())
                 }
                 Verdict::Rejected => ControlFlow::Continue(()),
             }
         });
-        // Record the new node's lanes so later windows can use it as a
-        // divisor.
-        if let Some((node, [a, b, c])) = accepted {
-            if node >= sim.len() {
-                let row = (0..target.len())
-                    .map(|l| maj_lane(&sim, a, b, c, l))
-                    .collect();
-                sim.push(row);
-            }
+        for cex in refuted {
+            lanes.add_cex(cex);
+        }
+        if accepted.is_some() {
+            // Later MFFC walks may reach the node the substitution added.
+            refs.grow(g.len());
         }
     }
-    lane.fold(g, &mut sim);
-    (stats, sim)
-}
-
-/// The counterexample lane being filled: the last simulation lane, once
-/// it exists, holds one counterexample per bit, up to 64.
-#[derive(Default)]
-struct CexLane {
-    cexes: Vec<Vec<bool>>,
-    /// Counterexamples the lane's words already include.
-    folded: usize,
-}
-
-impl CexLane {
-    /// Records a refuting input pattern (dropped once the lane is full).
-    fn add(&mut self, cex: Vec<bool>) {
-        if self.cexes.len() < 64 {
-            self.cexes.push(cex);
-        }
-    }
-
-    /// Folds newly added counterexamples into the filter: the lane, opened
-    /// first if need be, is re-simulated over the current graph, so every
-    /// live node reads correct words on it, the nodes that accepted
-    /// 1-resubs added and the fanouts rewired onto them included. A full
-    /// lane is closed; the next counterexample opens a new one.
-    fn fold(&mut self, g: &IncrementalMig, sim: &mut [Vec<u64>]) {
-        if self.cexes.len() == self.folded {
-            return;
-        }
-        debug_assert_eq!(sim.len(), g.len(), "a live node without simulation rows");
-        if self.folded == 0 {
-            for row in sim.iter_mut() {
-                row.push(0);
-            }
-        }
-        let lane = sim[0].len() - 1;
-        fill_cex_lane(g, &g.topo_order(), sim, lane, &self.cexes, lane as u64);
-        self.folded = self.cexes.len();
-        if self.folded == 64 {
-            *self = CexLane::default();
-        }
-    }
-}
-
-/// Majority of three divisor signals on one simulation lane.
-fn maj_lane(
-    sim: &[Vec<u64>],
-    (a, pa): (usize, bool),
-    (b, pb): (usize, bool),
-    (c, pc): (usize, bool),
-    lane: usize,
-) -> u64 {
-    maj3(
-        sim[a][lane] ^ phase_mask(pa),
-        sim[b][lane] ^ phase_mask(pb),
-        sim[c][lane] ^ phase_mask(pc),
-    )
-}
-
-fn phase_mask(complemented: bool) -> u64 {
-    if complemented {
-        !0
-    } else {
-        0
-    }
-}
-
-fn maj3(a: u64, b: u64, c: u64) -> u64 {
-    (a & b) | (a & c) | (b & c)
+    lanes.fold(g);
+    (stats, lanes)
 }
 
 /// One match of the 1-resub triple search: divisor positions `i < j < k`,
@@ -586,46 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn folded_lanes_match_a_fresh_simulation() {
-        // After a pass, every live node's rows on every lane, the folded
-        // counterexample lanes included, must be what simulating the
-        // final graph from the same input words gives: the nodes that
-        // accepted 1-resubs added, and the fanouts rewired onto them,
-        // included.
-        let (mut added, mut folded) = (0, 0);
-        for name in ["rd84_f4", "9sym_d", "sao2_f1", "apex4"] {
-            let mut g = bench_inc(name);
-            let len_before = g.len();
-            let base_lanes = init_sim(&g, &g.topo_order())[0].len();
-            let (_, sim) = run_pass(&mut g, &ResubOptions::default(), true);
-            let lanes = sim[0].len();
-            folded += lanes - base_lanes;
-            added += (len_before..g.len()).filter(|&i| !g.is_dead(i)).count();
-            let mut fresh = vec![vec![0u64; lanes]; g.len()];
-            for k in 0..g.num_inputs() {
-                let i = g.input(k).node();
-                fresh[i].clone_from(&sim[i]);
-            }
-            for &nu in &g.topo_order() {
-                let n = nu as usize;
-                let kids = g.maj_children(n).expect("a live gate");
-                fresh[n] = (0..lanes)
-                    .map(|l| {
-                        let [a, b, c] =
-                            kids.map(|k| fresh[k.node()][l] ^ phase_mask(k.is_complemented()));
-                        maj3(a, b, c)
-                    })
-                    .collect();
-            }
-            for i in (0..g.len()).filter(|&i| !g.is_dead(i)) {
-                assert_eq!(sim[i], fresh[i], "{name}: node {i}");
-            }
-        }
-        assert!(added > 0, "no 1-resub added a node");
-        assert!(folded > 0, "no counterexample lane was folded");
-    }
-
-    #[test]
     fn divisor_windows_are_bounded_and_shallow() {
         let g = bench_inc("9sym_d");
         let topo = g.topo_order();
@@ -759,7 +644,7 @@ mod tests {
         for name in ["rd84_f4", "t481_d", "9sym_d"] {
             let g = bench_inc(name);
             let topo = g.topo_order();
-            let sim = init_sim(&g, &topo);
+            let lanes = Lanes::new(&g, &topo);
             let mut stamps = Stamps::default();
             let mut matched = 0usize;
             for &nu in &topo {
@@ -768,9 +653,13 @@ mod tests {
                     continue;
                 }
                 let divisors = collect_divisors(&g, n, MAX_DIVISORS, &mut stamps);
-                let rows: Vec<&[u64]> = divisors.iter().map(|&d| sim[d].as_slice()).collect();
-                let want = naive_triples(&rows, &sim[n]);
-                assert_eq!(pruned_triples(&rows, &sim[n]), want, "{name}: node {n}");
+                let rows: Vec<&[u64]> = divisors.iter().map(|&d| lanes.row(d)).collect();
+                let want = naive_triples(&rows, lanes.row(n));
+                assert_eq!(
+                    pruned_triples(&rows, lanes.row(n)),
+                    want,
+                    "{name}: node {n}"
+                );
                 matched += want.len();
             }
             assert!(matched > 0, "{name}: no window has a 1-resub match");

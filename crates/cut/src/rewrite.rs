@@ -49,7 +49,7 @@ pub struct RoundStats {
 /// Size of the maximum fanout-free cone of `root` with respect to
 /// `leaves`: the number of majority nodes (including `root`) that no
 /// longer have references from outside the cone once `root` is replaced.
-fn mffc_size(mig: &Mig, refs: &mut [u32], root: usize, leaves: &[u32]) -> u32 {
+pub(crate) fn mffc_size(mig: &Mig, refs: &mut [u32], root: usize, leaves: &[u32]) -> u32 {
     let mut count = 1u32;
     deref(mig, refs, root, leaves, &mut count);
     reref(mig, refs, root, leaves);

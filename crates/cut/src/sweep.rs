@@ -172,19 +172,22 @@ pub(crate) fn rram_polish(
         let c = RramCost::of(m, realization);
         (c.rrams.saturating_mul(c.steps), c.steps)
     };
-    let mut post = OptStats::default();
+    // The passes count into a copy, which replaces `stats` only when the
+    // polish is kept: `post_round` is the one place the fraig and resub
+    // counters reach `OptStats`.
+    let mut post = *stats;
     let polished = post_passes(best, SweepPasses::BOTH, &mut post, cancel);
-    stats.cancelled |= post.cancelled;
     if score(&polished) < score(best) {
-        stats.fraig_classes += post.fraig_classes;
-        stats.fraig_merges += post.fraig_merges;
-        stats.resubs += post.resubs;
-        stats.sat_conflicts += post.sat_conflicts;
-        stats.sat_budget_exhausted += post.sat_budget_exhausted;
-        stats.passes += post.passes;
-        stats.gates_after = polished.num_gates() as u64;
+        // The hybrid's cycles and peak are its own script's.
+        *stats = OptStats {
+            cycles: stats.cycles,
+            peak_nodes: stats.peak_nodes,
+            gates_after: polished.num_gates() as u64,
+            ..post
+        };
         Some(polished)
     } else {
+        stats.cancelled |= post.cancelled;
         None
     }
 }
