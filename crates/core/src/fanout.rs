@@ -22,6 +22,14 @@
 //!   (and its peak) tracks the live nodes plus one round's appended and
 //!   tentative ones.
 //!
+//! Whole-graph passes run as **mapped rounds** through one entry point,
+//! [`IncrementalMig::mapped_round`]: a topological sweep rebuilds every
+//! node in place over its children's images, as a rebuild into a fresh
+//! graph would, with the caller deciding each node's image; one linear
+//! repair at the end rederives reference counts, fanout lists, the
+//! structural hash, levels and signatures — the same derivation that
+//! [`IncrementalMig::from_mig`] ends with.
+//!
 //! Replacement semantics: [`IncrementalMig::replace`] declares that the
 //! (uncomplemented) function of a node equals another signal, rewires all
 //! parents and outputs, and resolves the cascade this causes — parents
@@ -73,26 +81,19 @@ fn maj_word(a: u64, b: u64, c: u64) -> u64 {
     (a & b) | (a & c) | (b & c)
 }
 
-/// Outcome of [`IncrementalMig::rechild_to`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rechild {
-    /// The mapped children equal the current ones; nothing changed.
-    Unchanged,
-    /// The node was rewired onto the new children in place.
-    Rechilded,
-    /// The node degenerated (Ω.M) or merged with an existing node; its
-    /// function is the returned signal. The orphan keeps its structure
-    /// until the end-of-round repair collects it.
-    Superseded(MigSignal),
-}
-
 /// A majority-inverter graph with in-place update support.
+///
+/// Two kinds of update change it. [`IncrementalMig::replace`] splices one
+/// rewrite and repairs the transitive fanout at once;
+/// [`IncrementalMig::mapped_round`], the one entry point of the
+/// mapped-round protocol, rebuilds every node in topological order and
+/// repairs the whole graph once at the end.
 ///
 /// Node indices are **stable except across the end of a mapped round**:
 /// nodes are appended, and a garbage-collected node leaves a dead slot
-/// behind, until [`IncrementalMig::finish_mapped_round`] drops the dead
-/// slots and renumbers the survivors densely in their index order (no
-/// caller holds an index past it). Unlike [`Mig`], index order is *not*
+/// behind, until the end of the next mapped round drops the dead slots
+/// and renumbers the survivors densely in their index order (no caller
+/// holds an index past it). Unlike [`Mig`], index order is *not*
 /// topological after a splice — use [`IncrementalMig::topo_order`] to
 /// walk the live graph.
 #[derive(Debug, Clone)]
@@ -127,10 +128,11 @@ pub struct IncrementalMig {
 }
 
 impl IncrementalMig {
-    /// Builds the incremental view of a graph.
-    ///
-    /// The source should be compacted (its unreachable nodes are carried
-    /// as slots until the first mapped round drops them).
+    /// Builds the incremental view of a graph: loads its nodes and
+    /// outputs, then derives everything else with the repair that ends
+    /// every mapped round ([`IncrementalMig::mapped_round`]). Nodes
+    /// unreachable from the outputs are dropped by the same monotone
+    /// renumbering, so a compacted source keeps its node numbers.
     pub fn from_mig(mig: &Mig) -> Self {
         let n = mig.len();
         // Tentative rewrite candidates grow and shrink the node-array
@@ -138,56 +140,38 @@ impl IncrementalMig {
         // parallel arrays from reallocating (and re-copying 100k+
         // entries) in the middle of a sweep.
         let cap = n + n / 4 + 64;
-        let mut refs = Vec::with_capacity(cap);
-        refs.resize(n, 0u32);
-        let mut dead = Vec::with_capacity(cap);
-        dead.resize(n, false);
-        let mut fanouts = Vec::with_capacity(cap);
-        fanouts.extend(mig.fanout_lists());
-        let mut strash = FxHashMap::default();
-        strash.reserve(n);
         let mut inc = IncrementalMig {
             name: mig.name().to_string(),
             num_inputs: mig.num_inputs(),
             nodes: Vec::with_capacity(cap),
             levels: Vec::with_capacity(cap),
-            refs,
-            fanouts,
+            refs: Vec::with_capacity(cap),
+            fanouts: Vec::with_capacity(cap),
             sigs: Vec::with_capacity(cap),
-            dead,
+            dead: Vec::with_capacity(cap),
             outputs: mig.outputs().to_vec(),
-            strash,
+            strash: FxHashMap::default(),
             live_gates: 0,
             peak_len: n,
             spare_fanouts: Vec::new(),
             uw_stamp: Vec::new(),
             uw_epoch: 0,
         };
+        inc.strash.reserve(n);
+        inc.levels.resize(n, 0);
+        inc.refs.resize(n, 0);
+        inc.fanouts.resize_with(n, Vec::new);
+        inc.dead.resize(n, false);
         for idx in 0..n {
             let node = mig.node(idx);
             inc.nodes.push(node);
-            inc.levels.push(mig.level(idx));
-            let sig = match node {
-                MigNode::Const0 => 0,
+            // Gate signatures are derived below; inputs seed them.
+            inc.sigs.push(match node {
                 MigNode::Input(k) => input_word(k as usize),
-                MigNode::Maj(kids) => {
-                    inc.live_gates += 1;
-                    inc.strash.insert(kids, idx as u32);
-                    for k in kids {
-                        inc.refs[k.node()] += 1;
-                    }
-                    maj_word(
-                        inc.sig_of(kids[0]),
-                        inc.sig_of(kids[1]),
-                        inc.sig_of(kids[2]),
-                    )
-                }
-            };
-            inc.sigs.push(sig);
+                _ => 0,
+            });
         }
-        for (_, o) in &inc.outputs {
-            inc.refs[o.node()] += 1;
-        }
+        inc.derive_live_state();
         inc
     }
 
@@ -508,74 +492,112 @@ impl IncrementalMig {
         }
     }
 
-    /// Enters the mapped-round protocol: clears the structural hash so
-    /// the sweep rebuilds it **image by image** — at any point during
-    /// the round the strash then contains exactly the images of the
-    /// already-processed nodes plus instantiated candidate structures,
-    /// the same sharing surface a from-scratch rebuild into a fresh
-    /// graph would offer. Unprocessed (round-start) structures are
+    /// Runs one mapped round: rebuilds every node of `order` (a
+    /// topological order of the live gates, read at round start) in
+    /// place, as a from-scratch rebuild into a fresh graph would, then
+    /// repairs the graph in one linear pass. The one entry point of the
+    /// mapped-round protocol; callers supply only the per-node decision.
+    ///
+    /// The round starts by clearing the structural hash, which the sweep
+    /// then rebuilds **image by image**: at any point it contains exactly
+    /// the images of the already-processed nodes plus instantiated
+    /// candidate structures, the same sharing surface a rebuild into a
+    /// fresh graph would offer. Unprocessed (round-start) structures are
     /// deliberately not shareable: sharing with a cone that is about to
     /// be remapped would undercount the cost of a candidate.
     ///
-    /// [`IncrementalMig::finish_mapped_round`] restores the steady-state
-    /// invariant (every live gate hashed).
-    pub fn begin_mapped_round(&mut self) {
+    /// For each gate, `step(g, pos, idx, conv, map)` gets the graph, the
+    /// node's position in `order`, its index, its children converted to
+    /// their images, and the image map so far (`map[i]` is the image of
+    /// round-start node `i`); it returns the node's image — typically
+    /// [`IncrementalMig::rechild_to`]'s default image, or a candidate
+    /// structure it built with [`MajBuilder::maj`]. Nodes created during
+    /// the round map to themselves.
+    ///
+    /// The end-of-round repair rewires the outputs through the map, then
+    /// runs the derivation [`IncrementalMig::from_mig`] ends with: it
+    /// drops everything unreachable, renumbers the survivors densely and
+    /// rebuilds the structural hash, reference counts, fanout lists,
+    /// levels and simulation signatures over the live graph. Indices
+    /// held across this call are invalid afterwards.
+    pub fn mapped_round(
+        &mut self,
+        order: &[u32],
+        mut step: impl FnMut(
+            &mut IncrementalMig,
+            usize,
+            usize,
+            [MigSignal; 3],
+            &[MigSignal],
+        ) -> MigSignal,
+    ) {
         self.strash.clear();
+        let mut map: Vec<MigSignal> = (0..self.len()).map(|i| MigSignal::new(i, false)).collect();
+        for (pos, &idx) in order.iter().enumerate() {
+            let idx = idx as usize;
+            let MigNode::Maj(kids) = self.nodes[idx] else {
+                continue;
+            };
+            let conv = kids.map(|k| map[k.node()].complement_if(k.is_complemented()));
+            map[idx] = step(self, pos, idx, conv, &map);
+        }
+        for (_, o) in &mut self.outputs {
+            if o.node() < map.len() {
+                *o = map[o.node()].complement_if(o.is_complemented());
+            }
+        }
+        self.derive_live_state();
     }
 
     /// Builds the image of node `idx` over the mapped children `conv`,
     /// in place — the mapped-round analogue of rebuilding the node into
-    /// a fresh graph. Must run inside
-    /// [`IncrementalMig::begin_mapped_round`] /
-    /// [`IncrementalMig::finish_mapped_round`], in topological order.
+    /// a fresh graph — and returns it. Must run inside
+    /// [`IncrementalMig::mapped_round`], in its order.
     ///
     /// Reference counts and fanout lists are deliberately left stale
     /// (the round's MFFC estimates are precomputed on the pristine
-    /// graph, and the finish pass repairs everything); the node's strash
-    /// entry, **level**, and simulation signature are kept current
+    /// graph, and the end-of-round repair rebuilds them); the node's
+    /// strash entry, **level**, and simulation signature are kept current
     /// because the rest of the sweep depends on them — the level of an
     /// image node equals its level in the rebuilt graph, which the
     /// level-steered passes ([`reshape_inplace`]) compare during the
-    /// sweep. Returns [`Rechild::Superseded`] when the node degenerates
-    /// under Ω.M or merges with an already-processed image; the orphan
+    /// sweep. The image is the node itself unless it degenerates under
+    /// Ω.M or merges with an already-processed image; the orphan then
     /// keeps its slot until the end-of-round repair collects it.
-    pub fn rechild_to(&mut self, idx: usize, conv: [MigSignal; 3]) -> Rechild {
+    pub fn rechild_to(&mut self, idx: usize, conv: [MigSignal; 3]) -> MigSignal {
         let MigNode::Maj(kids) = self.nodes[idx] else {
             panic!("rechild_to on a non-gate node");
         };
-        match normalize_maj(conv[0], conv[1], conv[2]) {
-            Err(s) => Rechild::Superseded(s),
-            Ok(nk) => {
-                if let Some(&q) = self.strash.get(&nk) {
-                    debug_assert_ne!(q as usize, idx, "node processed twice in one round");
-                    return Rechild::Superseded(MigSignal::new(q as usize, false));
-                }
-                self.strash.insert(nk, idx as u32);
-                // Children are images (already processed this round), so
-                // their levels are current and this node's image level is
-                // exact — even when its own structure did not change.
-                self.levels[idx] = 1 + nk
-                    .iter()
-                    .map(|s| self.levels[s.node()])
-                    .max()
-                    .expect("three children");
-                if nk == kids {
-                    return Rechild::Unchanged;
-                }
-                self.nodes[idx] = MigNode::Maj(nk);
-                self.sigs[idx] =
-                    maj_word(self.sig_of(nk[0]), self.sig_of(nk[1]), self.sig_of(nk[2]));
-                Rechild::Rechilded
-            }
+        let nk = match normalize_maj(conv[0], conv[1], conv[2]) {
+            Err(s) => return s,
+            Ok(nk) => nk,
+        };
+        if let Some(&q) = self.strash.get(&nk) {
+            debug_assert_ne!(q as usize, idx, "node processed twice in one round");
+            return MigSignal::new(q as usize, false);
         }
+        self.strash.insert(nk, idx as u32);
+        // Children are images (already processed this round), so their
+        // levels are current and this node's image level is exact — even
+        // when its own structure did not change.
+        self.levels[idx] = 1 + nk
+            .iter()
+            .map(|s| self.levels[s.node()])
+            .max()
+            .expect("three children");
+        if nk != kids {
+            self.nodes[idx] = MigNode::Maj(nk);
+            self.sigs[idx] = maj_word(self.sig_of(nk[0]), self.sig_of(nk[1]), self.sig_of(nk[2]));
+        }
+        MigSignal::new(idx, false)
     }
 
-    /// Completes a mapped rewrite round (see
-    /// [`IncrementalMig::rechild_to`]): rewires the outputs through
-    /// `map`, drops everything unreachable, renumbers the survivors
-    /// densely, and rebuilds the deferred derived structures (structural
-    /// hash, reference counts, fanout lists, levels, simulation
-    /// signatures) over the live graph.
+    /// Derives every structure but the nodes and outputs from them: drops
+    /// the nodes unreachable from the outputs, renumbers the survivors
+    /// densely, and rebuilds the structural hash, reference counts,
+    /// fanout lists, levels, simulation signatures and live-gate count.
+    /// Ends every mapped round and [`IncrementalMig::from_mig`]; gate
+    /// levels and signatures are recomputed, input signatures are read.
     ///
     /// One depth-first walk from the outputs ([`IncrementalMig::topo_order`])
     /// serves both: its gates, the constant and the inputs are the live
@@ -587,19 +609,8 @@ impl IncrementalMig {
     /// that compares node numbers only by order — the child sort of
     /// [`Mig::maj`]'s normalization, cut leaf order, index-order
     /// tie-breaks — reads the same after it. Fanout lists are rebuilt in
-    /// index order, which is the order their readers see. Indices held
-    /// across this call are invalid afterwards.
-    ///
-    /// `map[i]` is the image signal of round-start node `i`; nodes
-    /// created during the round (indices `>= map.len()`) map to
-    /// themselves.
-    pub fn finish_mapped_round(&mut self, map: &[MigSignal]) {
-        for i in 0..self.outputs.len() {
-            let s = self.outputs[i].1;
-            if s.node() < map.len() {
-                self.outputs[i].1 = map[s.node()].complement_if(s.is_complemented());
-            }
-        }
+    /// index order, which is the order their readers see.
+    fn derive_live_state(&mut self) {
         let order = self.topo_order();
         // The new number of every live slot, `DROPPED` for the rest.
         const DROPPED: u32 = u32::MAX;
@@ -971,13 +982,12 @@ fn rebuilds_default(g: &IncrementalMig, conv: [MigSignal; 3], cand: MigSignal) -
     }
 }
 
-/// Runs an Ω rule of [`crate::rewrite`] over the graph in place, on the
-/// mapped-round protocol: one topological sweep that offers every node,
-/// over its image children, to `rule`, then a single linear repair in
-/// [`IncrementalMig::finish_mapped_round`] — no per-rewrite fanout walks,
-/// which on deep graphs turn a spliced pass quadratic. As in the rebuild
-/// driver, single fanout is judged on the pass-start graph and patterns
-/// are matched on image structures; levels read by the rule are image
+/// Runs an Ω rule of [`crate::rewrite`] over the graph in place, as one
+/// [`IncrementalMig::mapped_round`] that offers every node, over its
+/// image children, to `rule` — no per-rewrite fanout walks, which on
+/// deep graphs turn a spliced pass quadratic. As in the rebuild driver,
+/// single fanout is judged on the pass-start graph and patterns are
+/// matched on image structures; levels read by the rule are image
 /// levels, which [`IncrementalMig::rechild_to`] keeps current. A node
 /// the rule leaves alone, or whose candidate only rebuilds its default
 /// image, gets its default image, without a second try at another
@@ -991,20 +1001,14 @@ fn rewrite_mapped(
     // Pass-start reference counts (gate edges + outputs), the analogue
     // of the rebuild driver's `fanout_counts` snapshot of its source.
     let old_refs = g.refs.clone();
-    g.begin_mapped_round();
-    let mut map: Vec<MigSignal> = (0..g.len()).map(|i| MigSignal::new(i, false)).collect();
     let mut fired = 0usize;
-    for &idx in &order {
-        let idx = idx as usize;
-        let MigNode::Maj(kids) = g.nodes[idx] else {
-            continue;
-        };
-        let conv = kids.map(|k| map[k.node()].complement_if(k.is_complemented()));
+    g.mapped_round(&order, |g, _, idx, conv, _| {
+        let kids = g.maj_children(idx).expect("a live gate");
         let len_before = g.len();
         // A fired rule supersedes the node without entering its default
         // structure into the strash, as the rebuild driver never builds
         // the default structure of a node its rule rewrote.
-        map[idx] = match rule(g, conv, kids.map(|k| old_refs[k.node()] == 1)) {
+        match rule(g, conv, kids.map(|k| old_refs[k.node()] == 1)) {
             Some(cand) if !rebuilds_default(g, conv, cand) => {
                 fired += 1;
                 cand
@@ -1013,26 +1017,21 @@ fn rewrite_mapped(
                 if fallback.is_some() {
                     g.undo_tail(len_before); // rebuilt itself: no-op
                 }
-                match g.rechild_to(idx, conv) {
-                    Rechild::Superseded(s) => s,
-                    _ => MigSignal::new(idx, false),
-                }
+                g.rechild_to(idx, conv)
             }
-        };
-    }
-    g.finish_mapped_round(&map);
+        }
+    });
     fired
 }
 
 /// The in-place *eliminate* pass (`Ω.M; Ω.D R→L`): the rule of the
 /// rebuilding [`crate::rewrite::eliminate`],
-/// [`crate::rewrite::eliminate_rule`], run on the mapped-round protocol —
-/// one topological sweep of [`IncrementalMig::rechild_to`] plus a single
-/// linear repair in [`IncrementalMig::finish_mapped_round`]. The two
-/// drivers number nodes differently, so equal decisions are measured,
-/// not guaranteed: on every bundled benchmark, raw and after one
-/// push-up, both reach the same fingerprint. Returns the number of
-/// merges fired.
+/// [`crate::rewrite::eliminate_rule`], run as one
+/// [`IncrementalMig::mapped_round`] — one topological sweep plus a
+/// single linear repair. The two drivers number nodes differently, so
+/// equal decisions are measured, not guaranteed: on every bundled
+/// benchmark, raw and after one push-up, both reach the same
+/// fingerprint. Returns the number of merges fired.
 pub fn eliminate_inplace(g: &mut IncrementalMig) -> usize {
     rewrite_mapped(g, eliminate_rule)
 }
@@ -1077,6 +1076,61 @@ mod tests {
             assert_eq!(back.num_gates(), m.num_gates(), "{name}");
             assert_eq!(back.depth(), m.depth(), "{name}");
             assert_eq!(back.truth_tables(), m.truth_tables(), "{name}");
+        }
+    }
+
+    #[test]
+    fn from_mig_keeps_numbers_levels_and_signatures() {
+        // `from_mig` derives its state with the end-of-round repair,
+        // which drops nothing from a compacted graph and renumbers
+        // nothing; callers that read cuts of the source against the
+        // engine rely on that.
+        for name in SAMPLES {
+            let m = bench_mig(name);
+            let inc = IncrementalMig::from_mig(&m);
+            inc.assert_consistent();
+            assert_eq!(inc.len(), m.len(), "{name}");
+            assert_eq!(inc.num_gates(), m.num_gates(), "{name}");
+            assert_eq!(inc.outputs(), m.outputs(), "{name}");
+            let mut sigs: Vec<u64> = Vec::with_capacity(m.len());
+            for i in 0..m.len() {
+                let sig = match m.node(i) {
+                    MigNode::Const0 => 0,
+                    MigNode::Input(k) => input_word(k as usize),
+                    MigNode::Maj(kids) => {
+                        let w = |s: MigSignal| match s.is_complemented() {
+                            true => !sigs[s.node()],
+                            false => sigs[s.node()],
+                        };
+                        maj_word(w(kids[0]), w(kids[1]), w(kids[2]))
+                    }
+                };
+                sigs.push(sig);
+                assert_eq!(inc.node(i), m.node(i), "{name}: node {i}");
+                assert_eq!(inc.level(i), m.level(i), "{name}: level of {i}");
+                assert_eq!(inc.sigs[i], sigs[i], "{name}: signature of {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn default_images_leave_a_dense_graph_unchanged() {
+        // A mapped round whose every step keeps the default image is the
+        // identity on a dense graph, node for node.
+        for name in SAMPLES {
+            let before = IncrementalMig::from_mig(&bench_mig(name));
+            let mut g = before.clone();
+            let order = g.topo_order();
+            g.mapped_round(&order, |g, _, idx, conv, _| g.rechild_to(idx, conv));
+            g.assert_consistent();
+            assert_eq!(g.len(), before.len(), "{name}");
+            assert_eq!(g.outputs(), before.outputs(), "{name}");
+            for i in 0..g.len() {
+                assert_eq!(g.node(i), before.node(i), "{name}: node {i}");
+                assert_eq!(g.level(i), before.level(i), "{name}: level of {i}");
+                assert_eq!(g.sigs[i], before.sigs[i], "{name}: signature of {i}");
+                assert_eq!(g.fanouts(i), before.fanouts(i), "{name}: fanouts of {i}");
+            }
         }
     }
 
@@ -1202,7 +1256,7 @@ mod tests {
 
     #[test]
     fn mapped_rounds_leave_the_graph_dense_in_survivor_order() {
-        // Each pass ends in `finish_mapped_round`, which drops the dead
+        // Each pass ends in a mapped round's repair, which drops the dead
         // slots and renumbers the survivors in their index order.
         type Pass = fn(&mut IncrementalMig) -> usize;
         let passes: [(&str, Pass); 3] = [

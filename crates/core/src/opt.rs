@@ -97,10 +97,11 @@ pub struct OptStats {
     pub gates_before: u64,
     /// Majority-gate count after optimization.
     pub gates_after: u64,
-    /// High-water mark of the node array during optimization (0 when the
-    /// engine does not track it; the in-place cut engine does). Its
-    /// mapped rounds drop dead slots, so this tracks live plus tentative
-    /// nodes.
+    /// High-water mark of the in-place graph's node array during
+    /// optimization. Every cut-family mode tracks it (the cut script, the
+    /// cut-rram hybrid and the sweep scripts, post passes included);
+    /// Algs. 1–4 rebuild instead and report 0. Mapped rounds drop dead
+    /// slots, so this tracks live plus tentative nodes.
     pub peak_nodes: u64,
     /// Candidate equivalence classes examined by the fraig pass (0 for
     /// algorithms without a SAT-sweeping stage).
@@ -319,14 +320,18 @@ pub fn optimize_rram_stats(
     (out, stats)
 }
 
-fn rram_score(realization: Realization) -> impl Fn(&Mig) -> (u64, u64) {
+/// Alg. 3's score for `realization`: the `R·S` product, ties broken by
+/// `S`. The cut-rram hybrid scores its iterates with it too.
+pub fn rram_score(realization: Realization) -> impl Fn(&Mig) -> (u64, u64) {
     move |m| {
         let c = RramCost::of(m, realization);
         (c.rrams.saturating_mul(c.steps), c.steps)
     }
 }
 
-fn rram_cycle(m: &Mig, _: usize) -> Mig {
+/// One cycle of Alg. 3: push-up; Ω.I(1–3); push-up; reshape↓;
+/// eliminate. The cut-rram hybrid runs it after each cut round.
+pub fn rram_cycle(m: &Mig, _: usize) -> Mig {
     let m = push_up(m);
     let m = inverter_propagation(&m, InverterCases::ALL, false);
     let m = push_up(&m);

@@ -10,9 +10,11 @@
 //!   ([`WINDOW_NODES`]); each window enumerates its cuts afresh every
 //!   round and selects at most one candidate per node, on `jobs` scoped
 //!   workers — a graph of at most one window runs inline,
-//! - accepted rewrites are committed in one sequential mapped sweep in
-//!   topological order, which splices the database structure into the
-//!   graph and collects whatever became unreachable, and
+//! - accepted rewrites are committed in one sequential
+//!   [`IncrementalMig::mapped_round`] in topological order, which
+//!   splices the database structure into the graph and collects whatever
+//!   became unreachable; this module supplies only the per-node decision,
+//!   and
 //! - the node's cached 64-lane simulation signature vetoes any candidate
 //!   whose instantiated structure does not match the node it replaces —
 //!   a constant-time functional spot-check in front of the structural
@@ -47,9 +49,11 @@ struct Candidate {
     mffc: i64,
 }
 
-/// The sequential commit phase of [`round_windowed`]: the mapped
-/// topological sweep over precomputed per-node candidates, with `cands`
-/// aligned with `order`.
+/// The sequential commit phase of [`round_windowed`]: one
+/// [`IncrementalMig::mapped_round`] over precomputed per-node
+/// candidates, with `cands` aligned with `order`. Its step decides each
+/// node's image: the default image, or the database candidate when it
+/// passes the signature veto and the gain test.
 ///
 /// Commit order is the topological order itself — fixed before any
 /// worker runs — which is what makes the windowed round bit-identical
@@ -65,19 +69,8 @@ fn commit_sweep(
     accept_zero_gain: bool,
     stats: &mut RoundStats,
 ) {
-    g.begin_mapped_round();
-    let mut map: Vec<MigSignal> = (0..g.len()).map(|i| MigSignal::new(i, false)).collect();
-    for (pos, &idx) in order.iter().enumerate() {
-        let idx = idx as usize;
-        let MigNode::Maj(kids) = g.node(idx) else {
-            continue;
-        };
-        let conv = kids.map(|k| map[k.node()].complement_if(k.is_complemented()));
-        let image = match g.rechild_to(idx, conv) {
-            rms_core::fanout::Rechild::Superseded(s) => s,
-            _ => MigSignal::new(idx, false),
-        };
-        map[idx] = image;
+    g.mapped_round(order, |g, pos, idx, conv, map| {
+        let image = g.rechild_to(idx, conv);
         let Some(Candidate {
             cut,
             t,
@@ -85,7 +78,7 @@ fn commit_sweep(
             mffc: freed,
         }) = cands[pos]
         else {
-            continue;
+            return image;
         };
         // Instantiate tentatively; the nodes actually added (after
         // structural hashing against the whole graph, replaced
@@ -114,7 +107,7 @@ fn commit_sweep(
         if g.sig_of(cand) != g.sig_of(MigSignal::new(idx, false)) {
             stats.sig_vetoes += 1;
             g.undo_tail(len_before);
-            continue;
+            return image;
         }
         let real_gain = freed - added;
         if real_gain > 0 || (real_gain == 0 && accept_zero_gain) {
@@ -122,12 +115,12 @@ fn commit_sweep(
             if real_gain == 0 {
                 stats.zero_gain += 1;
             }
-            map[idx] = cand;
+            cand
         } else {
             g.undo_tail(len_before);
+            image
         }
-    }
-    g.finish_mapped_round(&map);
+    });
 }
 
 /// Nodes per window of the partition-parallel round.

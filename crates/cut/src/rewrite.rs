@@ -26,9 +26,9 @@ use crate::cuts;
 use crate::database::database;
 use crate::incremental::round_windowed;
 use crate::npn;
-use rms_core::opt::{drive, optimize_rram, OptOptions, OptStats};
-use rms_core::rewrite::{eliminate, inverter_propagation, push_up, reshape, InverterCases};
-use rms_core::{IncrementalMig, Mig, MigNode, MigSignal, Realization, RramCost};
+use rms_core::opt::{drive, optimize_rram, rram_cycle, rram_score, OptOptions, OptStats};
+use rms_core::rewrite::push_up;
+use rms_core::{IncrementalMig, Mig, MigNode, MigSignal, Realization};
 
 /// Counters of one rewrite round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -197,17 +197,19 @@ pub(crate) fn rewrite_round_with(
 }
 
 /// The hybrid script: cut rewriting interleaved with the paper's Alg. 3
-/// passes, scored by the `R·S` product for `realization`; returns the
-/// optimized graph with its run statistics.
+/// passes, scored by Alg. 3's `R·S` product for `realization`
+/// ([`rram_score`]); returns the optimized graph with its run statistics.
 ///
 /// Per cycle: one in-place rewrite round ([`round_windowed`], zero-gain
-/// replacements on odd cycles) on a fresh [`IncrementalMig`] of the
-/// current graph, then the Alg. 3 passes (push-up; Ω.I(1–3); push-up;
-/// reshape↓; eliminate). [`drive`] keeps the best iterate by `R·S`, and
-/// a final push-up polishes it. The plain Alg. 3 result is a candidate
-/// too, so the returned graph **never scores worse than
-/// [`optimize_rram`]**. A last fraig + resub stage is kept only when it
-/// lowers `R·S`.
+/// replacements on odd cycles), whose commit is one
+/// [`IncrementalMig::mapped_round`] on a fresh [`IncrementalMig`] of the
+/// current graph, then one Alg. 3 cycle ([`rram_cycle`]: push-up;
+/// Ω.I(1–3); push-up; reshape↓; eliminate). [`drive`] keeps the best
+/// iterate by `R·S`, and a final push-up polishes it. The plain Alg. 3
+/// result is a candidate too, so the returned graph **never scores worse
+/// than [`optimize_rram`]**. A last fraig + resub stage is kept only when
+/// it lowers `R·S`. `peak_nodes` is the largest node array of the
+/// per-cycle graphs and of that last stage.
 pub fn optimize_cut_rram_stats(
     mig: &Mig,
     realization: Realization,
@@ -234,22 +236,17 @@ fn cut_rram_on(
     realization: Realization,
     opts: &OptOptions,
 ) -> (Mig, OptStats) {
-    let score = |m: &Mig| {
-        let c = RramCost::of(m, realization);
-        (c.rrams.saturating_mul(c.steps), c.steps)
-    };
+    let score = rram_score(realization);
     let db = database();
     let jobs = rms_core::par::resolve_threads(opts.jobs);
     let base = optimize_rram(mig, realization, opts);
     let mut rewrites = 0u64;
+    let mut peak = 0usize;
     let (hybrid, cycles, cancelled) = run(mig, opts, &score, &mut |m, c| {
         let mut g = IncrementalMig::from_mig(m);
         rewrites += round_windowed(&mut g, db, c % 2 == 1, jobs, &opts.cancel).rewrites;
-        let m = push_up(&g.to_mig());
-        let m = inverter_propagation(&m, InverterCases::ALL, false);
-        let m = push_up(&m);
-        let m = reshape(&m, true);
-        eliminate(&m)
+        peak = peak.max(g.peak_len());
+        rram_cycle(&g.to_mig(), c)
     });
     let polished = push_up(&hybrid);
     let mut best = base;
@@ -268,6 +265,7 @@ fn cut_rram_on(
         rewrites: if from_hybrid { rewrites } else { 0 },
         gates_before: mig.num_gates() as u64,
         gates_after: best.num_gates() as u64,
+        peak_nodes: peak as u64,
         cancelled,
         ..OptStats::default()
     };
@@ -384,6 +382,22 @@ mod tests {
                     ch.rrams.saturating_mul(ch.steps) <= cb.rrams.saturating_mul(cb.steps),
                     "{name}/{real}: hybrid {ch} vs base {cb}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn cut_rram_reports_its_peak_nodes() {
+        // The first cycle loads the compacted source into the in-place
+        // graph, so the peak is at least its node count.
+        let opts = OptOptions::with_effort(4);
+        for name in SAMPLES {
+            let m = bench_mig(name);
+            let source = m.compact().len() as u64;
+            for real in Realization::ALL {
+                let (_, stats) = optimize_cut_rram_stats(&m, real, &opts);
+                let peak = stats.peak_nodes;
+                assert!(peak >= source, "{name}/{real}: peak {peak} < {source}");
             }
         }
     }

@@ -20,9 +20,9 @@ use crate::fraig::{fraig_pass, FraigOptions};
 use crate::incremental::optimize_cut_stats;
 use crate::resub::{resub_pass, ResubOptions};
 use rms_core::fanout::eliminate_inplace;
-use rms_core::opt::{OptOptions, OptStats};
+use rms_core::opt::{rram_score, OptOptions, OptStats};
 use rms_core::CancelToken;
-use rms_core::{IncrementalMig, Mig, Realization, RramCost};
+use rms_core::{IncrementalMig, Mig, Realization};
 
 /// Which post passes a sweep script runs on top of the cut script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,20 +168,18 @@ pub(crate) fn rram_polish(
     stats: &mut OptStats,
     cancel: &CancelToken,
 ) -> Option<Mig> {
-    let score = |m: &Mig| {
-        let c = RramCost::of(m, realization);
-        (c.rrams.saturating_mul(c.steps), c.steps)
-    };
+    let score = rram_score(realization);
     // The passes count into a copy, which replaces `stats` only when the
     // polish is kept: `post_round` is the one place the fraig and resub
-    // counters reach `OptStats`.
+    // counters reach `OptStats`. The copy's peak is the larger of the
+    // hybrid's and the post passes', which ran either way.
     let mut post = *stats;
     let polished = post_passes(best, SweepPasses::BOTH, &mut post, cancel);
+    stats.peak_nodes = post.peak_nodes;
     if score(&polished) < score(best) {
-        // The hybrid's cycles and peak are its own script's.
+        // The hybrid's cycles are its own script's.
         *stats = OptStats {
             cycles: stats.cycles,
-            peak_nodes: stats.peak_nodes,
             gates_after: polished.num_gates() as u64,
             ..post
         };
