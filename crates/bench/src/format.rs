@@ -1,6 +1,6 @@
 //! Plain-text rendering of reproduction tables.
 
-use crate::runner::Measured;
+use rms_core::cost::RramCost;
 
 /// A simple fixed-width table builder for terminal reports.
 #[derive(Debug, Default)]
@@ -62,9 +62,9 @@ impl TextTable {
     }
 }
 
-/// Formats a measured pair as `R/S`.
-pub fn rs(m: Measured) -> String {
-    format!("{}/{}", m.rrams, m.steps)
+/// Formats Table I's costs as `R/S`.
+pub fn rs(c: RramCost) -> String {
+    format!("{}/{}", c.rrams, c.steps)
 }
 
 /// Formats a ratio with two decimals, guarding division by zero.
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn helpers() {
-        assert_eq!(rs(Measured { rrams: 3, steps: 9 }), "3/9");
+        assert_eq!(rs(RramCost { rrams: 3, steps: 9 }), "3/9");
         assert_eq!(ratio(10, 4), "2.50");
         assert_eq!(ratio(1, 0), "-");
         assert_eq!(percent_change(110, 100), "+10.0%");

@@ -1,33 +1,195 @@
 //! Renders the paper's tables and figure reproductions as text reports.
 //!
-//! Each function returns a complete printable report; each section of
-//! the `rms bench` subcommand is a one-line wrapper around one of them.
-//! Sweeps accept a `jobs` worker count (`0` = all cores, `1` =
-//! sequential) and produce identical text for any value — only the
-//! wall-clock time changes.
+//! [`bench()`] is `rms bench`: it builds one [`Evaluation`] for the union
+//! of the requested [`Section`]s and renders each section as a view of
+//! it. The evaluation runs on `jobs` workers (`0` = all cores, `1` =
+//! inline), and the text is identical for every value apart from the
+//! run-time lines. Each run-time line is the sum of the recorded
+//! optimize times of the runs it covers.
 
 use crate::format::{percent_change, ratio, rs, TextTable};
-use crate::runner::{self, Measured};
+use crate::runner::{self, Circuit, Config, Table, TABLE2_CONFIGS, TABLE3_CONFIGS};
 use rms_bdd::BddSynthOptions;
-use rms_core::cost::Realization;
-use rms_core::opt::{self, Algorithm, OptOptions};
+use rms_core::cost::{Realization, RramCost};
+use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::rewrite::{inverter_propagation, InverterCases};
-use rms_core::Mig;
-use rms_logic::bench_suite;
+use rms_core::{par, Mig};
+use rms_logic::bench_suite::{self, LARGE_SUITE, SMALL_SUITE};
 use rms_logic::paper_data;
 use rms_rram::device::{ImpGate, Rram};
 use rms_rram::gates::{imp_majority_gate, maj_majority_gate};
 use rms_rram::machine::Machine;
 use std::fmt::Write as _;
-use std::time::Instant;
+
+/// The cut baseline of the sweep comparison.
+const CUT: Config = (Algorithm::Cut, Realization::Maj);
+
+/// The sweep+resub script of the sweep comparison.
+const SWEEP: Config = (Algorithm::SweepResub, Realization::Maj);
+
+/// The two largest Table II benchmarks, which the paper singles out.
+const LARGEST: [&str; 2] = ["apex6", "x3"];
+
+/// `alg` under the MAJ realization.
+fn maj(alg: Algorithm) -> Config {
+    (alg, Realization::Maj)
+}
+
+/// The run-time section's rows: the paper's four algorithms under MAJ,
+/// then Alg. 3 under IMP.
+fn runtime_configs() -> Vec<Config> {
+    let mut configs = Algorithm::ALL.map(maj).to_vec();
+    configs.push((Algorithm::RramCosts, Realization::Imp));
+    configs
+}
+
+/// A section of `rms bench`, one per flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// `--table2`: Table II.
+    Table2,
+    /// `--table3`: Table III, both halves.
+    Table3,
+    /// `--summary`: the headline claims.
+    Summary,
+    /// `--runtime`: the Sec. IV-A run-time claim per algorithm.
+    Runtime,
+    /// `--algs`: Algs. 1-4 against the cut engine.
+    Algs,
+    /// `--sweep`: sweep+resub against the cut baseline.
+    Sweep,
+    /// `--figures`: the paper's figures on the RRAM machine.
+    Figures,
+}
+
+impl Section {
+    /// The configurations the section reads on the Table II suite and
+    /// on the small suite.
+    fn configs(self) -> [Vec<Config>; 2] {
+        match self {
+            Section::Table2 => [TABLE2_CONFIGS.to_vec(), vec![]],
+            // Table III's configurations are a subset of Table II's.
+            Section::Table3 | Section::Summary => {
+                [TABLE2_CONFIGS.to_vec(), TABLE3_CONFIGS.to_vec()]
+            }
+            Section::Runtime => [runtime_configs(), vec![]],
+            Section::Algs => [vec![], Algorithm::ALL_WITH_CUT.map(maj).to_vec()],
+            Section::Sweep => [vec![], vec![CUT, SWEEP]],
+            Section::Figures => [vec![], vec![]],
+        }
+    }
+}
+
+/// Everything the sections of one `rms bench` call read.
+#[derive(Debug, Clone)]
+pub struct Evaluation {
+    /// One table over both suites, each circuit under the union of the
+    /// sections' configurations.
+    pub table: Table,
+    /// The BDD baseline of every Table II circuit, in suite order (empty
+    /// unless `--table3` or `--summary` is requested).
+    pub bdd: Vec<RramCost>,
+    /// The AIG baseline's steps on every small-suite circuit, in suite
+    /// order (empty like `bdd`).
+    pub aig: Vec<u64>,
+    /// The sweep+resub runs again on another worker count (empty unless
+    /// `--sweep` is requested), to check bit-identity across `--jobs`.
+    rerun: Table,
+    synth: BddSynthOptions,
+    effort: usize,
+    jobs: usize,
+}
+
+impl Evaluation {
+    /// Runs what `sections` read with `opts` on `jobs` workers.
+    pub fn run(sections: &[Section], opts: &OptOptions, jobs: usize) -> Evaluation {
+        let mut circuits = Vec::new();
+        for (side, suite) in [LARGE_SUITE, SMALL_SUITE].into_iter().enumerate() {
+            let configs = sections.iter().flat_map(|s| s.configs()[side].clone());
+            let configs: Vec<Config> = configs.collect();
+            if !configs.is_empty() {
+                circuits.extend(Circuit::suite(suite, &configs));
+            }
+        }
+        // The suite when `wanted`, else no circuits.
+        let on = |wanted: bool, suite| if wanted { suite } else { &[][..] };
+        let baselines = sections
+            .iter()
+            .any(|s| matches!(s, Section::Table3 | Section::Summary));
+        let sweep = on(sections.contains(&Section::Sweep), SMALL_SUITE);
+        let other_jobs = if par::resolve_threads(jobs) == 1 {
+            3
+        } else {
+            1
+        };
+        let synth = BddSynthOptions::default();
+        Evaluation {
+            table: Table::build(circuits, opts, jobs),
+            bdd: runner::bdd_baselines(on(baselines, LARGE_SUITE), &synth, jobs),
+            aig: runner::aig_baselines(on(baselines, SMALL_SUITE), jobs),
+            rerun: Table::build(Circuit::suite(sweep, &[SWEEP]), opts, other_jobs),
+            synth,
+            effort: opts.effort,
+            jobs,
+        }
+    }
+
+    /// The BDD baseline and the MIG-MAJ cost of Table II circuit `name`.
+    fn bdd_vs_maj(&self, name: &str) -> (RramCost, RramCost) {
+        let i = LARGE_SUITE.iter().position(|info| info.name == name);
+        let bdd = self.bdd[i.expect("a Table II circuit")];
+        (bdd, self.table.row(name).cost(TABLE3_CONFIGS[1]))
+    }
+
+    /// The verification label of each of `rows` over its `configs` runs,
+    /// checked on the evaluation's workers.
+    fn labels(
+        &self,
+        rows: &[(&'static bench_suite::BenchmarkInfo, &runner::Row)],
+        configs: &[Config],
+    ) -> Vec<String> {
+        par::par_map_threads(rows, par::resolve_threads(self.jobs), |&(info, row)| {
+            let graphs: Vec<(Algorithm, &Mig)> = configs
+                .iter()
+                .map(|&config| (config.0, &row.run(config).mig))
+                .collect();
+            runner::verification_label(&bench_suite::build_info(info), &graphs)
+        })
+    }
+}
+
+/// `rms bench`: evaluates what `sections` read once, then renders them
+/// in order, separated by blank lines. The flag is `false` when a
+/// section's own check failed (`--sweep`: a verification, baseline or
+/// determinism check).
+pub fn bench(sections: &[Section], opts: &OptOptions, jobs: usize) -> (String, bool) {
+    let ev = Evaluation::run(sections, opts, jobs);
+    let mut out = String::new();
+    let mut passed = true;
+    for (i, &section) in sections.iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out += &match section {
+            Section::Table2 => table2_report(&ev),
+            Section::Table3 => table3_report(&ev),
+            Section::Summary => summary_report(&ev),
+            Section::Runtime => runtime_report(&ev),
+            Section::Algs => algs_report(&ev),
+            Section::Figures => figures_report(),
+            Section::Sweep => {
+                let (text, ok) = sweep_report(&ev);
+                passed &= ok;
+                text
+            }
+        };
+    }
+    (out, passed)
+}
 
 /// Regenerates Table II: R and S for the 25 large benchmarks under all
 /// six optimizer/realization configurations, with the paper's Σ row.
-pub fn table2_report(opts: &OptOptions, jobs: usize) -> String {
-    let t0 = Instant::now();
-    let rows = runner::run_table2(opts, jobs);
-    let elapsed = t0.elapsed();
-
+pub fn table2_report(ev: &Evaluation) -> String {
     let mut table = TextTable::new(&[
         "benchmark",
         "in",
@@ -38,51 +200,25 @@ pub fn table2_report(opts: &OptOptions, jobs: usize) -> String {
         "Step-IMP",
         "Step-MAJ",
     ]);
-    for r in &rows {
-        table.row(vec![
-            r.info.name.to_string(),
-            r.info.inputs.to_string(),
-            rs(r.area_imp),
-            rs(r.depth_imp),
-            rs(r.rram_imp),
-            rs(r.rram_maj),
-            rs(r.step_imp),
-            rs(r.step_maj),
-        ]);
+    for (info, row) in ev.table.suite(LARGE_SUITE) {
+        let mut cells = vec![info.name.to_string(), info.inputs.to_string()];
+        cells.extend(TABLE2_CONFIGS.map(|config| rs(row.cost(config))));
+        table.row(cells);
     }
-    let sums: Vec<Measured> = (0..6)
-        .map(|i| runner::sum_by(&rows, |r| r.columns()[i]))
-        .collect();
-    table.row(vec![
-        "SUM (measured)".into(),
-        rows.iter()
-            .map(|r| r.info.inputs)
-            .sum::<usize>()
-            .to_string(),
-        rs(sums[0]),
-        rs(sums[1]),
-        rs(sums[2]),
-        rs(sums[3]),
-        rs(sums[4]),
-        rs(sums[5]),
-    ]);
-    let paper = runner::paper_table2_sums();
-    table.row(vec![
-        "SUM (paper)".into(),
-        paper_data::TABLE2_SUM.inputs.to_string(),
-        rs(paper[0]),
-        rs(paper[1]),
-        rs(paper[2]),
-        rs(paper[3]),
-        rs(paper[4]),
-        rs(paper[5]),
-    ]);
+    let inputs: usize = LARGE_SUITE.iter().map(|info| info.inputs).sum();
+    let mut cells = vec!["SUM (measured)".into(), inputs.to_string()];
+    cells.extend(TABLE2_CONFIGS.map(|config| rs(ev.table.sum(LARGE_SUITE, config))));
+    table.row(cells);
+    let paper = &paper_data::TABLE2_SUM;
+    let mut cells = vec!["SUM (paper)".into(), paper.inputs.to_string()];
+    cells.extend(paper.columns().map(|p| format!("{}/{}", p.rrams, p.steps)));
+    table.row(cells);
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Table II reproduction (R/S per configuration, effort = {})",
-        opts.effort
+        ev.effort
     );
     let _ = writeln!(
         out,
@@ -91,18 +227,16 @@ pub fn table2_report(opts: &OptOptions, jobs: usize) -> String {
     out.push_str(&table.render());
     let _ = writeln!(
         out,
-        "\noptimization run-time for the whole suite: {elapsed:.2?} (paper: < 3 s)"
+        "\noptimization run-time for the whole suite: {:.2?} (paper: < 3 s)",
+        ev.table.time(LARGE_SUITE, &TABLE2_CONFIGS)
     );
     out
 }
 
 /// The algorithm-comparison sweep: Algs. 1–4 vs. the cut-rewriting
-/// engine (node counts and MAJ-realization R/S over the small suite).
-pub fn algs_report(opts: &OptOptions, jobs: usize) -> String {
-    let t0 = Instant::now();
-    let rows = runner::run_algs(opts, jobs);
-    let elapsed = t0.elapsed();
-
+/// engine (node counts and MAJ-realization R/S over the small suite),
+/// every result verified against its source netlist.
+pub fn algs_report(ev: &Evaluation) -> String {
     let mut table = TextTable::new(&[
         "benchmark",
         "initial",
@@ -115,35 +249,33 @@ pub fn algs_report(opts: &OptOptions, jobs: usize) -> String {
         "rewrites",
         "verified",
     ]);
+    let rows = ev.table.suite(SMALL_SUITE);
+    let configs = Algorithm::ALL_WITH_CUT.map(maj);
+    let labels = ev.labels(&rows, &configs);
     let mut cut_wins = 0usize;
     let mut verified_rows = 0usize;
     let mut gate_sums = [0u64; 6];
     let mut rs_sums = [0u64; 6];
-    for r in &rows {
-        table.row(vec![
-            r.info.name.to_string(),
-            r.initial_gates.to_string(),
-            format!("{} ({})", r.gates[0], rs(r.cost[0])),
-            format!("{} ({})", r.gates[1], rs(r.cost[1])),
-            format!("{} ({})", r.gates[2], rs(r.cost[2])),
-            format!("{} ({})", r.gates[3], rs(r.cost[3])),
-            format!("{} ({})", r.gates[4], rs(r.cost[4])),
-            format!("{} ({})", r.gates[5], rs(r.cost[5])),
-            r.cut_rewrites.to_string(),
-            r.verified.clone(),
-        ]);
-        if r.gates[4] <= r.gates[0] {
-            cut_wins += 1;
-        }
+    for ((info, row), verified) in rows.iter().zip(labels) {
+        let gates = configs.map(|config| row.run(config).mig.num_gates() as u64);
+        let cost = configs.map(|config| row.cost(config));
+        let mut cells = vec![info.name.to_string(), row.mig.num_gates().to_string()];
+        cells.extend((0..6).map(|i| format!("{} ({})", gates[i], rs(cost[i]))));
+        cells.push(row.run(CUT).stats.rewrites.to_string());
         // Only full-input-space guarantees count as verified; a
         // sampled fallback (SAT budget exceeded) is visible in the
         // column but not claimed as a proof.
-        if r.verified.starts_with("exhaustive") || r.verified.starts_with("SAT") {
+        if runner::is_verified(&verified) {
             verified_rows += 1;
         }
+        cells.push(verified);
+        table.row(cells);
+        if gates[4] <= gates[0] {
+            cut_wins += 1;
+        }
         for i in 0..6 {
-            gate_sums[i] += r.gates[i];
-            rs_sums[i] += r.cost[i].rrams * r.cost[i].steps;
+            gate_sums[i] += gates[i];
+            rs_sums[i] += cost[i].rrams * cost[i].steps;
         }
     }
 
@@ -151,7 +283,7 @@ pub fn algs_report(opts: &OptOptions, jobs: usize) -> String {
     let _ = writeln!(
         out,
         "Algorithm comparison (gates and MAJ-realization R/S, effort = {})",
-        opts.effort
+        ev.effort
     );
     let _ = writeln!(
         out,
@@ -182,17 +314,21 @@ pub fn algs_report(opts: &OptOptions, jobs: usize) -> String {
         rs_sums[5],
         percent_change(rs_sums[5], rs_sums[2])
     );
-    let _ = writeln!(out, "sweep run-time: {elapsed:.2?}");
+    let _ = writeln!(
+        out,
+        "sweep run-time: {:.2?}",
+        ev.table.time(SMALL_SUITE, &configs)
+    );
     out
 }
 
 /// Regenerates Table III: the MIG flow vs. the BDD-based \[11\] and the
 /// AIG-based \[12\] RRAM synthesis baselines.
-pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) -> String {
+pub fn table3_report(ev: &Evaluation) -> String {
+    let [imp, maj] = TABLE3_CONFIGS;
     let mut out = String::new();
 
     // ---- Left half: BDD [11] ---------------------------------------------
-    let rows = runner::run_table3_bdd(opts, synth, jobs);
     let mut table = TextTable::new(&[
         "benchmark",
         "in",
@@ -201,22 +337,22 @@ pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) ->
         "MIG-MAJ R/S",
         "paper BDD R/S",
     ]);
-    for r in &rows {
-        let paper = paper_data::table3_bdd_row(r.info.name)
+    for ((info, row), &bdd) in ev.table.suite(LARGE_SUITE).into_iter().zip(&ev.bdd) {
+        let paper = paper_data::table3_bdd_row(info.name)
             .map(|p| format!("{}/{}", p.bdd.rrams, p.bdd.steps))
             .unwrap_or_else(|| "-".into());
         table.row(vec![
-            r.info.name.to_string(),
-            r.info.inputs.to_string(),
-            rs(r.bdd),
-            rs(r.mig_imp),
-            rs(r.mig_maj),
+            info.name.to_string(),
+            info.inputs.to_string(),
+            rs(bdd),
+            rs(row.cost(imp)),
+            rs(row.cost(maj)),
             paper,
         ]);
     }
-    let bdd_sum = runner::sum_by(&rows, |r| r.bdd);
-    let imp_sum = runner::sum_by(&rows, |r| r.mig_imp);
-    let maj_sum = runner::sum_by(&rows, |r| r.mig_maj);
+    let bdd_sum = runner::sum(ev.bdd.iter().copied());
+    let imp_sum = ev.table.sum(LARGE_SUITE, imp);
+    let maj_sum = ev.table.sum(LARGE_SUITE, maj);
     table.row(vec![
         "SUM (measured)".into(),
         "".into(),
@@ -241,7 +377,7 @@ pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) ->
     let _ = writeln!(
         out,
         "BDD schedule: level-parallel muxes, row capacity {} (see rms-bdd docs)\n",
-        synth.row_capacity
+        ev.synth.row_capacity
     );
     out.push_str(&table.render());
     let _ = writeln!(
@@ -252,22 +388,18 @@ pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) ->
         ratio(bdd_sum.steps, imp_sum.steps),
         ratio(p.bdd.steps, p.mig_imp.steps),
     );
-    for name in ["apex6", "x3"] {
-        if let (Some(m), Some(pr)) = (
-            rows.iter().find(|r| r.info.name == name),
-            paper_data::table3_bdd_row(name),
-        ) {
-            let _ = writeln!(
-                out,
-                "largest benchmark {name}: BDD/MIG-MAJ step ratio measured {} (paper {})",
-                ratio(m.bdd.steps, m.mig_maj.steps),
-                ratio(pr.bdd.steps, pr.mig_maj.steps)
-            );
-        }
+    for name in LARGEST {
+        let (bdd, mig) = ev.bdd_vs_maj(name);
+        let pr = paper_data::table3_bdd_row(name).expect("paper row");
+        let _ = writeln!(
+            out,
+            "largest benchmark {name}: BDD/MIG-MAJ step ratio measured {} (paper {})",
+            ratio(bdd.steps, mig.steps),
+            ratio(pr.bdd.steps, pr.mig_maj.steps)
+        );
     }
 
     // ---- Right half: AIG [12] --------------------------------------------
-    let rows = runner::run_table3_aig(opts, jobs);
     let mut table = TextTable::new(&[
         "benchmark",
         "in",
@@ -276,22 +408,22 @@ pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) ->
         "MIG-MAJ R/S",
         "paper AIG S",
     ]);
-    for r in &rows {
-        let paper = paper_data::table3_aig_row(r.info.name)
+    for ((info, row), aig_steps) in ev.table.suite(SMALL_SUITE).into_iter().zip(&ev.aig) {
+        let paper = paper_data::table3_aig_row(info.name)
             .map(|p| p.aig_steps.to_string())
             .unwrap_or_else(|| "-".into());
         table.row(vec![
-            r.info.name.to_string(),
-            r.info.inputs.to_string(),
-            r.aig_steps.to_string(),
-            rs(r.mig_imp),
-            rs(r.mig_maj),
+            info.name.to_string(),
+            info.inputs.to_string(),
+            aig_steps.to_string(),
+            rs(row.cost(imp)),
+            rs(row.cost(maj)),
             paper,
         ]);
     }
-    let aig_steps: u64 = rows.iter().map(|r| r.aig_steps).sum();
-    let imp_sum = runner::sum_by(&rows, |r| r.mig_imp);
-    let maj_sum = runner::sum_by(&rows, |r| r.mig_maj);
+    let aig_steps: u64 = ev.aig.iter().sum();
+    let imp_sum = ev.table.sum(SMALL_SUITE, imp);
+    let maj_sum = ev.table.sum(SMALL_SUITE, maj);
     table.row(vec![
         "SUM (measured)".into(),
         "".into(),
@@ -330,17 +462,10 @@ pub fn table3_report(opts: &OptOptions, synth: &BddSynthOptions, jobs: usize) ->
 }
 
 /// Prints the paper's headline claims next to the measured equivalents.
-pub fn summary_report(opts: &OptOptions, jobs: usize) -> String {
-    let t0 = Instant::now();
-    let t2 = runner::run_table2(opts, jobs);
-    let runtime = t0.elapsed();
-    let bdd = runner::run_table3_bdd(opts, &BddSynthOptions::default(), jobs);
-    let aig = runner::run_table3_aig(opts, jobs);
-
-    let sums: Vec<Measured> = (0..6)
-        .map(|i| runner::sum_by(&t2, |r| r.columns()[i]))
-        .collect();
-    let p = runner::paper_table2_sums();
+pub fn summary_report(ev: &Evaluation) -> String {
+    let [imp, maj] = TABLE3_CONFIGS;
+    let sums = TABLE2_CONFIGS.map(|config| ev.table.sum(LARGE_SUITE, config));
+    let p = paper_data::TABLE2_SUM.columns();
 
     let mut table = TextTable::new(&["claim", "paper", "measured"]);
 
@@ -375,9 +500,9 @@ pub fn summary_report(opts: &OptOptions, jobs: usize) -> String {
     ]);
 
     // BDD comparison.
-    let bdd_sum = runner::sum_by(&bdd, |r| r.bdd);
-    let maj_sum = runner::sum_by(&bdd, |r| r.mig_maj);
-    let imp_sum = runner::sum_by(&bdd, |r| r.mig_imp);
+    let bdd_sum = runner::sum(ev.bdd.iter().copied());
+    let maj_sum = ev.table.sum(LARGE_SUITE, maj);
+    let imp_sum = ev.table.sum(LARGE_SUITE, imp);
     let pb = paper_data::TABLE3_BDD_SUM;
     table.row(vec![
         "BDD / MIG-MAJ step ratio".into(),
@@ -394,20 +519,20 @@ pub fn summary_report(opts: &OptOptions, jobs: usize) -> String {
         "+57.4%".into(),
         percent_change(maj_sum.rrams, bdd_sum.rrams),
     ]);
-    for name in ["apex6", "x3"] {
-        let m = bdd.iter().find(|r| r.info.name == name).expect("row");
-        let pr = paper_data::table3_bdd_row(name).expect("row");
+    for name in LARGEST {
+        let (bdd, mig) = ev.bdd_vs_maj(name);
+        let pr = paper_data::table3_bdd_row(name).expect("paper row");
         table.row(vec![
             format!("{name}: BDD / MIG-MAJ step ratio"),
             ratio(pr.bdd.steps, pr.mig_maj.steps),
-            ratio(m.bdd.steps, m.mig_maj.steps),
+            ratio(bdd.steps, mig.steps),
         ]);
     }
 
     // AIG comparison.
-    let aig_steps: u64 = aig.iter().map(|r| r.aig_steps).sum();
-    let maj_sum = runner::sum_by(&aig, |r| r.mig_maj);
-    let imp_sum = runner::sum_by(&aig, |r| r.mig_imp);
+    let aig_steps: u64 = ev.aig.iter().sum();
+    let maj_sum = ev.table.sum(SMALL_SUITE, maj);
+    let imp_sum = ev.table.sum(SMALL_SUITE, imp);
     let pa = paper_data::TABLE3_AIG_SUM;
     table.row(vec![
         "AIG / MIG-MAJ step ratio".into(),
@@ -423,7 +548,7 @@ pub fn summary_report(opts: &OptOptions, jobs: usize) -> String {
     table.row(vec![
         "whole-suite optimization run-time".into(),
         "< 3 s".into(),
-        format!("{runtime:.2?}"),
+        format!("{:.2?}", ev.table.time(LARGE_SUITE, &TABLE2_CONFIGS)),
     ]);
 
     let mut out = String::new();
@@ -435,37 +560,19 @@ pub fn summary_report(opts: &OptOptions, jobs: usize) -> String {
     out
 }
 
-/// Measures the Sec. IV-A run-time claim ("< 3 s for the whole benchmark
-/// set") per algorithm, sequentially — the claim is about single-thread
-/// algorithm speed, so no pool is used.
-pub fn runtime_report(opts: &OptOptions) -> String {
-    let migs: Vec<Mig> = bench_suite::LARGE_SUITE
-        .iter()
-        .map(|info| Mig::from_netlist(&bench_suite::build_info(info)))
-        .collect();
-
+/// The Sec. IV-A run-time claim ("< 3 s for the whole benchmark set")
+/// per algorithm: each row sums the optimize times of one configuration
+/// over the Table II suite.
+pub fn runtime_report(ev: &Evaluation) -> String {
     let mut table = TextTable::new(&["algorithm", "whole-suite run-time", "paper bound"]);
-    for alg in Algorithm::ALL {
-        let t0 = Instant::now();
-        for mig in &migs {
-            let _ = rms_flow::run_algorithm(mig, alg, Realization::Maj, opts);
-        }
+    for config @ (alg, real) in runtime_configs() {
+        let name = match real {
+            Realization::Maj => alg.to_string(),
+            Realization::Imp => format!("{alg} ({real})"),
+        };
         table.row(vec![
-            alg.to_string(),
-            format!("{:.2?}", t0.elapsed()),
-            "< 3 s".into(),
-        ]);
-    }
-    // The proposed algorithms also run per-realization; measure Alg. 3
-    // under IMP scoring as well.
-    for (name, real) in [("RRAM costs (IMP)", Realization::Imp)] {
-        let t0 = Instant::now();
-        for mig in &migs {
-            let _ = opt::optimize_rram(mig, real, opts);
-        }
-        table.row(vec![
-            name.into(),
-            format!("{:.2?}", t0.elapsed()),
+            name,
+            format!("{:.2?}", ev.table.time(LARGE_SUITE, &[config])),
             "< 3 s".into(),
         ]);
     }
@@ -473,8 +580,8 @@ pub fn runtime_report(opts: &OptOptions) -> String {
     let _ = writeln!(
         out,
         "Run-time of each algorithm over the whole {}-benchmark suite (effort = {})\n",
-        bench_suite::LARGE_SUITE.len(),
-        opts.effort
+        LARGE_SUITE.len(),
+        ev.effort
     );
     out.push_str(&table.render());
     out
@@ -569,12 +676,11 @@ pub fn figures_report() -> String {
     out
 }
 
-/// Renders the sweep+resub-vs-cut comparison produced by
-/// [`runner::run_sweep`]: per-benchmark gate counts, fraig/resub
-/// activity, and the acceptance summary (never worse than the cut
-/// baseline, every row machine-verified, bit-identical across worker
-/// counts).
-pub fn sweep_report(report: &runner::SweepReport) -> String {
+/// The sweep+resub-vs-cut comparison: per-benchmark gate counts,
+/// fraig/resub activity, and the acceptance summary (never worse than
+/// the cut baseline, every row machine-verified, bit-identical across
+/// worker counts). The flag is whether every check passed.
+pub fn sweep_report(ev: &Evaluation) -> (String, bool) {
     let mut table = TextTable::new(&[
         "benchmark",
         "initial",
@@ -585,36 +691,45 @@ pub fn sweep_report(report: &runner::SweepReport) -> String {
         "conflicts",
         "verified",
     ]);
+    let rows = ev.table.suite(SMALL_SUITE);
+    let labels = ev.labels(&rows, &[SWEEP]);
+    let jobs_identical = rows.iter().all(|(info, row)| {
+        row.run(SWEEP)
+            .same_result(ev.rerun.row(info.name).run(SWEEP))
+    });
     let mut never_worse = 0usize;
     let mut strict_wins = 0usize;
     let mut verified_rows = 0usize;
     let mut cut_sum = 0u64;
     let mut sweep_sum = 0u64;
-    for r in &report.rows {
-        table.row(vec![
-            r.info.name.to_string(),
-            r.initial_gates.to_string(),
-            r.cut_gates.to_string(),
-            r.sweep_gates.to_string(),
-            r.fraig_merges.to_string(),
-            r.resubs.to_string(),
-            r.sat_conflicts.to_string(),
-            r.verified.clone(),
-        ]);
-        if r.sweep_gates <= r.cut_gates {
+    for ((info, row), verified) in rows.iter().zip(labels) {
+        let cut_gates = row.run(CUT).mig.num_gates() as u64;
+        let sweep = row.run(SWEEP);
+        let sweep_gates = sweep.mig.num_gates() as u64;
+        if sweep_gates <= cut_gates {
             never_worse += 1;
         }
-        if r.sweep_gates < r.cut_gates {
+        if sweep_gates < cut_gates {
             strict_wins += 1;
         }
-        if r.verified.starts_with("exhaustive") || r.verified.starts_with("SAT") {
+        if runner::is_verified(&verified) {
             verified_rows += 1;
         }
-        cut_sum += r.cut_gates;
-        sweep_sum += r.sweep_gates;
+        cut_sum += cut_gates;
+        sweep_sum += sweep_gates;
+        table.row(vec![
+            info.name.to_string(),
+            row.mig.num_gates().to_string(),
+            cut_gates.to_string(),
+            sweep_gates.to_string(),
+            sweep.stats.fraig_merges.to_string(),
+            sweep.stats.resubs.to_string(),
+            sweep.stats.sat_conflicts.to_string(),
+            verified,
+        ]);
     }
 
-    let n = report.rows.len();
+    let n = rows.len();
     let mut out = String::new();
     let _ = writeln!(out, "SAT sweep + resubstitution vs the cut baseline");
     let _ = writeln!(
@@ -642,9 +757,10 @@ pub fn sweep_report(report: &runner::SweepReport) -> String {
     let _ = writeln!(
         out,
         "worker counts bit-identical: {}",
-        if report.jobs_identical { "yes" } else { "NO" }
+        if jobs_identical { "yes" } else { "NO" }
     );
-    out
+    let passed = jobs_identical && never_worse == n && verified_rows == n;
+    (out, passed)
 }
 
 #[cfg(test)]
@@ -660,15 +776,18 @@ mod tests {
 
     #[test]
     fn runtime_report_lists_all_algorithms() {
-        let text = runtime_report(&OptOptions::with_effort(1));
+        let ev = Evaluation::run(&[Section::Runtime], &OptOptions::with_effort(1), 0);
+        let text = runtime_report(&ev);
         for alg in Algorithm::ALL {
             assert!(text.contains(&alg.to_string()), "{alg} missing:\n{text}");
         }
+        assert!(text.contains("RRAM costs (IMP)"), "{text}");
     }
 
     #[test]
     fn algs_report_summarizes_the_sweep() {
-        let text = algs_report(&OptOptions::with_effort(2), 0);
+        let ev = Evaluation::run(&[Section::Algs], &OptOptions::with_effort(2), 0);
+        let text = algs_report(&ev);
         assert!(text.contains("Cut+RRAM"), "{text}");
         assert!(text.contains("cut <= area on gates:"), "{text}");
         assert!(text.contains("/25 benchmarks"), "{text}");

@@ -1,86 +1,32 @@
 //! Executes the paper's evaluation flows over the embedded suites.
 //!
-//! Per-configuration work (optimize, then evaluate Table I) is delegated
-//! to [`rms_flow::optimize_cost`]; each `run_*` sweep takes a worker
-//! count (`0` = all cores, `1` = inline) for [`rms_core::par`]. The
-//! sweeps partition by benchmark and preserve row order, so they return
-//! bit-identical results for every worker count — a property the
-//! integration tests assert.
+//! One [`Table`] holds every optimization an evaluation reads. It runs
+//! each circuit once per distinct (algorithm, realization)
+//! configuration with [`rms_flow::run_algorithm`], on a worker count for
+//! [`rms_core::par`] (`0` = all cores, `1` = inline), and keeps each
+//! run's graph, [`OptStats`] and optimize time. A mode that ignores the
+//! realization ([`Algorithm::reads_realization`]) runs once and is
+//! costed under both. The runs are independent, so the table holds the
+//! same graphs for every worker count; only the times change. The BDD
+//! and AIG baselines of Table III are computed beside it, once per
+//! circuit.
 
 use rms_aig::Aig;
 use rms_bdd::{build as bdd_build, rram_synth as bdd_rram, BddSynthOptions};
 use rms_core::cost::{Realization, RramCost};
-use rms_core::opt::{Algorithm, OptOptions};
+use rms_core::opt::{Algorithm, OptOptions, OptStats};
 use rms_core::{par, Mig};
-use rms_flow::optimize_cost;
+use rms_flow::{run_algorithm, VerifyMode, VerifyOutcome};
 use rms_logic::bench_suite::{self, BenchmarkInfo};
-use rms_logic::paper_data;
+use rms_logic::Netlist;
+use std::time::{Duration, Instant};
 
-/// Measured (R, S) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Measured {
-    /// Number of RRAM devices (Table I `R`).
-    pub rrams: u64,
-    /// Number of computational steps (Table I `S`).
-    pub steps: u64,
-}
+/// An optimizer configuration: the mode, and the realization its result
+/// is costed under (and optimized for, when the mode reads it).
+pub type Config = (Algorithm, Realization);
 
-impl From<RramCost> for Measured {
-    fn from(c: RramCost) -> Self {
-        Measured {
-            rrams: c.rrams,
-            steps: c.steps,
-        }
-    }
-}
-
-/// Maps `row` over `suite` on `jobs` workers (`0` = all cores), in suite
-/// order.
-fn over_suite<R: Send>(
-    suite: &'static [BenchmarkInfo],
-    jobs: usize,
-    row: impl Fn(&'static BenchmarkInfo) -> R + Sync,
-) -> Vec<R> {
-    let infos: Vec<&'static BenchmarkInfo> = suite.iter().collect();
-    par::par_map_threads(&infos, par::resolve_threads(jobs), |info| row(info))
-}
-
-/// One measured row of Table II (six optimizer/realization configurations).
-#[derive(Debug, Clone)]
-pub struct Table2Measured {
-    /// Benchmark descriptor.
-    pub info: &'static BenchmarkInfo,
-    /// Alg. 1 under the IMP realization.
-    pub area_imp: Measured,
-    /// Alg. 2 under the IMP realization.
-    pub depth_imp: Measured,
-    /// Alg. 3 under the IMP realization.
-    pub rram_imp: Measured,
-    /// Alg. 3 under the MAJ realization.
-    pub rram_maj: Measured,
-    /// Alg. 4 under the IMP realization.
-    pub step_imp: Measured,
-    /// Alg. 4 under the MAJ realization.
-    pub step_maj: Measured,
-}
-
-impl Table2Measured {
-    /// The six configurations in column order.
-    pub fn columns(&self) -> [Measured; 6] {
-        [
-            self.area_imp,
-            self.depth_imp,
-            self.rram_imp,
-            self.rram_maj,
-            self.step_imp,
-            self.step_maj,
-        ]
-    }
-}
-
-/// The six Table II configurations as (algorithm, realization) pairs, in
-/// column order.
-pub const TABLE2_CONFIGS: [(Algorithm, Realization); 6] = [
+/// The six Table II configurations, in column order.
+pub const TABLE2_CONFIGS: [Config; 6] = [
     (Algorithm::Area, Realization::Imp),
     (Algorithm::Depth, Realization::Imp),
     (Algorithm::RramCosts, Realization::Imp),
@@ -89,440 +35,424 @@ pub const TABLE2_CONFIGS: [(Algorithm, Realization); 6] = [
     (Algorithm::Steps, Realization::Maj),
 ];
 
-/// Runs the Table II evaluation for one benchmark.
-pub fn run_table2_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> Table2Measured {
-    let mig = Mig::from_netlist(&bench_suite::build_info(info));
-    let cols: Vec<Measured> = TABLE2_CONFIGS
-        .iter()
-        .map(|&(alg, real)| optimize_cost(&mig, alg, real, opts).1.into())
-        .collect();
-    Table2Measured {
-        info,
-        area_imp: cols[0],
-        depth_imp: cols[1],
-        rram_imp: cols[2],
-        rram_maj: cols[3],
-        step_imp: cols[4],
-        step_maj: cols[5],
-    }
-}
+/// The MIG columns of Table III: Alg. 3 under IMP, then under MAJ.
+pub const TABLE3_CONFIGS: [Config; 2] = [
+    (Algorithm::RramCosts, Realization::Imp),
+    (Algorithm::RramCosts, Realization::Maj),
+];
 
-/// Runs the full Table II evaluation (25 benchmarks, six configurations)
-/// on `jobs` worker threads (`0` = all cores). Rows come back in suite
-/// order, identical for every `jobs`.
-pub fn run_table2(opts: &OptOptions, jobs: usize) -> Vec<Table2Measured> {
-    over_suite(bench_suite::LARGE_SUITE, jobs, |info| {
-        run_table2_row(info, opts)
-    })
-}
-
-/// One measured row of Table III's left half (BDD comparison).
+/// A circuit to evaluate: its name, its starting MIG, and the
+/// configurations to run on it.
 #[derive(Debug, Clone)]
-pub struct Table3BddMeasured {
-    /// Benchmark descriptor.
-    pub info: &'static BenchmarkInfo,
-    /// BDD baseline of \[11\] (level-parallel mux schedule).
-    pub bdd: Measured,
-    /// MIG multi-objective flow, IMP realization.
-    pub mig_imp: Measured,
-    /// MIG multi-objective flow, MAJ realization.
-    pub mig_maj: Measured,
-    /// BDD node count (context for the R column).
-    pub bdd_nodes: u64,
+pub struct Circuit {
+    /// Circuit name, unique within a table.
+    pub name: &'static str,
+    /// The graph every run starts from.
+    pub mig: Mig,
+    /// The configurations to run.
+    pub configs: Vec<Config>,
 }
 
-/// Runs the BDD-vs-MIG comparison for one benchmark.
-pub fn run_table3_bdd_row(
-    info: &'static BenchmarkInfo,
-    opts: &OptOptions,
-    synth: &BddSynthOptions,
-) -> Table3BddMeasured {
-    let nl = bench_suite::build_info(info);
-    let circ = bdd_build::from_netlist(&nl, bdd_build::Ordering::DfsFromOutputs);
-    let bdd = bdd_rram::synthesize(&circ, synth);
-    let mig = Mig::from_netlist(&nl);
-    let rram_i = optimize_cost(&mig, Algorithm::RramCosts, Realization::Imp, opts).1;
-    let rram_m = optimize_cost(&mig, Algorithm::RramCosts, Realization::Maj, opts).1;
-    Table3BddMeasured {
-        info,
-        bdd: Measured {
-            // [11] reports value-retention devices, not compute scratch;
-            // `bdd.devices` (the full footprint) is available separately.
-            rrams: bdd.value_devices,
-            steps: bdd.steps(),
-        },
-        mig_imp: rram_i.into(),
-        mig_maj: rram_m.into(),
-        bdd_nodes: bdd.nodes,
+impl Circuit {
+    /// The circuits of `suite`, each built in memory from its netlist,
+    /// to be run under `configs`.
+    pub fn suite(suite: &'static [BenchmarkInfo], configs: &[Config]) -> Vec<Circuit> {
+        suite
+            .iter()
+            .map(|info| Circuit {
+                name: info.name,
+                mig: Mig::from_netlist(&bench_suite::build_info(info)),
+                configs: configs.to_vec(),
+            })
+            .collect()
     }
 }
 
-/// Runs the full BDD comparison (Table III left) on `jobs` worker
-/// threads (`0` = all cores), identical for every `jobs`.
-pub fn run_table3_bdd(
-    opts: &OptOptions,
+/// One optimization run.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The optimized graph.
+    pub mig: Mig,
+    /// The optimizer's counters.
+    pub stats: OptStats,
+    /// Wall-clock time of the optimizer call alone.
+    pub time: Duration,
+}
+
+impl Run {
+    /// Table I's R and S of the optimized graph under `real`.
+    pub fn cost(&self, real: Realization) -> RramCost {
+        RramCost::of(&self.mig, real)
+    }
+
+    /// Whether `other` returned the same graph, node for node, and the
+    /// same counters. The times may differ.
+    pub fn same_result(&self, other: &Run) -> bool {
+        let (a, b) = (&self.mig, &other.mig);
+        self.stats == other.stats
+            && a.len() == b.len()
+            && a.outputs() == b.outputs()
+            && (0..a.len()).all(|i| a.node(i) == b.node(i))
+    }
+}
+
+/// What identifies a run: the mode, and the realization when the mode
+/// reads it.
+type RunKey = (Algorithm, Option<Realization>);
+
+fn run_key((alg, real): Config) -> RunKey {
+    (alg, alg.reads_realization().then_some(real))
+}
+
+/// One circuit's runs.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// Circuit name.
+    pub name: &'static str,
+    /// The starting graph.
+    pub mig: Mig,
+    runs: Vec<(RunKey, Run)>,
+}
+
+impl Row {
+    /// The run behind `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table was not built with `config` for this circuit.
+    pub fn run(&self, config: Config) -> &Run {
+        let key = run_key(config);
+        let found = self.runs.iter().find(|(k, _)| *k == key);
+        found.map(|(_, run)| run).unwrap_or_else(|| {
+            panic!(
+                "{}: no {} / {} run in the table",
+                self.name,
+                config.0.token(),
+                config.1
+            )
+        })
+    }
+
+    /// Table I's R and S of the run behind `config`, under its
+    /// realization.
+    pub fn cost(&self, config: Config) -> RramCost {
+        self.run(config).cost(config.1)
+    }
+
+    /// The distinct runs, in the order of their first configuration.
+    pub fn runs(&self) -> impl Iterator<Item = &Run> {
+        self.runs.iter().map(|(_, run)| run)
+    }
+}
+
+/// The evaluation table: one [`Row`] per circuit, in input order.
+#[derive(Debug, Clone, Default)]
+pub struct Table {
+    rows: Vec<Row>,
+}
+
+impl Table {
+    /// Optimizes every circuit once per distinct configuration, with
+    /// `opts`, on `jobs` workers (`0` = all cores).
+    pub fn build(circuits: Vec<Circuit>, opts: &OptOptions, jobs: usize) -> Table {
+        let keys: Vec<Vec<RunKey>> = circuits
+            .iter()
+            .map(|c| {
+                let mut keys = Vec::new();
+                for key in c.configs.iter().map(|&config| run_key(config)) {
+                    if !keys.contains(&key) {
+                        keys.push(key);
+                    }
+                }
+                keys
+            })
+            .collect();
+        let tasks: Vec<(&Mig, RunKey)> = circuits
+            .iter()
+            .zip(&keys)
+            .flat_map(|(c, keys)| keys.iter().map(move |&key| (&c.mig, key)))
+            .collect();
+        let runs =
+            par::par_map_threads(&tasks, par::resolve_threads(jobs), |&(mig, (alg, real))| {
+                let start = Instant::now();
+                let (mig, stats) = run_algorithm(mig, alg, real.unwrap_or(Realization::Maj), opts);
+                Run {
+                    mig,
+                    stats,
+                    time: start.elapsed(),
+                }
+            });
+        let mut runs = runs.into_iter();
+        let rows = circuits
+            .into_iter()
+            .zip(keys)
+            .map(|(c, keys)| Row {
+                name: c.name,
+                mig: c.mig,
+                runs: keys.into_iter().zip(runs.by_ref()).collect(),
+            })
+            .collect();
+        Table { rows }
+    }
+
+    /// Every row, in input order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    /// The row of circuit `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no such circuit.
+    pub fn row(&self, name: &str) -> &Row {
+        let found = self.rows.iter().find(|row| row.name == name);
+        found.unwrap_or_else(|| panic!("{name}: not in the table"))
+    }
+
+    /// The rows of `suite`'s circuits, in suite order, each with its
+    /// descriptor.
+    pub fn suite(&self, suite: &'static [BenchmarkInfo]) -> Vec<(&'static BenchmarkInfo, &Row)> {
+        suite
+            .iter()
+            .map(|info| (info, self.row(info.name)))
+            .collect()
+    }
+
+    /// Σ of `config`'s R and S over `suite`.
+    pub fn sum(&self, suite: &'static [BenchmarkInfo], config: Config) -> RramCost {
+        sum(self.suite(suite).iter().map(|(_, row)| row.cost(config)))
+    }
+
+    /// The summed optimize time of the distinct runs behind `configs`
+    /// on `suite`'s circuits.
+    pub fn time(&self, suite: &'static [BenchmarkInfo], configs: &[Config]) -> Duration {
+        let keys: Vec<RunKey> = configs.iter().map(|&config| run_key(config)).collect();
+        let row_time = |row: &Row| -> Duration {
+            let runs = row.runs.iter().filter(|(key, _)| keys.contains(key));
+            runs.map(|(_, run)| run.time).sum()
+        };
+        self.suite(suite)
+            .iter()
+            .map(|&(_, row)| row_time(row))
+            .sum()
+    }
+}
+
+/// Σ of R and S.
+pub fn sum(costs: impl IntoIterator<Item = RramCost>) -> RramCost {
+    costs
+        .into_iter()
+        .fold(RramCost { rrams: 0, steps: 0 }, |acc, c| RramCost {
+            rrams: acc.rrams + c.rrams,
+            steps: acc.steps + c.steps,
+        })
+}
+
+/// The BDD baseline of \[11\] (level-parallel mux schedule) on every
+/// circuit of `suite`, in suite order, on `jobs` workers. R counts the
+/// value-retention devices \[11\] reports, not the compute scratch.
+pub fn bdd_baselines(
+    suite: &'static [BenchmarkInfo],
     synth: &BddSynthOptions,
     jobs: usize,
-) -> Vec<Table3BddMeasured> {
-    over_suite(bench_suite::LARGE_SUITE, jobs, |info| {
-        run_table3_bdd_row(info, opts, synth)
-    })
-}
-
-/// One measured row of Table III's right half (AIG comparison).
-#[derive(Debug, Clone)]
-pub struct Table3AigMeasured {
-    /// Benchmark descriptor.
-    pub info: &'static BenchmarkInfo,
-    /// Steps of the node-serial AIG baseline of \[12\].
-    pub aig_steps: u64,
-    /// AIG node count after balancing.
-    pub aig_nodes: u64,
-    /// MIG multi-objective flow, IMP realization.
-    pub mig_imp: Measured,
-    /// MIG multi-objective flow, MAJ realization.
-    pub mig_maj: Measured,
-}
-
-/// Runs the AIG-vs-MIG comparison for one small-suite function.
-pub fn run_table3_aig_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> Table3AigMeasured {
-    let nl = bench_suite::build_info(info);
-    let aig = Aig::from_netlist(&nl).balance();
-    let circuit = rms_aig::rram_synth::synthesize(&aig);
-    let mig = Mig::from_netlist(&nl);
-    let rram_i = optimize_cost(&mig, Algorithm::RramCosts, Realization::Imp, opts).1;
-    let rram_m = optimize_cost(&mig, Algorithm::RramCosts, Realization::Maj, opts).1;
-    Table3AigMeasured {
-        info,
-        aig_steps: circuit.steps(),
-        aig_nodes: circuit.nodes,
-        mig_imp: rram_i.into(),
-        mig_maj: rram_m.into(),
-    }
-}
-
-/// Runs the full AIG comparison (Table III right) on `jobs` worker
-/// threads (`0` = all cores), identical for every `jobs`.
-pub fn run_table3_aig(opts: &OptOptions, jobs: usize) -> Vec<Table3AigMeasured> {
-    over_suite(bench_suite::SMALL_SUITE, jobs, |info| {
-        run_table3_aig_row(info, opts)
-    })
-}
-
-/// One measured row of the algorithm-comparison sweep: Algs. 1–4 against
-/// the cut-rewriting engine, over the small (single-output) suite.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlgsMeasured {
-    /// Benchmark descriptor.
-    pub info: &'static BenchmarkInfo,
-    /// Majority-gate count of the unoptimized MIG.
-    pub initial_gates: u64,
-    /// Gate count per algorithm, in [`Algorithm::ALL_WITH_CUT`] order.
-    pub gates: [u64; 6],
-    /// Table I metrics per algorithm (MAJ realization), same order.
-    pub cost: [Measured; 6],
-    /// Cut rewrites accepted by the `Cut` run.
-    pub cut_rewrites: u64,
-    /// Verification summary over all six optimized graphs: `exhaustive`
-    /// below the truth-table cutoff, `SAT (n conflicts)` above it,
-    /// `FAILED <algorithm>` on a mismatch (which would be a bug).
-    pub verified: String,
-}
-
-/// Runs every algorithm (including the cut engine) on one benchmark
-/// under the MAJ realization, verifying each result against the source
-/// netlist with [`rms_flow::check_netlists`] (exhaustively below the
-/// width cutoff, by SAT proof above).
-pub fn run_algs_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> AlgsMeasured {
-    let nl = bench_suite::build_info(info);
-    let mig = Mig::from_netlist(&nl);
-    let mut gates = [0u64; 6];
-    let mut cost = [Measured::default(); 6];
-    let mut cut_rewrites = 0;
-    let mut sat_conflicts: Option<u64> = None;
-    let mut sampled_fallback = false;
-    // First verification problem, if any: a genuine functional mismatch
-    // ("FAILED <alg>") is kept distinct from an infrastructure error
-    // ("ERROR <alg>" — e.g. an arity mismatch from a buggy exporter), so
-    // a red column points at the right subsystem.
-    let mut trouble: Option<String> = None;
-    for (i, alg) in Algorithm::ALL_WITH_CUT.into_iter().enumerate() {
-        let (out, stats) = rms_flow::run_algorithm(&mig, alg, Realization::Maj, opts);
-        gates[i] = out.num_gates() as u64;
-        cost[i] = RramCost::of(&out, Realization::Maj).into();
-        if alg == Algorithm::Cut {
-            cut_rewrites = stats.rewrites;
-        }
-        if trouble.is_none() {
-            match rms_flow::check_netlists(
-                &nl,
-                &out.to_netlist(),
-                rms_flow::VerifyMode::Auto,
-                rms_flow::DEFAULT_VERIFY_SEED,
-            ) {
-                Ok(rms_flow::VerifyOutcome::Proved { conflicts, .. }) => {
-                    *sat_conflicts.get_or_insert(0) += conflicts;
-                }
-                // Auto degrades to sampling when the proof budget runs
-                // out — surface that honestly instead of claiming a
-                // proof.
-                Ok(rms_flow::VerifyOutcome::Sampled { .. }) => sampled_fallback = true,
-                Ok(outcome) if outcome.passed() => {}
-                Ok(_) => trouble = Some(format!("FAILED {alg}")),
-                Err(e) => trouble = Some(format!("ERROR {alg}: {e}")),
-            }
-        }
-    }
-    let verified = match (trouble, sampled_fallback, sat_conflicts) {
-        (Some(t), _, _) => t,
-        (None, true, _) => "sampled (SAT budget exceeded)".to_string(),
-        (None, false, Some(conflicts)) => format!("SAT ({conflicts} conflicts)"),
-        (None, false, None) => "exhaustive".to_string(),
-    };
-    AlgsMeasured {
-        info,
-        initial_gates: mig.num_gates() as u64,
-        gates,
-        cost,
-        cut_rewrites,
-        verified,
-    }
-}
-
-/// Runs the algorithm-comparison sweep over the small suite on `jobs`
-/// worker threads (`0` = all cores). Rows come back in suite order,
-/// bit-identical for every `jobs`.
-pub fn run_algs(opts: &OptOptions, jobs: usize) -> Vec<AlgsMeasured> {
-    over_suite(bench_suite::SMALL_SUITE, jobs, |info| {
-        run_algs_row(info, opts)
-    })
-}
-
-/// One row of the sweep+resub-vs-cut comparison (`rms bench --sweep`).
-#[derive(Debug, Clone)]
-pub struct SweepMeasured {
-    /// Benchmark descriptor.
-    pub info: &'static BenchmarkInfo,
-    /// Majority-gate count of the unoptimized MIG.
-    pub initial_gates: u64,
-    /// Gate count after the cut script (the baseline).
-    pub cut_gates: u64,
-    /// Gate count after the sweep+resub script.
-    pub sweep_gates: u64,
-    /// Fraig merges proved and committed.
-    pub fraig_merges: u64,
-    /// Resubstitutions proved and accepted.
-    pub resubs: u64,
-    /// SAT conflicts spent by the post passes.
-    pub sat_conflicts: u64,
-    /// Verification of the sweep result against the source netlist
-    /// (`exhaustive` / `SAT (n conflicts)` / `FAILED` / `ERROR ...`).
-    pub verified: String,
-}
-
-impl SweepMeasured {
-    /// Whether this row meets every acceptance condition: verified and
-    /// never worse than the cut baseline.
-    pub fn passed(&self) -> bool {
-        self.sweep_gates <= self.cut_gates
-            && (self.verified.starts_with("exhaustive") || self.verified.starts_with("SAT"))
-    }
-}
-
-/// The full sweep comparison: per-benchmark rows plus the cross-worker
-/// determinism check.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// One row per small-suite benchmark, in suite order.
-    pub rows: Vec<SweepMeasured>,
-    /// Whether a re-run on a different worker count produced the same
-    /// gate counts (bit-identity across `--jobs`).
-    pub jobs_identical: bool,
-}
-
-impl SweepReport {
-    /// Whether every row and the determinism check passed.
-    pub fn all_passed(&self) -> bool {
-        self.jobs_identical && self.rows.iter().all(SweepMeasured::passed)
-    }
-
-    /// Rows where sweep+resub strictly beats the cut baseline.
-    pub fn strict_wins(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.sweep_gates < r.cut_gates)
-            .count()
-    }
-}
-
-/// Runs the cut baseline and the sweep+resub script on one benchmark,
-/// verifying the sweep result.
-pub fn run_sweep_row(info: &'static BenchmarkInfo, opts: &OptOptions) -> SweepMeasured {
-    let nl = bench_suite::build_info(info);
-    let mig = Mig::from_netlist(&nl);
-    let (cut, _) = rms_flow::run_algorithm(&mig, Algorithm::Cut, Realization::Maj, opts);
-    let (sweep, stats) = rms_cut::optimize_sweep_stats(&mig, opts, rms_cut::SweepPasses::BOTH);
-    let verified = match rms_flow::check_netlists(
-        &nl,
-        &sweep.to_netlist(),
-        rms_flow::VerifyMode::Auto,
-        rms_flow::DEFAULT_VERIFY_SEED,
-    ) {
-        Ok(rms_flow::VerifyOutcome::Proved { conflicts, .. }) => {
-            format!("SAT ({conflicts} conflicts)")
-        }
-        Ok(rms_flow::VerifyOutcome::Sampled { .. }) => "sampled (SAT budget exceeded)".to_string(),
-        Ok(outcome) if outcome.passed() => "exhaustive".to_string(),
-        Ok(_) => "FAILED".to_string(),
-        Err(e) => format!("ERROR: {e}"),
-    };
-    SweepMeasured {
-        info,
-        initial_gates: mig.num_gates() as u64,
-        cut_gates: cut.num_gates() as u64,
-        sweep_gates: sweep.num_gates() as u64,
-        fraig_merges: stats.fraig_merges,
-        resubs: stats.resubs,
-        sat_conflicts: stats.sat_conflicts,
-        verified,
-    }
-}
-
-/// Runs the sweep comparison over the small suite on `jobs` workers,
-/// then re-runs the sweep gate counts on a different worker count to
-/// check `--jobs` bit-identity.
-pub fn run_sweep(opts: &OptOptions, jobs: usize) -> SweepReport {
-    let rows = over_suite(bench_suite::SMALL_SUITE, jobs, |info| {
-        run_sweep_row(info, opts)
-    });
-    let alt_workers = if par::resolve_threads(jobs) == 1 {
-        3
-    } else {
-        1
-    };
-    let alt_gates: Vec<u64> = over_suite(bench_suite::SMALL_SUITE, alt_workers, |info| {
-        let mig = Mig::from_netlist(&bench_suite::build_info(info));
-        rms_cut::optimize_sweep_stats(&mig, opts, rms_cut::SweepPasses::BOTH)
-            .0
-            .num_gates() as u64
-    });
-    let jobs_identical = rows
-        .iter()
-        .zip(&alt_gates)
-        .all(|(row, &gates)| row.sweep_gates == gates);
-    SweepReport {
-        rows,
-        jobs_identical,
-    }
-}
-
-/// Sum of a column over rows.
-pub fn sum_by<T>(rows: &[T], f: impl Fn(&T) -> Measured) -> Measured {
-    rows.iter().fold(Measured::default(), |acc, r| {
-        let m = f(r);
-        Measured {
-            rrams: acc.rrams + m.rrams,
-            steps: acc.steps + m.steps,
+) -> Vec<RramCost> {
+    par::par_map_threads(suite, par::resolve_threads(jobs), |info| {
+        let nl = bench_suite::build_info(info);
+        let circ = bdd_build::from_netlist(&nl, bdd_build::Ordering::DfsFromOutputs);
+        let bdd = bdd_rram::synthesize(&circ, synth);
+        RramCost {
+            rrams: bdd.value_devices,
+            steps: bdd.steps(),
         }
     })
 }
 
-/// The paper-reported Σ row of Table II as `Measured` columns.
-pub fn paper_table2_sums() -> [Measured; 6] {
-    paper_data::TABLE2_SUM.columns().map(|r| Measured {
-        rrams: r.rrams,
-        steps: r.steps,
+/// The steps of the node-serial AIG baseline of \[12\] on every circuit
+/// of `suite`, in suite order, on `jobs` workers.
+pub fn aig_baselines(suite: &'static [BenchmarkInfo], jobs: usize) -> Vec<u64> {
+    par::par_map_threads(suite, par::resolve_threads(jobs), |info| {
+        let aig = Aig::from_netlist(&bench_suite::build_info(info)).balance();
+        rms_aig::rram_synth::synthesize(&aig).steps()
     })
+}
+
+/// Checks each of `graphs` against `source` with
+/// [`rms_flow::check_netlists`] and sums up the outcomes:
+/// `exhaustive` below the truth-table cutoff, `SAT (n conflicts)` when
+/// every check above it is proved, `sampled (SAT budget exceeded)` when a
+/// proof ran out of budget. The first mismatch (`FAILED <algorithm>`) or
+/// infrastructure error (`ERROR <algorithm>: ...`, e.g. an arity mismatch
+/// from a buggy exporter) ends the checks and is the label.
+pub fn verification_label(source: &Netlist, graphs: &[(Algorithm, &Mig)]) -> String {
+    let mut conflicts: Option<u64> = None;
+    let mut sampled = false;
+    for &(alg, mig) in graphs {
+        match rms_flow::check_netlists(
+            source,
+            &mig.to_netlist(),
+            VerifyMode::Auto,
+            rms_flow::DEFAULT_VERIFY_SEED,
+        ) {
+            Ok(VerifyOutcome::Proved { conflicts: c, .. }) => *conflicts.get_or_insert(0) += c,
+            // Auto degrades to sampling when the proof budget runs out:
+            // say so instead of claiming a proof.
+            Ok(VerifyOutcome::Sampled { .. }) => sampled = true,
+            Ok(outcome) if outcome.passed() => {}
+            Ok(_) => return format!("FAILED {alg}"),
+            Err(e) => return format!("ERROR {alg}: {e}"),
+        }
+    }
+    match (sampled, conflicts) {
+        (true, _) => "sampled (SAT budget exceeded)".to_string(),
+        (false, Some(conflicts)) => format!("SAT ({conflicts} conflicts)"),
+        (false, None) => "exhaustive".to_string(),
+    }
+}
+
+/// Whether a [`verification_label`] is a full-input-space guarantee; a
+/// sampled fallback is not.
+pub fn is_verified(label: &str) -> bool {
+    label.starts_with("exhaustive") || label.starts_with("SAT")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rms_logic::bench_suite::{LARGE_SUITE, SMALL_SUITE};
+
+    /// The one-circuit slice of `suite` holding `name`.
+    fn one(suite: &'static [BenchmarkInfo], name: &str) -> &'static [BenchmarkInfo] {
+        let i = suite.iter().position(|info| info.name == name).unwrap();
+        &suite[i..=i]
+    }
+
+    fn table(
+        suite: &'static [BenchmarkInfo],
+        configs: &[Config],
+        effort: usize,
+        jobs: usize,
+    ) -> Table {
+        Table::build(
+            Circuit::suite(suite, configs),
+            &OptOptions::with_effort(effort),
+            jobs,
+        )
+    }
 
     #[test]
     fn table2_row_has_expected_orderings() {
-        let info = rms_logic::bench_suite::info("x2").unwrap();
-        let row = run_table2_row(info, &OptOptions::with_effort(10));
+        let t = table(one(LARGE_SUITE, "x2"), &TABLE2_CONFIGS, 10, 1);
+        let row = t.row("x2");
+        assert_eq!(row.runs().count(), 6);
         // MAJ realization always beats IMP on steps for the same algorithm.
-        assert!(row.rram_maj.steps < row.rram_imp.steps);
-        assert!(row.step_maj.steps < row.step_imp.steps);
+        for alg in [Algorithm::RramCosts, Algorithm::Steps] {
+            let imp = row.cost((alg, Realization::Imp));
+            let maj = row.cost((alg, Realization::Maj));
+            assert!(maj.steps < imp.steps, "{alg}: {maj} vs {imp}");
+        }
     }
 
     #[test]
-    fn table3_aig_row_runs() {
-        let info = rms_logic::bench_suite::info("exam1_d").unwrap();
-        let row = run_table3_aig_row(info, &OptOptions::with_effort(5));
-        assert!(row.aig_steps >= 3, "{row:?}");
-    }
-
-    #[test]
-    fn table3_bdd_row_runs() {
-        let info = rms_logic::bench_suite::info("parity").unwrap();
-        let row = run_table3_bdd_row(
-            info,
-            &OptOptions::with_effort(5),
-            &BddSynthOptions::default(),
+    fn modes_that_ignore_the_realization_run_once() {
+        let configs = [
+            (Algorithm::Area, Realization::Imp),
+            (Algorithm::Area, Realization::Maj),
+            (Algorithm::Steps, Realization::Imp),
+            (Algorithm::Steps, Realization::Maj),
+        ];
+        let suite = one(SMALL_SUITE, "exam3_d");
+        let t = table(suite, &configs, 2, 1);
+        let row = t.row("exam3_d");
+        assert_eq!(row.runs().count(), 3);
+        let area = row.run((Algorithm::Area, Realization::Imp));
+        assert!(std::ptr::eq(
+            area,
+            row.run((Algorithm::Area, Realization::Maj))
+        ));
+        assert_eq!(
+            row.cost((Algorithm::Area, Realization::Maj)),
+            area.cost(Realization::Maj)
         );
+        let total: Duration = row.runs().map(|run| run.time).sum();
+        assert_eq!(t.time(suite, &configs), total);
+        assert_eq!(t.time(suite, &configs[..2]), area.time);
+    }
+
+    #[test]
+    fn baselines_run() {
         // Parity's BDD is thin: one batch per level, five steps each.
         // (Parity is also the one function where a BDD is genuinely
-        // competitive — the aggregate comparison lives in the integration
+        // competitive; the aggregate comparison lives in the integration
         // tests at full effort.)
-        assert_eq!(row.bdd.steps, 5 * 16);
-        assert!(row.mig_maj.steps > 0);
+        let bdd = bdd_baselines(one(LARGE_SUITE, "parity"), &BddSynthOptions::default(), 1);
+        assert_eq!(bdd[0].steps, 5 * 16);
+        let aig = aig_baselines(one(SMALL_SUITE, "exam1_d"), 1);
+        assert!(aig[0] >= 3, "{aig:?}");
     }
 
     #[test]
     fn sums_add_up() {
-        let rows = vec![
-            Measured { rrams: 1, steps: 2 },
-            Measured { rrams: 3, steps: 4 },
+        let costs = [
+            RramCost { rrams: 1, steps: 2 },
+            RramCost { rrams: 3, steps: 4 },
         ];
-        let s = sum_by(&rows, |m| *m);
-        assert_eq!(s, Measured { rrams: 4, steps: 6 });
+        assert_eq!(sum(costs), RramCost { rrams: 4, steps: 6 });
     }
 
     #[test]
     fn algs_row_covers_all_algorithms() {
-        let info = rms_logic::bench_suite::info("exam3_d").unwrap();
-        let row = run_algs_row(info, &OptOptions::with_effort(4));
-        assert!(row.initial_gates > 0);
-        for (i, &g) in row.gates.iter().enumerate() {
-            assert!(g <= row.initial_gates, "alg {i}");
-            assert!(row.cost[i].steps > 0, "alg {i}");
+        let configs = Algorithm::ALL_WITH_CUT.map(|alg| (alg, Realization::Maj));
+        let t = table(one(SMALL_SUITE, "exam3_d"), &configs, 4, 1);
+        let row = t.row("exam3_d");
+        let gates = configs.map(|config| row.run(config).mig.num_gates());
+        for (config, &g) in configs.iter().zip(&gates) {
+            assert!(g <= row.mig.num_gates(), "{config:?}");
+            assert!(row.cost(*config).steps > 0, "{config:?}");
         }
         // The cut engine never loses to plain area optimization here.
-        assert!(row.gates[4] <= row.gates[0], "{row:?}");
-        assert_eq!(row.verified, "exhaustive");
+        assert!(gates[4] <= gates[0], "{gates:?}");
+    }
+
+    #[test]
+    fn verification_labels_name_the_tier() {
+        let configs = Algorithm::ALL_WITH_CUT.map(|alg| (alg, Realization::Maj));
+        let label = |name: &str| {
+            let t = table(one(SMALL_SUITE, name), &configs, 4, 1);
+            let row = t.row(name);
+            let graphs: Vec<(Algorithm, &Mig)> = configs
+                .iter()
+                .map(|&config| (config.0, &row.run(config).mig))
+                .collect();
+            verification_label(&bench_suite::build(name).unwrap(), &graphs)
+        };
+        assert_eq!(label("exam3_d"), "exhaustive");
         // Above the width cutoff every algorithm's result is SAT-proved.
-        let wide = run_algs_row(
-            rms_logic::bench_suite::info("t481_d").unwrap(),
-            &OptOptions::with_effort(4),
-        );
-        assert!(wide.verified.starts_with("SAT ("), "{}", wide.verified);
+        let wide = label("t481_d");
+        assert!(wide.starts_with("SAT ("), "{wide}");
+        assert!(is_verified(&wide));
+        assert!(!is_verified("sampled (SAT budget exceeded)"));
     }
 
     #[test]
-    fn parallel_algs_sweep_matches_sequential() {
-        let opts = OptOptions::with_effort(2);
-        let seq = run_algs(&opts, 1);
-        let par3 = run_algs(&opts, 3);
-        assert_eq!(seq, par3);
-    }
-
-    #[test]
-    fn parallel_aig_sweep_matches_sequential() {
-        // The (cheap) small-suite sweep: the parallel runner must return
-        // row-identical results. Table II parallel equality is covered at
-        // the integration level.
-        let opts = OptOptions::with_effort(4);
-        let seq = run_table3_aig(&opts, 1);
-        let par2 = run_table3_aig(&opts, 2);
-        assert_eq!(seq.len(), par2.len());
-        for (a, b) in seq.iter().zip(&par2) {
-            assert_eq!(a.info.name, b.info.name);
-            assert_eq!(a.aig_steps, b.aig_steps);
-            assert_eq!(a.mig_imp, b.mig_imp);
-            assert_eq!(a.mig_maj, b.mig_maj);
+    fn parallel_table_matches_sequential() {
+        // The cheap small suite under every Table III and algorithm
+        // comparison mode: the parallel table must hold the sequential
+        // one's graphs and counters. Table II is covered at the
+        // integration level.
+        let mut configs = Algorithm::ALL_WITH_CUT
+            .map(|alg| (alg, Realization::Maj))
+            .to_vec();
+        configs.extend(TABLE3_CONFIGS);
+        let seq = table(SMALL_SUITE, &configs, 4, 1);
+        let par = table(SMALL_SUITE, &configs, 4, 2);
+        for (a, b) in seq.rows().iter().zip(par.rows()) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.runs().count(), 7, "{}", a.name);
+            for (x, y) in a.runs().zip(b.runs()) {
+                assert!(x.same_result(y), "{}", a.name);
+            }
         }
+        assert_eq!(aig_baselines(SMALL_SUITE, 1), aig_baselines(SMALL_SUITE, 2));
     }
 }

@@ -263,16 +263,6 @@ impl Mig {
         self.name == other.name && self.nodes == other.nodes && self.outputs == other.outputs
     }
 
-    /// Replaces output `idx`'s signal (used by rewrite passes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` or the signal is out of range.
-    pub fn set_output(&mut self, idx: usize, sig: MigSignal) {
-        assert!(sig.node() < self.nodes.len(), "dangling output signal");
-        self.outputs[idx].1 = sig;
-    }
-
     /// Creates (or re-finds) a majority node over the given signals.
     ///
     /// Applies the majority axiom Ω.M eagerly: duplicated children collapse
@@ -362,22 +352,6 @@ impl Mig {
             refs[s.node()] += 1;
         }
         refs
-    }
-
-    /// Fanout lists: for every node, the indices of the majority nodes
-    /// that reference it (outputs are counted in [`Mig::fanout_counts`]
-    /// but carry no node index). Each parent appears at most once per
-    /// child — the constructor collapses duplicate children.
-    pub fn fanout_lists(&self) -> Vec<Vec<u32>> {
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let MigNode::Maj(kids) = node {
-                for k in kids {
-                    lists[k.node()].push(i as u32);
-                }
-            }
-        }
-        lists
     }
 
     /// The graph restricted to the nodes reachable from the outputs (plus

@@ -454,6 +454,16 @@ impl Algorithm {
         }
     }
 
+    /// Whether the mode reads the realization it is run under. The other
+    /// modes return the same graph under both realizations, so one run
+    /// can be costed under either.
+    pub fn reads_realization(self) -> bool {
+        matches!(
+            self,
+            Algorithm::RramCosts | Algorithm::Steps | Algorithm::CutRram
+        )
+    }
+
     /// The canonical machine token of this algorithm: the stable spelling
     /// used in cache keys and accepted by [`Algorithm::from_name`]
     /// (unlike `Display`, which renders a human-readable label).

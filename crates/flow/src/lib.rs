@@ -64,8 +64,7 @@ pub mod verify;
 pub use error::FlowError;
 pub use input::InputFormat;
 pub use pipeline::{
-    optimize_cost, run_algorithm, FlowOutput, FlowReport, Frontend, Pipeline, StageTimings,
-    DEFAULT_VERIFY_SEED,
+    run_algorithm, FlowOutput, FlowReport, Frontend, Pipeline, StageTimings, DEFAULT_VERIFY_SEED,
 };
 #[doc(hidden)]
 pub use pipeline::{run_algorithm_engine, Engine};

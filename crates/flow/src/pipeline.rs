@@ -512,19 +512,6 @@ pub fn run_algorithm_engine(
     run_algorithm(mig, algorithm, realization, options)
 }
 
-/// Runs one optimizer configuration and returns the optimized graph with
-/// its Table I cost — the primitive the sweep runners are built on.
-pub fn optimize_cost(
-    mig: &Mig,
-    algorithm: Algorithm,
-    realization: Realization,
-    options: &OptOptions,
-) -> (Mig, RramCost) {
-    let (out, _) = run_algorithm(mig, algorithm, realization, options);
-    let cost = RramCost::of(&out, realization);
-    (out, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,16 +664,5 @@ mod tests {
         let nl = input::load_bench("rd53_f2").unwrap();
         let out = Pipeline::new(nl).effort(1).run().unwrap();
         assert_eq!(out.report.verify_seed, super::DEFAULT_VERIFY_SEED);
-    }
-
-    #[test]
-    fn optimize_cost_matches_algorithm_run() {
-        let nl = input::load_bench("rd53_f2").unwrap();
-        let mig = Mig::from_netlist(&nl);
-        let opts = OptOptions::with_effort(6);
-        let (out, cost) = optimize_cost(&mig, Algorithm::Steps, Realization::Maj, &opts);
-        assert_eq!(cost, RramCost::of(&out, Realization::Maj));
-        let (direct, _) = run_algorithm(&mig, Algorithm::Steps, Realization::Maj, &opts);
-        assert_eq!(RramCost::of(&direct, Realization::Maj), cost);
     }
 }

@@ -48,19 +48,10 @@ pub const DEFAULT_SAMPLE_WORDS: usize = 256;
 ///
 /// Panics if the circuits have different input or output counts.
 pub fn check_equivalence(a: &Netlist, b: &Netlist) -> EquivResult {
-    check_equivalence_sampled(a, b, DEFAULT_SAMPLE_WORDS)
-}
-
-/// Like [`check_equivalence`] with an explicit sample budget.
-///
-/// # Panics
-///
-/// Panics if the circuits have different input or output counts.
-pub fn check_equivalence_sampled(a: &Netlist, b: &Netlist, words: usize) -> EquivResult {
     assert_eq!(a.num_inputs(), b.num_inputs(), "input counts differ");
     assert_eq!(a.num_outputs(), b.num_outputs(), "output counts differ");
     let n = a.num_inputs();
-    if n <= MAX_VARS && (1u128 << n) <= (64 * words) as u128 {
+    if n <= MAX_VARS && (1u128 << n) <= (64 * DEFAULT_SAMPLE_WORDS) as u128 {
         let ta = a.truth_tables();
         let tb = b.truth_tables();
         for (o, (x, y)) in ta.iter().zip(&tb).enumerate() {
@@ -72,7 +63,7 @@ pub fn check_equivalence_sampled(a: &Netlist, b: &Netlist, words: usize) -> Equi
         return EquivResult::Equivalent;
     }
     let mut rng = SplitMix64::from_name(a.name());
-    for w in 0..words {
+    for w in 0..DEFAULT_SAMPLE_WORDS {
         let inputs: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
         let oa = a.simulate_words(&inputs);
         let ob = b.simulate_words(&inputs);
@@ -85,7 +76,9 @@ pub fn check_equivalence_sampled(a: &Netlist, b: &Netlist, words: usize) -> Equi
             }
         }
     }
-    EquivResult::ProbablyEquivalent { words }
+    EquivResult::ProbablyEquivalent {
+        words: DEFAULT_SAMPLE_WORDS,
+    }
 }
 
 /// Deterministic random input pattern words for external simulators.

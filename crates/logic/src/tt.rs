@@ -253,16 +253,6 @@ impl TruthTable {
         self.words[(m >> 6) as usize] |= 1u64 << (m & 63);
     }
 
-    /// Clears the function value on minterm `m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m >= 2^num_vars`.
-    pub fn clear_bit(&mut self, m: u64) {
-        assert!(m < self.num_bits(), "minterm {m} out of range");
-        self.words[(m >> 6) as usize] &= !(1u64 << (m & 63));
-    }
-
     /// Number of minterms on which the function is true.
     pub fn count_ones(&self) -> u64 {
         self.words.iter().map(|w| w.count_ones() as u64).sum()

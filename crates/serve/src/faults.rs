@@ -74,13 +74,6 @@ pub fn arm(name: &str, count: u64) {
     r.points.insert(name.to_string(), Some(count));
 }
 
-/// Disarms every fault point (test teardown). Injection stays
-/// [`enabled`] — the process has been a test process since the first
-/// `arm`.
-pub fn disarm_all() {
-    lock().points.clear();
-}
-
 /// Whether fault injection was ever turned on in this process. Gates
 /// protocol-level fault requests so production servers ignore them.
 pub fn enabled() -> bool {

@@ -30,7 +30,7 @@
 //! | 5 | timeout (`--timeout` deadline expired before completion) |
 //! | 6 | internal error (a panic was caught at the top level) |
 
-use rms_bench::reports;
+use rms_bench::reports::{self, Section};
 use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::{CancelToken, Realization};
 use rms_flow::{FlowError, Frontend, InputFormat, Pipeline, VerifyMode, VerifyOutcome};
@@ -769,19 +769,19 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {
-    let mut sections: Vec<&str> = Vec::new();
+    let mut sections = Vec::new();
     let mut effort = OptOptions::default().effort;
     let mut jobs = 0usize; // 0 = default thread pool
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--table2" => sections.push("table2"),
-            "--algs" => sections.push("algs"),
-            "--table3" => sections.push("table3"),
-            "--summary" => sections.push("summary"),
-            "--runtime" => sections.push("runtime"),
-            "--figures" => sections.push("figures"),
-            "--sweep" => sections.push("sweep"),
+            "--table2" => sections.push(Section::Table2),
+            "--algs" => sections.push(Section::Algs),
+            "--table3" => sections.push(Section::Table3),
+            "--summary" => sections.push(Section::Summary),
+            "--runtime" => sections.push(Section::Runtime),
+            "--figures" => sections.push(Section::Figures),
+            "--sweep" => sections.push(Section::Sweep),
             "--list" => {
                 let mut list = String::new();
                 for info in rms_logic::bench_suite::LARGE_SUITE {
@@ -828,35 +828,14 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         }
     }
     if sections.is_empty() {
-        sections.push("summary");
+        sections.push(Section::Summary);
     }
-    let opts = OptOptions::with_effort(effort);
-    for (i, section) in sections.iter().enumerate() {
-        if i > 0 {
-            stdout("\n")?;
-        }
-        match *section {
-            "table2" => stdout(reports::table2_report(&opts, jobs))?,
-            "table3" => stdout(reports::table3_report(
-                &opts,
-                &rms_bdd::BddSynthOptions::default(),
-                jobs,
-            ))?,
-            "algs" => stdout(reports::algs_report(&opts, jobs))?,
-            "summary" => stdout(reports::summary_report(&opts, jobs))?,
-            "runtime" => stdout(reports::runtime_report(&opts))?,
-            "figures" => stdout(reports::figures_report())?,
-            "sweep" => {
-                let report = rms_bench::runner::run_sweep(&opts, jobs);
-                stdout(reports::sweep_report(&report))?;
-                if !report.all_passed() {
-                    return Err(CliError::other(
-                        "sweep regression: a verification, baseline, or determinism check failed",
-                    ));
-                }
-            }
-            _ => unreachable!(),
-        }
+    let (text, passed) = reports::bench(&sections, &OptOptions::with_effort(effort), jobs);
+    stdout(text)?;
+    if !passed {
+        return Err(CliError::other(
+            "sweep regression: a verification, baseline, or determinism check failed",
+        ));
     }
     Ok(())
 }

@@ -1,11 +1,12 @@
 //! End-to-end tests of the `rms-flow` pipeline: a user-supplied (i.e. not
 //! embedded) BLIF circuit must round-trip through parse → optimize → PLiM
 //! compile → simulate, with the machine-level result matching
-//! `rms-logic::sim` on random input vectors — and the parallel sweep
-//! runners must reproduce the sequential runners bit for bit.
+//! `rms-logic::sim` on random input vectors — and the evaluation table
+//! behind `rms bench` must hold the same runs for every worker count.
 
-use rms_bench::runner;
+use rms_bench::reports::{self, Evaluation, Section};
 use rram_mig::flow::{InputFormat, Pipeline, VerifyMode, VerifyOutcome};
+use rram_mig::logic::bench_suite;
 use rram_mig::logic::sim::random_patterns;
 use rram_mig::mig::cost::{Realization, RramCost};
 use rram_mig::mig::opt::{Algorithm, OptOptions};
@@ -129,39 +130,95 @@ fn expression_and_truth_table_inputs_agree() {
     assert_eq!(via_expr.mig.truth_tables(), via_tt.mig.truth_tables());
 }
 
+/// Requires `a` and `b` to hold the same circuits, each with the same
+/// runs: graphs node for node and counters. Times may differ.
+fn assert_same_runs(a: &Evaluation, b: &Evaluation, what: &str) {
+    let (a, b) = (a.table.rows(), b.table.rows());
+    assert_eq!(a.len(), b.len(), "{what}: circuits");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.name, y.name, "{what}");
+        assert_eq!(x.runs().count(), y.runs().count(), "{what}: {}", x.name);
+        for (p, q) in x.runs().zip(y.runs()) {
+            assert!(p.same_result(q), "{what}: {}", x.name);
+        }
+    }
+}
+
+/// `text` without its timing lines, which differ from run to run.
+fn untimed(text: &str) -> String {
+    let timed = |line: &str| line.contains("run-time") || line.contains("< 3 s");
+    text.lines()
+        .filter(|line| !timed(line))
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
 #[test]
 fn parallel_table2_sweep_matches_sequential() {
-    // Acceptance criterion: the parallel Table II sweep produces the same
-    // (R, S) values as the sequential runner.
+    // Acceptance criterion: the parallel Table II evaluation holds the
+    // same runs as the sequential one.
     // One parallel worker count suffices: any jobs >= 2 exercises the
     // partition/merge path, and the row order is asserted identical.
-    // (Re-running at several counts tripled an already slow sweep.)
     // Effort 2 is enough: this asserts determinism, not quality.
     let opts = OptOptions::with_effort(2);
-    let seq = runner::run_table2(&opts, 1);
-    let jobs = 2;
-    let par = runner::run_table2(&opts, jobs);
-    assert_eq!(seq.len(), par.len());
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.info.name, b.info.name, "jobs={jobs}");
-        assert_eq!(a.columns(), b.columns(), "{}: jobs={jobs}", a.info.name);
-    }
+    let seq = Evaluation::run(&[Section::Table2], &opts, 1);
+    let par = Evaluation::run(&[Section::Table2], &opts, 2);
+    assert_same_runs(&seq, &par, "jobs=2");
 }
 
 #[test]
 fn parallel_table3_bdd_sweep_matches_sequential() {
     let opts = OptOptions::with_effort(2);
-    let synth = rram_mig::bdd::BddSynthOptions::default();
-    let seq = runner::run_table3_bdd(&opts, &synth, 1);
-    let par = runner::run_table3_bdd(&opts, &synth, 0);
-    assert_eq!(seq.len(), par.len());
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.info.name, b.info.name);
-        assert_eq!(a.bdd, b.bdd);
-        assert_eq!(a.mig_imp, b.mig_imp);
-        assert_eq!(a.mig_maj, b.mig_maj);
-        assert_eq!(a.bdd_nodes, b.bdd_nodes);
+    let seq = Evaluation::run(&[Section::Table3], &opts, 1);
+    let par = Evaluation::run(&[Section::Table3], &opts, 0);
+    assert_same_runs(&seq, &par, "jobs=0");
+    assert_eq!(seq.bdd, par.bdd);
+    assert_eq!(seq.aig, par.aig);
+}
+
+#[test]
+fn one_table_serves_the_paper_sections() {
+    // Table II, Table III, the summary and the run-time section read one
+    // table: six runs per Table II circuit (Area, Depth, and Alg. 3 and
+    // Alg. 4 under each realization) and Alg. 3's two per small-suite
+    // circuit. The four sections' configurations, counted one section at
+    // a time, are 21 and 4.
+    let sections = [
+        Section::Table2,
+        Section::Table3,
+        Section::Summary,
+        Section::Runtime,
+    ];
+    let ev = Evaluation::run(&sections, &OptOptions::with_effort(1), 0);
+    let suites = [(bench_suite::LARGE_SUITE, 6), (bench_suite::SMALL_SUITE, 2)];
+    for (suite, runs) in suites {
+        for (info, row) in ev.table.suite(suite) {
+            assert_eq!(row.runs().count(), runs, "{}", info.name);
+        }
     }
+    let circuits = bench_suite::LARGE_SUITE.len() + bench_suite::SMALL_SUITE.len();
+    assert_eq!(ev.table.rows().len(), circuits);
+}
+
+#[test]
+fn multi_section_bench_is_the_single_sections_concatenated() {
+    let sections = [
+        Section::Table2,
+        Section::Table3,
+        Section::Summary,
+        Section::Runtime,
+        Section::Algs,
+        Section::Sweep,
+        Section::Figures,
+    ];
+    let opts = OptOptions::with_effort(1);
+    let (multi, passed) = reports::bench(&sections, &opts, 0);
+    assert!(passed);
+    let singles: Vec<String> = sections
+        .iter()
+        .map(|&section| reports::bench(&[section], &opts, 0).0)
+        .collect();
+    assert_eq!(untimed(&multi), untimed(&singles.join("\n")));
 }
 
 #[test]
@@ -169,7 +226,6 @@ fn cut_rewriting_beats_area_and_never_worsens_rram_costs() {
     // Acceptance criteria of the cut engine: machine-verified like
     // Algs. 1-4, gate count <= Alg. 1 on at least half of the embedded
     // small suite, and the hybrid never increases the best known R*S.
-    use rram_mig::logic::bench_suite;
     use rram_mig::mig::Mig;
 
     // Effort 6 keeps the claims intact (they are structural, not
@@ -219,7 +275,31 @@ fn cut_pipeline_is_machine_verified() {
 #[test]
 fn parallel_algs_sweep_matches_sequential_at_integration_level() {
     let opts = OptOptions::with_effort(2);
-    let seq = runner::run_algs(&opts, 1);
-    let par = runner::run_algs(&opts, 2);
-    assert_eq!(seq, par, "jobs = 2");
+    let seq = Evaluation::run(&[Section::Algs], &opts, 1);
+    let par = Evaluation::run(&[Section::Algs], &opts, 2);
+    assert_same_runs(&seq, &par, "jobs = 2");
+    // The report's verification labels are checked on the workers too.
+    assert_eq!(
+        untimed(&reports::algs_report(&seq)),
+        untimed(&reports::algs_report(&par)),
+        "jobs = 2"
+    );
+}
+
+#[test]
+fn modes_that_ignore_the_realization_return_one_graph() {
+    // The evaluation table runs these modes once and costs the result
+    // under both realizations.
+    let opts = OptOptions::with_effort(2);
+    let mig = rram_mig::mig::Mig::from_netlist(&bench_suite::build("rd53_f2").unwrap());
+    for alg in Algorithm::ALL_MODES {
+        if alg.reads_realization() {
+            continue;
+        }
+        let (imp, _) = rram_mig::flow::run_algorithm(&mig, alg, Realization::Imp, &opts);
+        let (maj, _) = rram_mig::flow::run_algorithm(&mig, alg, Realization::Maj, &opts);
+        assert_eq!(imp.len(), maj.len(), "{alg}");
+        assert!((0..imp.len()).all(|i| imp.node(i) == maj.node(i)), "{alg}");
+        assert_eq!(imp.outputs(), maj.outputs(), "{alg}");
+    }
 }

@@ -19,20 +19,21 @@
 //! one group of modes per test. The Table II and large-suite sections are checked
 //! in release:
 //! `cargo test --release --test ledger -- --ignored ledger_is_current_on_table2`.
-//! Generating a section also checks what the values stand on: every
-//! small-suite result computes its source's truth tables, and every
-//! large-suite result is bit-identical at jobs 1 and 4 and passes
-//! sampled verification.
+//! Every section reads its figures from `rms_bench::runner::Table`, the
+//! evaluation table behind `rms bench`. Generating a section also checks
+//! what the values stand on: every small-suite result computes its
+//! source's truth tables, and every large-suite result is bit-identical
+//! at jobs 1 and 4 and passes sampled verification.
 
 // Each test crate that includes this module calls part of it.
 #![allow(dead_code)]
 
-use rms_bench::runner::TABLE2_CONFIGS;
+use rms_bench::runner::{Circuit, Config, Row, Table, TABLE2_CONFIGS};
 use rms_core::cost::{Realization, RramCost};
 use rms_core::opt::{Algorithm, OptOptions};
 use rms_core::{par, IncrementalMig, Mig};
 use rms_cut::{fraig_pass, resub_pass, FraigOptions, ResubOptions};
-use rms_flow::{run_algorithm, InputFormat, Pipeline, VerifyMode};
+use rms_flow::{InputFormat, Pipeline, VerifyMode};
 use rms_logic::paper_data::{self, Rs, Table2Row};
 use rms_logic::{bench_suite, blif, large_suite};
 use std::collections::HashMap;
@@ -73,14 +74,8 @@ fn options(effort: usize) -> OptOptions {
     opts
 }
 
-/// Whether `alg` reads the realization. The other modes run once per
-/// circuit, and their result is costed under both realizations.
-fn uses_realization(alg: Algorithm) -> bool {
-    matches!(
-        alg,
-        Algorithm::RramCosts | Algorithm::Steps | Algorithm::CutRram
-    )
-}
+/// The cut script, whose result the fraig, resub and xl sections read.
+const CUT: Config = (Algorithm::Cut, Realization::Maj);
 
 /// The figures of one row.
 #[derive(Debug, Clone, Copy, Default)]
@@ -113,27 +108,25 @@ impl Figures {
 /// One circuit's rows: `(mode, realization, figures)`.
 type Rows = Vec<(Algorithm, Realization, Figures)>;
 
-/// Runs every mode of `algs` on `mig` at `effort` and returns its rows;
-/// `check` sees every optimized graph.
-fn mode_rows(mig: &Mig, algs: &[Algorithm], effort: usize, check: impl Fn(&Mig, &str)) -> Rows {
-    let opts = options(effort);
-    let run = |alg: Algorithm, real: Realization| {
-        let (out, _) = run_algorithm(mig, alg, real, &opts);
-        check(&out, &format!("{} / {real}", alg.token()));
-        out
+/// Every mode of `algs` under each realization, in row order.
+fn configs(algs: &[Algorithm]) -> Vec<Config> {
+    let configs = algs
+        .iter()
+        .flat_map(|&alg| REALIZATIONS.map(|real| (alg, real)));
+    configs.collect()
+}
+
+/// Every circuit's rows of the modes of `algs` in `table`.
+fn table_rows<'a>(table: &'a Table, algs: &[Algorithm]) -> Vec<(&'a str, Rows)> {
+    let rows = |row: &Row| {
+        let figures = |(alg, real)| (alg, real, Figures::of(&row.run((alg, real)).mig, real));
+        configs(algs).into_iter().map(figures).collect()
     };
-    let mut rows = Rows::new();
-    for &alg in algs {
-        if uses_realization(alg) {
-            for real in REALIZATIONS {
-                rows.push((alg, real, Figures::of(&run(alg, real), real)));
-            }
-        } else {
-            let out = run(alg, Realization::Maj);
-            rows.extend(REALIZATIONS.map(|real| (alg, real, Figures::of(&out, real))));
-        }
-    }
-    rows
+    table
+        .rows()
+        .iter()
+        .map(|row| (row.name, rows(row)))
+        .collect()
 }
 
 /// The paper's R and S for `(alg, real)` in `row`, when Table II
@@ -258,27 +251,26 @@ fn small_section() -> String {
 /// circuit, mode and realization. A row `kept` lacks renders with zero
 /// figures.
 fn small_section_of(modes: &[Algorithm], kept: &str) -> String {
-    let circuits = par::par_map(bench_suite::SMALL_SUITE, |info| {
-        let nl = bench_suite::build_info(info);
-        let reference = nl.truth_tables();
-        let fresh = mode_rows(&Mig::from_netlist(&nl), modes, 40, |out, what| {
-            assert_eq!(
-                out.truth_tables(),
-                reference,
-                "{} / {what}: function",
-                info.name
-            );
-        });
-        let figures = |alg, real| {
-            let row = fresh.iter().find(|&&(a, r, _)| (a, r) == (alg, real));
-            row.map_or_else(Figures::default, |&(_, _, f)| f)
-        };
-        let rows = Algorithm::ALL_MODES
-            .iter()
-            .flat_map(|&alg| REALIZATIONS.map(|real| (alg, real, figures(alg, real))))
-            .collect();
-        (info.name, rows)
-    });
+    let circuits = Circuit::suite(bench_suite::SMALL_SUITE, &configs(modes));
+    let table = Table::build(circuits, &options(40), 0);
+    let circuits: Vec<(&str, Rows)> = table
+        .suite(bench_suite::SMALL_SUITE)
+        .into_iter()
+        .map(|(info, row)| {
+            let reference = bench_suite::build_info(info).truth_tables();
+            let figures = |(alg, real)| {
+                if !modes.contains(&alg) {
+                    return (alg, real, Figures::default());
+                }
+                let out = &row.run((alg, real)).mig;
+                let what = format!("{} / {} / {real}", info.name, alg.token());
+                assert_eq!(out.truth_tables(), reference, "{what}: function");
+                (alg, real, Figures::of(out, real))
+            };
+            let rows = configs(&Algorithm::ALL_MODES).into_iter().map(figures);
+            (info.name, rows.collect())
+        })
+        .collect();
     let rendered = figures_section(
         "small: Table III suite, nine modes, effort 40",
         &circuits,
@@ -314,13 +306,16 @@ const SAT_CIRCUITS: [&str; 2] = ["apex4", "t481"];
 /// The compacted cut results (effort 40) of [`SAT_CIRCUITS`] that the
 /// fraig and resub sections start from, computed once per process.
 fn sat_inputs() -> &'static [Mig] {
-    static CUT: OnceLock<Vec<Mig>> = OnceLock::new();
-    CUT.get_or_init(|| {
-        par::par_map(&SAT_CIRCUITS, |name| {
-            let mig = Mig::from_netlist(&bench_suite::build(name).unwrap());
-            let (cut, _) = run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &options(40));
-            cut.compact()
-        })
+    static CUT_RESULTS: OnceLock<Vec<Mig>> = OnceLock::new();
+    CUT_RESULTS.get_or_init(|| {
+        let circuits = SAT_CIRCUITS.iter().map(|&name| Circuit {
+            name,
+            mig: Mig::from_netlist(&bench_suite::build(name).unwrap()),
+            configs: vec![CUT],
+        });
+        let table = Table::build(circuits.collect(), &options(40), 0);
+        let cut = |row: &Row| row.run(CUT).mig.compact();
+        table.rows().iter().map(cut).collect()
     })
 }
 
@@ -375,43 +370,52 @@ fn table2_section() -> String {
         let blif = blif::write(&bench_suite::build_info(info));
         let pipeline = Pipeline::from_bytes(InputFormat::Blif, blif.as_bytes(), info.name)
             .unwrap_or_else(|e| panic!("{}: {e}", info.name));
-        let mig = Mig::from_netlist(pipeline.netlist());
-        (
-            info.name,
-            mode_rows(&mig, &Algorithm::ALL_MODES, 40, |_, _| {}),
-        )
+        Circuit {
+            name: info.name,
+            mig: Mig::from_netlist(pipeline.netlist()),
+            configs: configs(&Algorithm::ALL_MODES),
+        }
     });
+    let table = Table::build(circuits, &options(40), 0);
     figures_section(
         "table2: Table II suite, nine modes, effort 40, via BLIF",
-        &circuits,
+        &table_rows(&table, &Algorithm::ALL_MODES),
         true,
     )
 }
 
 fn xl_section() -> String {
-    let circuits: Vec<(&str, Rows)> = large_suite::SUITE
+    let netlists: Vec<_> = large_suite::SUITE
         .iter()
-        .map(|info| {
-            let nl = large_suite::build(info.name).unwrap();
-            let mig = Mig::from_netlist(&nl);
-            let mut j4 = options(2);
-            j4.jobs = 4;
-            let (parallel, _) = run_algorithm(&mig, Algorithm::Cut, Realization::Maj, &j4);
-            let rows = mode_rows(&mig, &[Algorithm::Cut], 2, |out, what| {
-                let what = format!("{} / {what}", info.name);
-                assert_bit_identical(out, &parallel, &format!("{what}: jobs 1 vs 4"));
-                let outcome = rms_flow::check_netlists(
-                    &nl,
-                    &out.to_netlist(),
-                    VerifyMode::Sampled,
-                    rms_flow::DEFAULT_VERIFY_SEED,
-                )
-                .unwrap_or_else(|e| panic!("{what}: verification error: {e}"));
-                assert!(outcome.passed(), "{what}: {outcome:?}");
-            });
-            (info.name, rows)
+        .map(|info| large_suite::build(info.name).unwrap())
+        .collect();
+    let circuits: Vec<Circuit> = large_suite::SUITE
+        .iter()
+        .zip(&netlists)
+        .map(|(info, nl)| Circuit {
+            name: info.name,
+            mig: Mig::from_netlist(nl),
+            configs: vec![CUT],
         })
         .collect();
+    let mut j4 = options(2);
+    j4.jobs = 4;
+    let parallel = Table::build(circuits.clone(), &j4, 1);
+    let table = Table::build(circuits, &options(2), 1);
+    for ((row, other), nl) in table.rows().iter().zip(parallel.rows()).zip(&netlists) {
+        let what = format!("{} / cut / MAJ", row.name);
+        let out = &row.run(CUT).mig;
+        assert_bit_identical(out, &other.run(CUT).mig, &format!("{what}: jobs 1 vs 4"));
+        let outcome = rms_flow::check_netlists(
+            nl,
+            &out.to_netlist(),
+            VerifyMode::Sampled,
+            rms_flow::DEFAULT_VERIFY_SEED,
+        )
+        .unwrap_or_else(|e| panic!("{what}: verification error: {e}"));
+        assert!(outcome.passed(), "{what}: {outcome:?}");
+    }
+    let circuits = table_rows(&table, &[Algorithm::Cut]);
     figures_section("xl: generated large suite, cut, effort 2", &circuits, false)
 }
 
