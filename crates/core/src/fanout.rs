@@ -28,7 +28,16 @@
 //! graph would, with the caller deciding each node's image; one linear
 //! repair at the end rederives reference counts, fanout lists, the
 //! structural hash, levels and signatures — the same derivation that
-//! [`IncrementalMig::from_mig`] ends with.
+//! [`IncrementalMig::from_mig`] ends with. A **no-op round** (started on
+//! a freshly derived graph, every gate its own image, no node left
+//! appended) skips the repair: the graph already is its own repair.
+//!
+//! The repair's depth-first order, renumbered with the nodes, is kept as
+//! the graph's **topological order**: [`IncrementalMig::topo_order`]
+//! returns it without a walk until the next mutation — a splice, a new or
+//! undone node, an image built in a round — invalidates it. The
+//! renumbering is monotone, so the kept order is the one a fresh walk
+//! would give.
 //!
 //! Replacement semantics: [`IncrementalMig::replace`] declares that the
 //! (uncomplemented) function of a node equals another signal, rewires all
@@ -125,6 +134,13 @@ pub struct IncrementalMig {
     uw_stamp: Vec<u64>,
     /// Current dedup epoch (one per `update_upward` call).
     uw_epoch: u64,
+    /// The depth-first order of the last derivation, renumbered: the
+    /// live graph's topological order while `derived` holds.
+    topo: Vec<u32>,
+    /// Whether the graph is exactly as the last derivation left it.
+    /// Every mutation clears it: a new or undone node, a splice, an
+    /// image built by [`IncrementalMig::rechild_to`].
+    derived: bool,
 }
 
 impl IncrementalMig {
@@ -156,6 +172,8 @@ impl IncrementalMig {
             spare_fanouts: Vec::new(),
             uw_stamp: Vec::new(),
             uw_epoch: 0,
+            topo: Vec::new(),
+            derived: false,
         };
         inc.strash.reserve(n);
         inc.levels.resize(n, 0);
@@ -275,6 +293,7 @@ impl IncrementalMig {
     }
 
     fn push_node(&mut self, kids: [MigSignal; 3]) -> usize {
+        self.derived = false;
         let idx = self.nodes.len();
         self.nodes.push(MigNode::Maj(kids));
         let lvl = 1 + kids
@@ -392,6 +411,7 @@ impl IncrementalMig {
             self.sig_of(new),
             "replace() with functionally different signal (signature mismatch)"
         );
+        self.derived = false;
         self.replace_inner(old, new);
     }
 
@@ -520,6 +540,15 @@ impl IncrementalMig {
     /// rebuilds the structural hash, reference counts, fanout lists,
     /// levels and simulation signatures over the live graph. Indices
     /// held across this call are invalid afterwards.
+    ///
+    /// A **no-op round** skips the repair: one that started on a freshly
+    /// derived graph, swept every live gate, mapped each to itself and
+    /// left the node array at its starting length. Its tentative nodes
+    /// were all undone, so reference counts and fanout lists are back to
+    /// their derived values, levels and signatures were rewritten to
+    /// equal ones, and the strash was rebuilt with exactly one entry per
+    /// gate: the graph already is its own repair, and its kept
+    /// topological order stays valid.
     pub fn mapped_round(
         &mut self,
         order: &[u32],
@@ -531,15 +560,29 @@ impl IncrementalMig {
             &[MigSignal],
         ) -> MigSignal,
     ) {
+        let fresh = self.derived && order.len() == self.live_gates;
+        let len = self.len();
         self.strash.clear();
-        let mut map: Vec<MigSignal> = (0..self.len()).map(|i| MigSignal::new(i, false)).collect();
+        let mut map: Vec<MigSignal> = (0..len).map(|i| MigSignal::new(i, false)).collect();
+        let mut moved = false;
         for (pos, &idx) in order.iter().enumerate() {
             let idx = idx as usize;
             let MigNode::Maj(kids) = self.nodes[idx] else {
                 continue;
             };
             let conv = kids.map(|k| map[k.node()].complement_if(k.is_complemented()));
-            map[idx] = step(self, pos, idx, conv, &map);
+            let image = step(self, pos, idx, conv, &map);
+            moved |= image != MigSignal::new(idx, false);
+            map[idx] = image;
+        }
+        if fresh && !moved && self.len() == len {
+            debug_assert_eq!(
+                self.strash.len(),
+                self.live_gates,
+                "a gate skipped its image"
+            );
+            self.derived = true;
+            return;
         }
         for (_, o) in &mut self.outputs {
             if o.node() < map.len() {
@@ -568,6 +611,7 @@ impl IncrementalMig {
         let MigNode::Maj(kids) = self.nodes[idx] else {
             panic!("rechild_to on a non-gate node");
         };
+        self.derived = false;
         let nk = match normalize_maj(conv[0], conv[1], conv[2]) {
             Err(s) => return s,
             Ok(nk) => nk,
@@ -599,10 +643,9 @@ impl IncrementalMig {
     /// Ends every mapped round and [`IncrementalMig::from_mig`]; gate
     /// levels and signatures are recomputed, input signatures are read.
     ///
-    /// One depth-first walk from the outputs ([`IncrementalMig::topo_order`])
-    /// serves both: its gates, the constant and the inputs are the live
-    /// set, and its order is the bottom-up order of the level and
-    /// signature sweep.
+    /// One depth-first walk from the outputs serves both: its gates, the
+    /// constant and the inputs are the live set, and its order is the
+    /// bottom-up order of the level and signature sweep.
     ///
     /// The renumbering keeps the survivors in their index order (the
     /// constant and the inputs keep their numbers), so every decision
@@ -610,8 +653,14 @@ impl IncrementalMig {
     /// [`Mig::maj`]'s normalization, cut leaf order, index-order
     /// tie-breaks — reads the same after it. Fanout lists are rebuilt in
     /// index order, which is the order their readers see.
+    ///
+    /// The walk's order, renumbered, is kept as the graph's topological
+    /// order until the next mutation. A monotone renumbering keeps every
+    /// child triple in the same order, so a fresh walk over the new
+    /// numbers visits the same nodes in the same order: the kept order is
+    /// the one [`IncrementalMig::topo_order`] would compute.
     fn derive_live_state(&mut self) {
-        let order = self.topo_order();
+        let mut order = self.dfs_order();
         // The new number of every live slot, `DROPPED` for the rest.
         const DROPPED: u32 = u32::MAX;
         let len = self.nodes.len();
@@ -673,9 +722,11 @@ impl IncrementalMig {
         // Every stamp is zero between `update_upward` calls.
         self.uw_stamp.truncate(live);
         self.live_gates = order.len();
-        // Levels and signatures, bottom-up over the live graph.
-        for &idx in &order {
-            let idx = renum[idx as usize] as usize;
+        // Levels and signatures, bottom-up over the live graph, while the
+        // order moves to the new numbers.
+        for i in &mut order {
+            *i = renum[*i as usize];
+            let idx = *i as usize;
             if let MigNode::Maj(kids) = self.nodes[idx] {
                 self.levels[idx] = 1 + kids.iter().map(|s| self.levels[s.node()]).max().unwrap();
                 self.sigs[idx] = maj_word(
@@ -685,6 +736,8 @@ impl IncrementalMig {
                 );
             }
         }
+        self.topo = order;
+        self.derived = true;
     }
 
     /// Removes the (unreferenced) nodes created after `len_before` —
@@ -696,6 +749,7 @@ impl IncrementalMig {
     /// Panics if any node to be removed is referenced from a surviving
     /// node (i.e. if [`IncrementalMig::replace`] ran in between).
     pub fn undo_tail(&mut self, len_before: usize) {
+        self.derived = false;
         for idx in (len_before..self.nodes.len()).rev() {
             if let MigNode::Maj(kids) = self.nodes[idx] {
                 if !self.dead[idx] {
@@ -729,8 +783,20 @@ impl IncrementalMig {
 
     /// The live graph in topological order (children before parents),
     /// restricted to nodes reachable from the outputs. Deterministic:
-    /// depth-first from the outputs in declaration order.
+    /// depth-first from the outputs in declaration order. Between a
+    /// mapped round (or [`IncrementalMig::from_mig`]) and the next
+    /// mutation this is the order that round's repair kept, not a new
+    /// walk.
     pub fn topo_order(&self) -> Vec<u32> {
+        if self.derived {
+            self.topo.clone()
+        } else {
+            self.dfs_order()
+        }
+    }
+
+    /// [`IncrementalMig::topo_order`] by a depth-first walk.
+    fn dfs_order(&self) -> Vec<u32> {
         let mut order = Vec::with_capacity(self.live_gates);
         let mut state = vec![0u8; self.nodes.len()]; // 0 new, 1 open, 2 done
         let mut stack: Vec<(usize, bool)> = Vec::new();
@@ -893,6 +959,56 @@ impl IncrementalMig {
                 .filter(|&i| !self.dead[i] && matches!(self.nodes[i], MigNode::Maj(_)))
                 .count(),
             "live gate count stale"
+        );
+    }
+
+    /// Checks that the graph is its own end-of-round repair — test and
+    /// debugging support for the no-op round of
+    /// [`IncrementalMig::mapped_round`], which skips that repair. A clone
+    /// runs the full repair, and the two must agree on the nodes,
+    /// outputs, levels, signatures, reference counts, fanout lists,
+    /// structural-hash lookups and live-gate count; the kept topological
+    /// order must equal a fresh depth-first walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first difference.
+    pub fn assert_repaired(&self) {
+        let mut fresh = self.clone();
+        fresh.derive_live_state();
+        assert_eq!(self.nodes, fresh.nodes, "nodes differ from the repair's");
+        assert_eq!(
+            self.outputs, fresh.outputs,
+            "outputs differ from the repair's"
+        );
+        assert_eq!(self.levels, fresh.levels, "levels differ from the repair's");
+        assert_eq!(self.sigs, fresh.sigs, "signatures differ from the repair's");
+        assert_eq!(
+            self.refs, fresh.refs,
+            "reference counts differ from the repair's"
+        );
+        assert_eq!(
+            self.fanouts, fresh.fanouts,
+            "fanout lists differ from the repair's"
+        );
+        assert_eq!(self.dead, fresh.dead, "dead slots differ from the repair's");
+        assert_eq!(
+            self.live_gates, fresh.live_gates,
+            "live count differs from the repair's"
+        );
+        assert_eq!(self.strash.len(), fresh.strash.len(), "strash sizes differ");
+        for (kids, &idx) in &fresh.strash {
+            assert_eq!(
+                self.strash.get(kids),
+                Some(&idx),
+                "strash lookup of node {idx} differs"
+            );
+        }
+        assert!(self.derived, "the graph is not marked as derived");
+        assert_eq!(
+            self.topo_order(),
+            self.dfs_order(),
+            "kept topological order is stale"
         );
     }
 
@@ -1131,6 +1247,28 @@ mod tests {
                 assert_eq!(g.sigs[i], before.sigs[i], "{name}: signature of {i}");
                 assert_eq!(g.fanouts(i), before.fanouts(i), "{name}: fanouts of {i}");
             }
+            g.assert_repaired();
+        }
+    }
+
+    #[test]
+    fn a_round_that_leaves_a_node_appended_still_repairs() {
+        // Every gate keeps its default image, but the first step leaves
+        // an unreferenced node behind: not a no-op round, so the repair
+        // drops the node again.
+        for name in SAMPLES {
+            let before = IncrementalMig::from_mig(&bench_mig(name));
+            let mut g = before.clone();
+            let order = g.topo_order();
+            g.mapped_round(&order, |g, pos, idx, conv, _| {
+                if pos == 0 {
+                    let (a, b, c) = (g.input(0), g.input(1), g.input(2));
+                    g.maj(a, !b, c);
+                }
+                g.rechild_to(idx, conv)
+            });
+            g.assert_repaired();
+            assert_eq!(g.len(), before.len(), "{name}");
         }
     }
 

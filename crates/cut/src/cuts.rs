@@ -16,12 +16,18 @@
 //! (bit `leaf % 64` per leaf) rules out pairs and triples whose union
 //! must exceed [`MAX_CUT_INPUTS`] leaves, as in ABC's priority cuts; the
 //! prefilter only skips merges that would fail, so the cut sets are
-//! unchanged. The merge itself only records leaf unions; truth tables
-//! are computed for the cuts that survive the per-node bound.
+//! unchanged. The merge keeps only the node's at most `max_cuts - 1`
+//! smallest distinct leaf unions, in a fixed array sorted by
+//! `(len, leaves)`: a union is dropped on arrival when it is already held
+//! or no smaller than the last of a full array, so no union list is
+//! deduplicated, sorted or truncated afterwards. Truth tables are
+//! computed for the held unions alone. At `max_cuts` = 1 the array has
+//! capacity 0: the node keeps only its trivial cut.
 //!
 //! The representation is allocation-free on the hot path: a [`Cut`] is a
 //! `Copy` value holding its leaves inline, and a node's cut set is a
-//! fixed-capacity [`CutList`]. The in-place engine
+//! fixed-capacity [`CutList`]. The merge reads the children's lists by
+//! reference, never copying one. The in-place engine
 //! ([`crate::incremental`]) enumerates `CutList`s window by window with
 //! the same merge step; this module's [`enumerate`] is the whole-graph
 //! sweep over a plain [`Mig`].
@@ -178,24 +184,44 @@ fn expand(tt: u16, from: &[u32], to: &[u32]) -> u16 {
 /// Sorted union of up to three sorted leaf slices into an inline array;
 /// `None` when the union exceeds [`MAX_CUT_INPUTS`].
 fn merge_leaves(a: &[u32], b: &[u32], c: &[u32]) -> Option<([u32; MAX_CUT_INPUTS], usize)> {
+    let mut ab = [0u32; MAX_CUT_INPUTS];
+    let n = union_into(a, b, &mut ab)?;
     let mut out = [0u32; MAX_CUT_INPUTS];
-    let mut n = 0usize;
-    for src in [a, b, c] {
-        for &l in src {
-            match out[..n].binary_search(&l) {
-                Ok(_) => {}
-                Err(i) => {
-                    if n == MAX_CUT_INPUTS {
-                        return None;
-                    }
-                    out.copy_within(i..n, i + 1);
-                    out[i] = l;
-                    n += 1;
-                }
+    let m = union_into(&ab[..n], c, &mut out)?;
+    Some((out, m))
+}
+
+/// Merges two sorted leaf slices into `out`, dropping duplicates; `None`
+/// when the union exceeds [`MAX_CUT_INPUTS`].
+fn union_into(a: &[u32], b: &[u32], out: &mut [u32; MAX_CUT_INPUTS]) -> Option<usize> {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    loop {
+        let next = match (a.get(i), b.get(j)) {
+            (None, None) => return Some(n),
+            (Some(&x), Some(&y)) if y < x => {
+                j += 1;
+                y
             }
+            (Some(&x), Some(&y)) => {
+                i += 1;
+                j += usize::from(x == y);
+                x
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, Some(&y)) => {
+                j += 1;
+                y
+            }
+        };
+        if n == MAX_CUT_INPUTS {
+            return None;
         }
+        out[n] = next;
+        n += 1;
     }
-    Some((out, n))
 }
 
 /// 64-bit leaf signature of a cut: bit `leaf % 64` set for every leaf.
@@ -205,41 +231,93 @@ fn leaf_signature(cut: &Cut) -> u64 {
     cut.leaves().iter().fold(0, |s, &l| s | 1 << (l % 64))
 }
 
-/// Whether a signature union already proves the leaf union too large.
+/// Whether a signature union already proves the leaf union too large:
+/// more than [`MAX_CUT_INPUTS`] bits set, tested by clearing the lowest
+/// set bit that many times (cheaper than a population count on targets
+/// without a `popcnt` instruction).
 fn too_many_leaves(sig: u64) -> bool {
-    sig.count_ones() as usize > MAX_CUT_INPUTS
+    let mut rest = sig;
+    for _ in 0..MAX_CUT_INPUTS {
+        rest &= rest.wrapping_sub(1);
+    }
+    rest != 0
 }
 
 /// A leaf union found by the merge, with the positions of the child cuts
-/// that first produced it. Its truth table is computed only if it
-/// survives [`finish_list`]'s truncation: a node's function over a leaf
-/// set does not depend on which child cuts produced the set.
+/// that first produced it. Its truth table is computed only if it stays
+/// among the node's smallest unions: a node's function over a leaf set
+/// does not depend on which child cuts produced the set.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Merged {
+struct Merged {
     leaves: [u32; MAX_CUT_INPUTS],
     len: u8,
     from: [u8; 3],
 }
 
-/// Records the leaf union of child cuts `c0[i]`, `c1[j]` and `c2[k]` in
-/// `scratch` unless it is infeasible or already present.
-fn merge_into(scratch: &mut Vec<Merged>, c: [&[Cut]; 3], [i, j, k]: [usize; 3]) {
-    let Some((leaves, n)) = merge_leaves(c[0][i].leaves(), c[1][j].leaves(), c[2][k].leaves())
-    else {
-        return;
-    };
-    // Both leaf arrays are zero beyond their lengths.
-    if scratch
-        .iter()
-        .any(|m| m.len as usize == n && m.leaves == leaves)
-    {
-        return;
+impl Merged {
+    /// The priority order of cuts: fewer leaves first, then the leaves
+    /// lexicographically (both arrays are zero beyond their lengths).
+    fn key(&self) -> (u8, [u32; MAX_CUT_INPUTS]) {
+        (self.len, self.leaves)
     }
-    scratch.push(Merged {
-        leaves,
-        len: n as u8,
-        from: [i as u8, j as u8, k as u8],
-    });
+}
+
+/// The smallest distinct leaf unions of one node, at most `cap` of them,
+/// sorted by [`Merged::key`]: the non-trivial part of its cut list.
+struct TopUnions {
+    held: [Merged; MAX_CUTS_PER_NODE - 1],
+    len: usize,
+    cap: usize,
+}
+
+impl TopUnions {
+    fn new(cap: usize) -> TopUnions {
+        TopUnions {
+            held: [Merged {
+                leaves: [0; MAX_CUT_INPUTS],
+                len: 0,
+                from: [0; 3],
+            }; MAX_CUTS_PER_NODE - 1],
+            len: 0,
+            cap,
+        }
+    }
+
+    /// Offers the leaf union of child cuts `c[0][i]`, `c[1][j]` and
+    /// `c[2][k]`: kept unless it is infeasible, already held, or no
+    /// smaller than `cap` held unions. A union that loses its place never
+    /// returns (the held unions only get smaller), so each kept union
+    /// records the first triple that produced it.
+    fn offer(&mut self, c: [&[Cut]; 3], [i, j, k]: [usize; 3]) {
+        let Some((leaves, n)) = merge_leaves(c[0][i].leaves(), c[1][j].leaves(), c[2][k].leaves())
+        else {
+            return;
+        };
+        let m = Merged {
+            leaves,
+            len: n as u8,
+            from: [i as u8, j as u8, k as u8],
+        };
+        let key = m.key();
+        let mut pos = self.len;
+        for (p, h) in self.held[..self.len].iter().enumerate() {
+            match h.key().cmp(&key) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => return,
+                std::cmp::Ordering::Greater => {
+                    pos = p;
+                    break;
+                }
+            }
+        }
+        if pos == self.cap {
+            return;
+        }
+        let end = self.len.min(self.cap - 1);
+        self.held.copy_within(pos..end, pos + 1);
+        self.held[pos] = m;
+        self.len = end + 1;
+    }
 }
 
 /// The function of a majority node with children `kids` over `leaves`,
@@ -256,85 +334,72 @@ fn maj_tt(kids: [MigSignal; 3], cuts: [&Cut; 3], leaves: &[u32]) -> u16 {
     (a & b) | (a & c) | (b & c)
 }
 
-/// Orders the merged leaf unions, keeps the best `max_cuts - 1`, computes
-/// their truth tables from the child cuts `c` and appends the trivial cut
-/// of `node`.
-fn finish_list(
+/// The cut set of one majority node, merged from its children's cut
+/// sets `c`, read in place.
+///
+/// Pairs and triples of child cuts whose leaf signatures already cover
+/// more than [`MAX_CUT_INPUTS`] bits are skipped before the sorted
+/// merge: their union is too large, so [`merge_leaves`] would reject
+/// them anyway. The merge keeps only the at most `max_cuts - 1` smallest
+/// distinct leaf unions in a fixed sorted array ([`TopUnions`]), and
+/// truth tables are computed for those alone, which yields the same cut
+/// list as computing one per union. The node's trivial cut comes last.
+pub(crate) fn compute_maj_cuts(
     node: usize,
     kids: [MigSignal; 3],
     c: [&[Cut]; 3],
     max_cuts: usize,
-    scratch: &mut Vec<Merged>,
 ) -> CutList {
-    scratch.sort_by_key(|x| (x.len, x.leaves));
-    scratch.truncate(max_cuts.saturating_sub(1).min(MAX_CUTS_PER_NODE - 1));
+    debug_assert!(c.iter().all(|l| l.len() <= MAX_CUTS_PER_NODE));
+    let [c0, c1, c2] = c;
+    let mut top = TopUnions::new(max_cuts.saturating_sub(1).min(MAX_CUTS_PER_NODE - 1));
+    if top.cap > 0 {
+        let mut sigs = [[0u64; MAX_CUTS_PER_NODE]; 3];
+        for (row, cuts) in sigs.iter_mut().zip(c) {
+            for (s, cut) in row.iter_mut().zip(cuts) {
+                *s = leaf_signature(cut);
+            }
+        }
+        for (i, &sa) in sigs[0][..c0.len()].iter().enumerate() {
+            for (j, &sb) in sigs[1][..c1.len()].iter().enumerate() {
+                let sab = sa | sb;
+                if too_many_leaves(sab) {
+                    continue;
+                }
+                // The third cuts that pass, collected as a bit mask
+                // first so that the per-triple test does not branch.
+                let mut pass = 0u32;
+                for (k, &sc) in sigs[2][..c2.len()].iter().enumerate() {
+                    pass |= u32::from(!too_many_leaves(sab | sc)) << k;
+                }
+                while pass != 0 {
+                    let k = pass.trailing_zeros() as usize;
+                    pass &= pass - 1;
+                    top.offer(c, [i, j, k]);
+                }
+            }
+        }
+    }
     // The trivial cut last: parents can always merge through the node
     // itself, and the rewriter skips it cheaply.
     let mut list = CutList::default();
-    for m in scratch.iter() {
+    for m in &top.held[..top.len] {
         let leaves = &m.leaves[..m.len as usize];
         let [i, j, k] = m.from.map(usize::from);
-        let tt = maj_tt(kids, [&c[0][i], &c[1][j], &c[2][k]], leaves);
+        let tt = maj_tt(kids, [&c0[i], &c1[j], &c2[k]], leaves);
         list.push(Cut::new(leaves, tt));
     }
     list.push(Cut::new(&[node as u32], VAR_TT[0]));
     list
 }
 
-/// The cut set of one majority node, merged from its children's cut
-/// sets. `scratch` is a caller-provided buffer reused across nodes so
-/// the merge allocates nothing in steady state.
-///
-/// Pairs and triples of child cuts whose leaf signatures already cover
-/// more than [`MAX_CUT_INPUTS`] bits are skipped before the sorted
-/// merge: their union is too large, so [`merge_leaves`] would reject
-/// them anyway. The merge records leaf unions only; truth tables are
-/// computed for the at most `max_cuts - 1` unions that survive the
-/// `(len, leaves)` ordering, which yields the same cut list as computing
-/// one per union.
-pub(crate) fn compute_maj_cuts(
-    node: usize,
-    kids: [MigSignal; 3],
-    c0: &[Cut],
-    c1: &[Cut],
-    c2: &[Cut],
-    max_cuts: usize,
-    scratch: &mut Vec<Merged>,
-) -> CutList {
-    debug_assert!(c0.len().max(c1.len()).max(c2.len()) <= MAX_CUTS_PER_NODE);
-    let c = [c0, c1, c2];
-    let mut sigs = [[0u64; MAX_CUTS_PER_NODE]; 3];
-    for (row, cuts) in sigs.iter_mut().zip(c) {
-        for (s, cut) in row.iter_mut().zip(cuts) {
-            *s = leaf_signature(cut);
-        }
-    }
-    scratch.clear();
-    for (i, &sa) in sigs[0][..c0.len()].iter().enumerate() {
-        for (j, &sb) in sigs[1][..c1.len()].iter().enumerate() {
-            let sab = sa | sb;
-            if too_many_leaves(sab) {
-                continue;
-            }
-            for (k, &sc) in sigs[2][..c2.len()].iter().enumerate() {
-                if !too_many_leaves(sab | sc) {
-                    merge_into(scratch, c, [i, j, k]);
-                }
-            }
-        }
-    }
-    finish_list(node, kids, c, max_cuts, scratch)
-}
-
-/// The cut set of an input or constant node.
-pub(crate) fn leaf_cuts(node: usize, is_const: bool) -> CutList {
-    let mut list = CutList::default();
+/// The one cut of an input or constant node.
+pub(crate) fn leaf_cut(node: usize, is_const: bool) -> Cut {
     if is_const {
-        list.push(Cut::new(&[], 0));
+        Cut::new(&[], 0)
     } else {
-        list.push(Cut::new(&[node as u32], VAR_TT[0]));
+        Cut::new(&[node as u32], VAR_TT[0])
     }
-    list
 }
 
 /// Enumerates up to `max_cuts` k-feasible cuts (k = 4) for every node.
@@ -352,8 +417,7 @@ pub fn enumerate(mig: &Mig, max_cuts: usize) -> Vec<CutList> {
 }
 
 /// The signature of [`compute_maj_cuts`].
-type MergeFn =
-    fn(usize, [MigSignal; 3], &[Cut], &[Cut], &[Cut], usize, &mut Vec<Merged>) -> CutList;
+type MergeFn = fn(usize, [MigSignal; 3], [&[Cut]; 3], usize) -> CutList;
 
 /// [`enumerate`] over a given majority-node merge step.
 fn enumerate_with(mig: &Mig, max_cuts: usize, merge: MergeFn) -> Vec<CutList> {
@@ -362,27 +426,15 @@ fn enumerate_with(mig: &Mig, max_cuts: usize, merge: MergeFn) -> Vec<CutList> {
         "max_cuts {max_cuts} exceeds the inline capacity {MAX_CUTS_PER_NODE}"
     );
     let mut sets: Vec<CutList> = Vec::with_capacity(mig.len());
-    let mut scratch: Vec<Merged> = Vec::new();
     for idx in 0..mig.len() {
         let cuts = match mig.node(idx) {
-            MigNode::Const0 => leaf_cuts(idx, true),
-            MigNode::Input(_) => leaf_cuts(idx, false),
             MigNode::Maj(kids) => {
-                // Split borrows: children always precede the node.
-                let (c0, c1, c2) = (
-                    sets[kids[0].node()],
-                    sets[kids[1].node()],
-                    sets[kids[2].node()],
-                );
-                merge(
-                    idx,
-                    kids,
-                    c0.as_slice(),
-                    c1.as_slice(),
-                    c2.as_slice(),
-                    max_cuts,
-                    &mut scratch,
-                )
+                merge(idx, kids, kids.map(|k| sets[k.node()].as_slice()), max_cuts)
+            }
+            leaf => {
+                let mut list = CutList::default();
+                list.push(leaf_cut(idx, leaf == MigNode::Const0));
+                list
             }
         };
         sets.push(cuts);
@@ -426,11 +478,8 @@ mod tests {
     fn compute_maj_cuts_unfiltered(
         node: usize,
         kids: [MigSignal; 3],
-        c0: &[Cut],
-        c1: &[Cut],
-        c2: &[Cut],
+        [c0, c1, c2]: [&[Cut]; 3],
         max_cuts: usize,
-        _: &mut Vec<Merged>,
     ) -> CutList {
         let mut eager: Vec<Cut> = Vec::new();
         for a in c0 {
@@ -502,11 +551,50 @@ mod tests {
             let nl = random_netlist("cut_sig", seed, 12, 4, 400);
             let mig = Mig::from_netlist(&nl).compact();
             assert!(mig.len() > 128, "seed {seed}: only {} nodes", mig.len());
-            for max_cuts in [4, MAX_CUTS_PER_NODE] {
+            for max_cuts in 1..=MAX_CUTS_PER_NODE {
                 let fast = enumerate(&mig, max_cuts);
                 let reference = enumerate_with(&mig, max_cuts, compute_maj_cuts_unfiltered);
                 assert_eq!(fast, reference, "seed {seed}, max_cuts {max_cuts}");
             }
+        }
+    }
+
+    #[test]
+    fn leaf_merge_and_bit_test_match_their_set_references() {
+        use rms_logic::rng::SplitMix64;
+        use std::collections::BTreeSet;
+        let mut rng = SplitMix64::new(0x1eaf);
+        let pick = |rng: &mut SplitMix64| -> Vec<u32> {
+            let n = rng.next_u64() % 5;
+            let set: BTreeSet<u32> = (0..n).map(|_| (rng.next_u64() % 10) as u32).collect();
+            set.into_iter().collect()
+        };
+        let mut fits = 0;
+        for _ in 0..20_000 {
+            let (a, b, c) = (pick(&mut rng), pick(&mut rng), pick(&mut rng));
+            let union: Vec<u32> = a
+                .iter()
+                .chain(&b)
+                .chain(&c)
+                .copied()
+                .collect::<BTreeSet<u32>>()
+                .into_iter()
+                .collect();
+            let want = (union.len() <= MAX_CUT_INPUTS).then_some(union);
+            let got = merge_leaves(&a, &b, &c).map(|(l, n)| l[..n].to_vec());
+            assert_eq!(got, want, "{a:?} ∪ {b:?} ∪ {c:?}");
+            fits += usize::from(got.is_some());
+        }
+        assert!(fits > 1000 && fits < 19_000, "{fits} unions fit");
+        for _ in 0..20_000 {
+            // Sparse words: bit counts around the threshold.
+            let w = (0..3).fold(rng.next_u64(), |w, _| w & rng.next_u64());
+            let w = w >> (rng.next_u64() % 48);
+            assert_eq!(
+                too_many_leaves(w),
+                w.count_ones() as usize > MAX_CUT_INPUTS,
+                "{w:#x}"
+            );
         }
     }
 

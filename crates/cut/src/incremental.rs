@@ -20,12 +20,18 @@
 //!   a constant-time functional spot-check in front of the structural
 //!   argument (and of any later SAT verification).
 //!
-//! Nothing is cached across rounds, so there is no invalidation rule to
-//! get wrong. On a graph that fits in one window the round makes the
-//! same decisions as the rebuild round; `tests/incremental.rs` checks
-//! gate count and depth against it on every embedded benchmark.
+//! A window's merge reads its children's cut lists in place and keeps
+//! each node's smallest leaf unions in a fixed sorted array
+//! ([`crate::cuts`]), so enumeration copies no cut list. No cut is
+//! cached across rounds, so there is no invalidation rule to get wrong;
+//! the round's topological order is the one the previous round's repair
+//! kept ([`IncrementalMig::topo_order`]), and a round that commits
+//! nothing is a no-op round of [`IncrementalMig::mapped_round`], with no
+//! repair. On a graph that fits in one window the round makes the same
+//! decisions as the rebuild round; `tests/incremental.rs` checks gate
+//! count and depth against it on every embedded benchmark.
 
-use crate::cuts::{self, compute_maj_cuts, leaf_cuts, Cut, CutList};
+use crate::cuts::{self, compute_maj_cuts, leaf_cut, Cut, CutList};
 use crate::database::{database, Database};
 use crate::npn;
 use crate::rewrite::RoundStats;
@@ -259,7 +265,6 @@ fn eval_window(
         local[idx as usize] = p as u32;
     }
     let mut lists: Vec<CutList> = Vec::with_capacity(window.len());
-    let mut scratch = Vec::new();
     let mut refs = RefOverlay::new(g.len());
     let mut out = WindowEval {
         cands: vec![None; window.len()],
@@ -272,22 +277,19 @@ fn eval_window(
             lists.push(CutList::default());
             continue;
         };
-        let mut cls = [CutList::default(); 3];
-        for (slot, k) in cls.iter_mut().zip(kids) {
-            *slot = match local[k.node()] {
-                UNSET => leaf_cuts(k.node(), matches!(g.node(k.node()), MigNode::Const0)),
-                lp => lists[lp as usize],
-            };
+        // A child outside the window has only its trivial cut; one inside
+        // is read in place from the window's lists.
+        let mut frozen = [Cut::new(&[], 0); 3];
+        for (f, k) in frozen.iter_mut().zip(kids) {
+            if local[k.node()] == UNSET {
+                *f = leaf_cut(k.node(), matches!(g.node(k.node()), MigNode::Const0));
+            }
         }
-        let list = compute_maj_cuts(
-            idx,
-            kids,
-            cls[0].as_slice(),
-            cls[1].as_slice(),
-            cls[2].as_slice(),
-            cuts::MAX_CUTS_PER_NODE,
-            &mut scratch,
-        );
+        let child = [0, 1, 2].map(|x| match local[kids[x].node()] {
+            UNSET => std::slice::from_ref(&frozen[x]),
+            lp => lists[lp as usize].as_slice(),
+        });
+        let list = compute_maj_cuts(idx, kids, child, cuts::MAX_CUTS_PER_NODE);
         lists.push(list);
         let mut best: Option<(i64, Candidate)> = None;
         for &cut in list.iter() {
@@ -470,6 +472,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Splices Ω.D (L→R) into every eighth gate of the topological order
+    /// whose last child is a gate, `M(x, y, M(u, v, z))` →
+    /// `M(M(x, y, u), M(x, y, v), z)`, through [`IncrementalMig::replace`].
+    fn distribute_some(g: &mut IncrementalMig) -> usize {
+        use rms_core::MajBuilder;
+        let mut spliced = 0;
+        for &idx in g.topo_order().iter().step_by(8) {
+            let idx = idx as usize;
+            let Some([x, y, w]) = g.maj_children(idx) else {
+                continue; // collected by an earlier splice
+            };
+            let Some([u, v, z]) = g.children_through(w) else {
+                continue;
+            };
+            let a = g.maj(x, y, u);
+            let b = g.maj(x, y, v);
+            let r = g.maj(a, b, z);
+            if r.node() != idx {
+                g.replace(idx, r);
+                spliced += 1;
+            }
+        }
+        spliced
+    }
+
+    #[test]
+    fn skipped_repairs_match_the_forced_repair_on_every_circuit() {
+        // Every in-place pass, in sequence on one graph per circuit, each
+        // followed by a check that the graph equals its own full
+        // end-of-round repair and that the kept topological order equals a
+        // fresh walk. Rounds that change nothing skip the repair; a round
+        // after `replace` never does.
+        type Pass = fn(&mut IncrementalMig) -> u64;
+        fn round(g: &mut IncrementalMig, zero_gain: bool) -> u64 {
+            round_windowed(g, database(), zero_gain, 1, &Default::default()).rewrites
+        }
+        let passes: [(&str, Pass); 6] = [
+            ("eliminate", |g| eliminate_inplace(g) as u64),
+            ("reshape up", |g| reshape_inplace(g, false) as u64),
+            ("reshape down", |g| reshape_inplace(g, true) as u64),
+            ("gain-only round", |g| round(g, false)),
+            ("zero-gain round", |g| round(g, true)),
+            ("replace, then eliminate", |g| {
+                distribute_some(g) as u64 + eliminate_inplace(g) as u64
+            }),
+        ];
+        let (mut idle, mut busy) = (0, 0);
+        for info in bench_suite::LARGE_SUITE
+            .iter()
+            .chain(bench_suite::SMALL_SUITE)
+        {
+            let mut g =
+                IncrementalMig::from_mig(&Mig::from_netlist(&bench_suite::build_info(info)));
+            g.assert_repaired();
+            // Twice over: the second cycle finds less to do.
+            for (what, pass) in passes.into_iter().chain(passes) {
+                let before = g.to_mig();
+                let fired = pass(&mut g);
+                println!("{}: {what} fired {fired}", info.name);
+                g.assert_repaired();
+                assert_equiv(&before, &g.to_mig(), &format!("{} ({what})", info.name));
+                match fired {
+                    0 => idle += 1,
+                    _ => busy += 1,
+                }
+            }
+        }
+        assert!(idle > 0 && busy > 0, "{idle} idle and {busy} busy passes");
     }
 
     #[test]

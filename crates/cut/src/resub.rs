@@ -300,7 +300,7 @@ pub(crate) fn run_pass(
 /// One match of the 1-resub triple search: divisor positions `i < j < k`,
 /// the input phase shape `combo` (0: no input complemented, 1/2/3: the
 /// first/second/third input complemented), and the output phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TripleMatch {
     i: usize,
     j: usize,
@@ -316,10 +316,45 @@ impl TripleMatch {
     }
 }
 
+/// Matches [`scan_triples`] collects before [`search_triples`] judges
+/// them.
+const MATCH_BUF: usize = 16;
+
 /// The 1-resub triple search. Visits, in `(i, j, k, combo)` order, every
 /// majority over three divisor rows that equals `target` on all lanes,
 /// possibly complemented; stops at the first match `visit` breaks on and
 /// returns its value.
+///
+/// The pruning scan ([`scan_triples`]) does not call `visit`: it fills a
+/// fixed buffer with the next matches in order, and the search judges
+/// them after it returns, then resumes the scan where it stopped. So the
+/// scan is compiled once, whatever the callback does or returns.
+fn search_triples<B>(
+    rows: &[&[u64]],
+    target: &[u64],
+    mut visit: impl FnMut(TripleMatch) -> ControlFlow<B>,
+) -> Option<B> {
+    let w0: Vec<u64> = rows.iter().map(|r| r[0]).collect();
+    let mut buf = [TripleMatch::default(); MATCH_BUF];
+    let mut at = Some([0, 1, 2]);
+    while let Some(from) = at {
+        let (found, next) = scan_triples(rows, target, &w0, from, &mut buf);
+        for &m in &buf[..found] {
+            if let ControlFlow::Break(b) = visit(m) {
+                return Some(b);
+            }
+        }
+        at = next;
+    }
+    None
+}
+
+/// The pruning scan of [`search_triples`]: from divisor positions
+/// `[i, j, k]`, writes the matches in `(i, j, k, combo)` order into `buf`
+/// until it could not hold the four shapes of one more triple, or the
+/// triples run out. Returns the number written and where to resume
+/// (`None` once every triple has been scanned). `w0` holds each row's
+/// lane-0 word.
 ///
 /// Input phase combinations with two or three complements are covered by
 /// the output phase (¬M(a,b,c) = M(¬a,¬b,¬c)), so only the four
@@ -332,49 +367,59 @@ impl TripleMatch {
 /// pair whose three shapes all fail skips its `k` loop, and a combo whose
 /// pair shape fails is skipped: exactly the triples the lane-0 filter
 /// would reject, so the visiting order is that of the plain scan.
-fn search_triples<B>(
+#[inline(never)]
+fn scan_triples(
     rows: &[&[u64]],
     target: &[u64],
-    mut visit: impl FnMut(TripleMatch) -> ControlFlow<B>,
-) -> Option<B> {
+    w0: &[u64],
+    [mut i, mut j, mut k]: [usize; 3],
+    buf: &mut [TripleMatch; MATCH_BUF],
+) -> (usize, Option<[usize; 3]>) {
     // Pair shape of each combo: (a, b), (¬a, b), (a, ¬b), (a, b).
     const PAIR_SHAPE: [usize; 4] = [0, 1, 2, 0];
+    let n = rows.len();
     let t = target[0];
-    let w0: Vec<u64> = rows.iter().map(|r| r[0]).collect();
     let pair_fits = |a: u64, b: u64| {
         let agree = !(a ^ b);
         (a ^ t) & agree == 0 || (a ^ !t) & agree == 0
     };
-    for i in 0..rows.len() {
-        for j in (i + 1)..rows.len() {
+    let mut found = 0;
+    while i < n {
+        while j < n {
             let (a, b) = (w0[i], w0[j]);
             let fits = [pair_fits(a, b), pair_fits(!a, b), pair_fits(a, !b)];
-            if fits == [false; 3] {
-                continue;
-            }
-            for k in (j + 1)..rows.len() {
-                for combo in 0..4u8 {
-                    if !fits[PAIR_SHAPE[combo as usize]] {
-                        continue;
+            if fits != [false; 3] {
+                while k < n {
+                    if found + 4 > MATCH_BUF {
+                        return (found, Some([i, j, k]));
                     }
-                    let m = TripleMatch {
-                        i,
-                        j,
-                        k,
-                        combo,
-                        out_phase: false,
-                    };
-                    let Some(m) = full_match(rows, target, m) else {
-                        continue;
-                    };
-                    if let ControlFlow::Break(b) = visit(m) {
-                        return Some(b);
+                    for combo in 0..4u8 {
+                        if !fits[PAIR_SHAPE[combo as usize]] {
+                            continue;
+                        }
+                        let m = TripleMatch {
+                            i,
+                            j,
+                            k,
+                            combo,
+                            out_phase: false,
+                        };
+                        if let Some(m) = full_match(rows, target, m) {
+                            buf[found] = m;
+                            found += 1;
+                        }
                     }
+                    k += 1;
                 }
             }
+            j += 1;
+            k = j + 1;
         }
+        i += 1;
+        j = i + 1;
+        k = j + 1;
     }
-    None
+    (found, None)
 }
 
 /// Checks one triple shape against `target`: the output phase comes from
@@ -597,6 +642,7 @@ mod tests {
     fn pruned_triple_search_matches_the_plain_scan_on_random_words() {
         let mut rng = SplitMix64::new(0x5eed_1e5b);
         let mut matched = 0usize;
+        let mut resumed = false;
         for trial in 0..400 {
             // Few live bits per word, so lane-0 agreements (and full
             // matches) are common; rows are random or majorities of
@@ -631,12 +677,28 @@ mod tests {
             let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
             let want = naive_triples(&refs, &target);
             assert_eq!(pruned_triples(&refs, &target), want, "trial {trial}");
+            // A break returns the match it broke on, and stops the search
+            // there, wherever it falls in the scan's buffer.
+            for stop in [0, MATCH_BUF - 4, MATCH_BUF, want.len().saturating_sub(1)] {
+                let mut seen = 0;
+                let got = search_triples(&refs, &target, |m| {
+                    seen += 1;
+                    match seen > stop {
+                        true => ControlFlow::Break(m),
+                        false => ControlFlow::Continue(()),
+                    }
+                });
+                assert_eq!(got, want.get(stop).copied(), "trial {trial}, stop {stop}");
+                assert_eq!(seen, want.len().min(stop + 1), "trial {trial}, stop {stop}");
+            }
             matched += want.len();
+            resumed |= want.len() > MATCH_BUF;
         }
         assert!(
             matched > 100,
             "too few matches to exercise the search: {matched}"
         );
+        assert!(resumed, "no search outgrew one buffer of matches");
     }
 
     #[test]
